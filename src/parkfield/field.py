@@ -5,7 +5,17 @@ convex obstacle that is the penetration depth inside and non-positive
 outside; a 2-vertex spot edge carries one signed line, negative over the
 spot interior (zero on the edge) and positive beyond it.  The composite
 field is the maximum over all polygons.  Evaluators come in a scalar form
-and a vectorized ``*_many`` form over (N, 2) arrays.
+and a vectorized ``*_many`` form over (N, 2) arrays; all of them run the
+one ``CompiledFieldSet.eval_many`` kernel.
+
+The kernel walks its points in equal blocks of at most ``_BLOCK_POINTS``,
+and the objective walks its poses the same way, so peak memory does not
+grow with the batch.  Per block and polygon, one ``(L, 2) @ (2, n)``
+product puts the polygon's line values line-major in a reused buffer, and
+the min over lines runs along the long axis.  Each line value is the same
+BLAS product the point-major ``pts @ normals.T`` gives, so results are
+bit-identical to it; one product over all polygons' lines at once, or an
+elementwise ``a*x + b*y + c``, rounds differently.
 """
 
 from __future__ import annotations
@@ -18,6 +28,11 @@ from .errors import BudgetError, GeometryError
 from .geometry import Point2, Polygon
 
 MAX_FIELD_MAP_CELLS = 10**8
+
+# Points per kernel block: a 6-line polygon's line values take 1.5 MB, and
+# one block holds a whole compass-refinement poll (18 poses of ~940
+# samples at the default density).
+_BLOCK_POINTS = 32768
 
 
 @dataclass(frozen=True)
@@ -32,28 +47,49 @@ class FieldSet:
         object.__setattr__(self, "polygons", tuple(self.polygons))
 
 
-class _CompiledPolygon:
-    """Per-polygon line arrays for batch min-over-edges evaluation."""
+def _block_slices(n: int, limit: int):
+    """``(lo, hi)`` bounds of equal blocks of at most ``limit`` rows over ``n``.
 
-    def __init__(self, polygon: Polygon):
-        self.normals = np.array([[e.a, e.b] for e in polygon.edges])
-        self.offsets = np.array([e.c for e in polygon.edges])
-
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return (pts @ self.normals.T + self.offsets).min(axis=1)
+    Equal blocks never leave a 1-row tail of a larger batch: matmul sends a
+    1-point product to BLAS gemv, which rounds differently from gemm.
+    """
+    blocks = -(-n // limit)
+    for b in range(blocks):
+        yield n * b // blocks, n * (b + 1) // blocks
 
 
 class CompiledFieldSet:
     """A FieldSet prepared for repeated batch evaluation."""
 
     def __init__(self, fields: FieldSet):
-        self.polygons = [_CompiledPolygon(p) for p in fields.polygons]
+        # Per polygon: (L, 2) line normals and (L, 1) offsets.
+        self._lines = [
+            (
+                np.array([[e.a, e.b] for e in poly.edges]),
+                np.array([[e.c] for e in poly.edges]),
+            )
+            for poly in fields.polygons
+        ]
+        self._max_lines = max(len(normals) for normals, _ in self._lines)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        values = self.polygons[0].eval_many(pts)
-        for poly in self.polygons[1:]:
-            np.maximum(values, poly.eval_many(pts), out=values)
-        return values
+        """Composite field at ``pts`` shaped (N, 2)."""
+        out = np.empty(len(pts))
+        # Flat, so every (L, n_block) view of it is C-contiguous and matmul
+        # writes into it through BLAS.
+        buf = np.empty(self._max_lines * min(len(pts), _BLOCK_POINTS))
+        for lo, hi in _block_slices(len(pts), _BLOCK_POINTS):
+            block = pts[lo:hi].T
+            dst = out[lo:hi]
+            for k, (normals, offsets) in enumerate(self._lines):
+                vals = buf[: len(normals) * (hi - lo)].reshape(len(normals), hi - lo)
+                np.matmul(normals, block, out=vals)
+                vals += offsets
+                if k == 0:
+                    np.minimum.reduce(vals, axis=0, out=dst)
+                else:
+                    np.maximum(dst, np.minimum.reduce(vals, axis=0), out=dst)
+        return out
 
 
 def polygon_field(polygon: Polygon, p: Point2) -> float:
@@ -62,13 +98,12 @@ def polygon_field(polygon: Polygon, p: Point2) -> float:
     Positive inside a convex obstacle; a spot edge gives its signed line
     distance, negative on the side the spot lies on and zero on the edge.
     """
-    pts = np.array([[p.x, p.y]])
-    return float(_CompiledPolygon(polygon).eval_many(pts)[0])
+    return gamma(FieldSet((polygon,)), p)
 
 
 def gamma(fields: FieldSet, p: Point2) -> float:
     """Composite field at ``p``: max over polygons of the per-polygon field."""
-    return max(polygon_field(poly, p) for poly in fields.polygons)
+    return float(gamma_many(fields, np.array([[p.x, p.y]]))[0])
 
 
 def gamma_many(fields: FieldSet, pts: np.ndarray) -> np.ndarray:

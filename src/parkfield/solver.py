@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, InfeasibleSpotError
-from .field import CompiledFieldSet, FieldSet
+from .field import _BLOCK_POINTS, CompiledFieldSet, FieldSet, _block_slices
 from .geometry import normalize_angle, transform_polygon
 from .scenario import ParkingSpot, Rect, VehicleFootprint
 
@@ -30,8 +30,6 @@ MAX_ORACLE_POSES = 10**7
 # deliberately mimics the edge-heavy low-count sampling that grid mode
 # exists to fix; keep monte_carlo only for regression demos.
 _MC_EDGE_FRACTION = 0.75
-
-_BATCH_POINT_LIMIT = 2**21
 
 
 @dataclass(frozen=True)
@@ -172,17 +170,28 @@ class ObjectiveEvaluator:
         )
 
     def scores(self, poses: np.ndarray) -> np.ndarray:
+        """Objective at each pose row (x, y, theta).
+
+        Poses are scored in blocks of about ``_BLOCK_POINTS`` sample points,
+        so memory stays bounded whatever the batch; every row's arithmetic
+        is independent of the blocking.
+        """
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
-        cos = np.cos(poses[:, 2])
-        sin = np.sin(poses[:, 2])
+        out = np.empty(len(poses))
         lx = self._pts[:, 0]
         ly = self._pts[:, 1]
-        gx = cos[:, None] * lx[None, :] - sin[:, None] * ly[None, :] + poses[:, 0:1]
-        gy = sin[:, None] * lx[None, :] + cos[:, None] * ly[None, :] + poses[:, 1:2]
-        values = self._compiled.eval_many(
-            np.column_stack([gx.ravel(), gy.ravel()])
-        ).reshape(len(poses), -1)
-        return (values * self._weights).sum(axis=1)
+        step = max(1, _BLOCK_POINTS // len(self._pts))
+        for lo, hi in _block_slices(len(poses), step):
+            block = poses[lo:hi]
+            cos = np.cos(block[:, 2])
+            sin = np.sin(block[:, 2])
+            gx = cos[:, None] * lx[None, :] - sin[:, None] * ly[None, :] + block[:, 0:1]
+            gy = sin[:, None] * lx[None, :] + cos[:, None] * ly[None, :] + block[:, 1:2]
+            values = self._compiled.eval_many(
+                np.column_stack([gx.ravel(), gy.ravel()])
+            ).reshape(len(block), -1)
+            out[lo:hi] = (values * self._weights).sum(axis=1)
+        return out
 
     def score(self, pose: Pose) -> float:
         return float(self.scores(pose.as_array()[None, :])[0])
@@ -424,19 +433,15 @@ def brute_force_minimize(
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
     gx, gy, gt = np.meshgrid(xs, ys, np.array(config.headings), indexing="ij")
     poses = np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
-    n_samples = max(1, len(evaluator._pts))
-    chunk = max(1, _BATCH_POINT_LIMIT // n_samples)
-    best_key = None
-    best = None
-    for lo in range(0, len(poses), chunk):
-        block = poses[lo : lo + chunk]
-        scores = evaluator.scores(block)
-        for j in range(len(block)):
-            key = _tie_key(
-                float(scores[j]), block[j, 0], block[j, 1], block[j, 2], config, spot
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (float(scores[j]), block[j, 0], block[j, 1], block[j, 2])
-    pose = Pose(best[1], best[2], best[3])
-    return SolveResult(pose, best[0], total, True)
+    scores = evaluator.scores(poses)
+    # Ties are broken only among the poses holding the minimum score: the
+    # tie key orders by score first, so this is the same total order.
+    tied = np.flatnonzero(scores == scores.min())
+    best = min(
+        tied,
+        key=lambda i: _tie_key(
+            float(scores[i]), poses[i, 0], poses[i, 1], poses[i, 2], config, spot
+        ),
+    )
+    pose = Pose(poses[best, 0], poses[best, 1], poses[best, 2])
+    return SolveResult(pose, float(scores[best]), total, True)

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parkfield.geometry import Point2, Polygon
@@ -61,3 +62,31 @@ def regular_polygon(cx: float, cy: float, radius: float, sides: int) -> Polygon:
         for k in range(sides)
     )
     return Polygon(verts)
+
+
+def point_major_gamma_many(fields, pts):
+    """Independent field-kernel oracle: one point-major ``(N, 2) @ (2, L)``
+    product per polygon, min over its lines, max over polygons."""
+    values = None
+    for poly in fields.polygons:
+        normals = np.array([[e.a, e.b] for e in poly.edges])
+        offsets = np.array([e.c for e in poly.edges])
+        lines_min = (pts @ normals.T + offsets).min(axis=1)
+        values = lines_min if values is None else np.maximum(values, lines_min)
+    return values
+
+
+def unblocked_scores(fields, evaluator, poses):
+    """Objective oracle: all P x M posed sample points in one evaluation of
+    ``point_major_gamma_many``, then the per-row weighted sum."""
+    poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+    cos = np.cos(poses[:, 2])
+    sin = np.sin(poses[:, 2])
+    lx = evaluator._pts[:, 0]
+    ly = evaluator._pts[:, 1]
+    gx = cos[:, None] * lx[None, :] - sin[:, None] * ly[None, :] + poses[:, 0:1]
+    gy = sin[:, None] * lx[None, :] + cos[:, None] * ly[None, :] + poses[:, 1:2]
+    values = point_major_gamma_many(
+        fields, np.column_stack([gx.ravel(), gy.ravel()])
+    ).reshape(len(poses), -1)
+    return (values * evaluator._weights).sum(axis=1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import (
+    _BLOCK_POINTS,
     FieldMap,
     FieldSet,
     gamma,
@@ -16,7 +17,7 @@ from parkfield.field import (
 from parkfield.geometry import Point2, Polygon, SPOT_EDGE
 from parkfield.scenario import spot_field_set, make_spot
 
-from conftest import point_in_polygon_raycast, regular_polygon
+from conftest import point_in_polygon_raycast, point_major_gamma_many, regular_polygon
 
 coord = st.floats(-10, 10, allow_nan=False)
 
@@ -66,6 +67,29 @@ def test_gamma_matches_pairwise_maximum():
         [gamma_many(FieldSet((p,)), pts) for p in polys], axis=0
     )
     assert np.allclose(composite, brute, atol=0)
+
+
+BLOCK_STRADDLING_COUNTS = (0, 1, _BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1,
+                           2 * _BLOCK_POINTS + 3)
+
+
+@pytest.mark.parametrize("lines", [(1,), (4,), (6,), (1, 4, 6)])
+def test_gamma_many_bitwise_equals_point_major_kernel(lines):
+    shapes = {
+        1: spot_edge((-1.0, -2.0), (2.0, 1.5)),
+        4: regular_polygon(0.4, -0.3, 1.7, 4),
+        6: regular_polygon(-0.6, 0.5, 1.3, 6),
+    }
+    fields = FieldSet(tuple(shapes[k] for k in lines))
+    rng = np.random.default_rng(11)
+    # A last-bit rounding difference shows on about one random point in
+    # three, so each count is drawn many times.
+    for n in BLOCK_STRADDLING_COUNTS:
+        for _ in range(25):
+            pts = rng.uniform(-3, 3, size=(n, 2))
+            assert np.array_equal(
+                gamma_many(fields, pts), point_major_gamma_many(fields, pts)
+            ), n
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from parkfield.errors import BudgetError, InfeasibleSpotError
-from parkfield.field import FieldSet
+from parkfield.field import _BLOCK_POINTS, FieldSet
 from parkfield.geometry import Point2, Polygon, SPOT_EDGE, transform_polygon
 from parkfield.scenario import (
     Rect,
@@ -23,12 +24,13 @@ from parkfield.solver import (
     Pose,
     SamplingPlan,
     SolverConfig,
+    _tie_key,
     brute_force_minimize,
     minimize,
     objective,
 )
 
-from conftest import load_golden
+from conftest import load_golden, unblocked_scores
 
 
 def one_sided_edge(p, q):
@@ -389,3 +391,79 @@ def test_evaluator_batch_matches_scalar():
     batch = evaluator.scores(poses)
     singles = [evaluator.score(Pose(*p)) for p in poses]
     assert batch == pytest.approx(singles, abs=1e-12)
+
+
+def golden_evaluator(name):
+    scenario = load_golden(name)
+    footprint = build_footprint(scenario.context, scenario.vehicle)
+    spot = scenario.spots[0]
+    fields = spot_field_set(spot, list(scenario.obstacles), reach=footprint.max_reach())
+    local = FieldSet(
+        tuple(transform_polygon(spot.spot_frame, p) for p in fields.polygons)
+    )
+    return spot, local, ObjectiveEvaluator(local, footprint, SamplingPlan())
+
+
+def random_poses(rng, spot, count):
+    return np.column_stack([
+        rng.uniform(0.0, spot.length, count),
+        rng.uniform(0.0, spot.width, count),
+        rng.uniform(-math.pi, math.pi, count),
+    ])
+
+
+def test_scores_bitwise_equal_unblocked_across_pose_blocks():
+    spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
+    per_block = _BLOCK_POINTS // len(evaluator._pts)
+    rng = np.random.default_rng(5)
+    for count in (1, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
+        poses = random_poses(rng, spot, count)
+        assert np.array_equal(
+            evaluator.scores(poses), unblocked_scores(local, evaluator, poses)
+        ), count
+
+
+def test_scores_memory_bounded_for_large_batches():
+    spot, _, evaluator = golden_evaluator("mixed_obstacles.json")
+    assert len(evaluator._pts) == 936
+    # ~19M sample points: one unblocked float64 temporary alone is 150 MB.
+    poses = random_poses(np.random.default_rng(6), spot, 20_000)
+    tracemalloc.start()
+    try:
+        scores = evaluator.scores(poses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (20_000,) and np.all(np.isfinite(scores))
+    assert peak < 32 * 2**20
+
+
+def test_oracle_tie_break_matches_per_pose_key_loop():
+    # Far from the short edges of a long empty spot the field under a
+    # heading-0 body depends on y alone, so many lattice poses tie exactly.
+    spot = make_spot(
+        "long", [Point2(0, 0), Point2(12, 0), Point2(12, 2.5), Point2(0, 2.5)], "x_min"
+    )
+    fields = spot_field_set(spot, [])
+    footprint = VehicleFootprint(Rect(-2.1, 2.1, -0.9, 0.9))
+    plan = SamplingPlan(GRID, 25.0)
+    config = SolverConfig()
+    result = brute_force_minimize(fields, footprint, spot, plan, resolution=0.1)
+
+    local = FieldSet(
+        tuple(transform_polygon(spot.spot_frame, p) for p in fields.polygons)
+    )
+    xs = np.linspace(0.0, spot.length, 121)
+    ys = np.linspace(0.0, spot.width, 26)
+    gx, gy, gt = np.meshgrid(xs, ys, np.array(config.headings), indexing="ij")
+    poses = np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
+    scores = ObjectiveEvaluator(local, footprint, plan).scores(poses)
+    assert np.count_nonzero(scores == scores.min()) >= 10
+    best_key = None
+    for j in range(len(poses)):
+        key = _tie_key(float(scores[j]), poses[j, 0], poses[j, 1], poses[j, 2], config, spot)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (float(scores[j]), poses[j, 0], poses[j, 1], poses[j, 2])
+    assert result.evaluations == len(poses)
+    assert (result.score, result.pose) == (best[0], Pose(best[1], best[2], best[3]))
