@@ -13,9 +13,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 
-from .errors import BudgetError, ParkfieldError, ScenarioError
+from .errors import BudgetError, InfeasibleSpotError, ParkfieldError, ScenarioError
 from .field import FieldMap, sample_field
 from .render import CONTOUR_LEVELS, render_scene, scene_bounds
 from .scenario import area_field_set, build_footprint, load_scenario, spot_field_set
@@ -37,11 +37,30 @@ EXIT_IO = 5
 REPORT_VERSION = 1
 
 _SAMPLING_ALIASES = {"grid": GRID, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}
+_SECTION_TYPES = {"sampling": SamplingPlan, "solver": SolverConfig}
 
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _config_section(data: dict, name: str) -> dict:
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ScenarioError(f"config.{name}", "must be a JSON object")
+    unknown = set(section) - {f.name for f in dataclass_fields(_SECTION_TYPES[name])}
+    if unknown:
+        raise ScenarioError(f"config.{name}.{sorted(unknown)[0]}", f"unknown {name} option")
+    return dict(section)
+
+
+def _build_section(name: str, **values):
+    """The section's dataclass; its validation errors name ``config.<name>.<field>``."""
+    try:
+        return _SECTION_TYPES[name](**values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"config.{name}.{exc.path}", exc.message) from exc
 
 
 def _load_config(path: str | None, args) -> tuple[SamplingPlan, SolverConfig, bool]:
@@ -54,69 +73,29 @@ def _load_config(path: str | None, args) -> tuple[SamplingPlan, SolverConfig, bo
         if not isinstance(data, dict):
             raise ScenarioError("config", "config file must hold a JSON object")
 
-    sampling = dict(data.get("sampling", {}))
+    sampling = _config_section(data, "sampling")
     if getattr(args, "sampling", None):
         sampling["mode"] = args.sampling
     if getattr(args, "density", None) is not None:
         sampling["density"] = args.density
     if getattr(args, "seed", None) is not None:
         sampling["seed"] = args.seed
-    mode = _SAMPLING_ALIASES.get(sampling.get("mode", "grid"))
-    if mode is None:
-        raise ScenarioError("config.sampling.mode", f"unknown mode {sampling.get('mode')!r}")
-    try:
-        plan = SamplingPlan(
-            mode=mode,
-            density=float(sampling.get("density", 100.0)),
-            seed=int(sampling.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ScenarioError("config.sampling", str(exc)) from exc
+    mode = sampling.get("mode", "grid")
+    if not isinstance(mode, str) or mode not in _SAMPLING_ALIASES:
+        raise ScenarioError("config.sampling.mode", f"unknown mode {mode!r}")
+    sampling["mode"] = _SAMPLING_ALIASES[mode]
+    plan = _build_section("sampling", **sampling)
 
-    solver_raw = dict(data.get("solver", {}))
-    known = {
-        "coarse_pitch",
-        "step_init_pos",
-        "step_init_ang",
-        "step_min_pos",
-        "step_min_ang",
-        "theta_range",
-        "starts",
-        "headings",
-        "max_refine_evals",
-        "rect_weights",
-    }
-    unknown = set(solver_raw) - known
-    if unknown:
-        raise ScenarioError(f"config.solver.{sorted(unknown)[0]}", "unknown solver option")
-    if "headings" in solver_raw:
-        solver_raw["headings"] = tuple(float(h) for h in solver_raw["headings"])
-    try:
-        config = SolverConfig(**solver_raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("config.solver", str(exc)) from exc
+    config = _build_section("solver", **_config_section(data, "solver"))
 
-    explain = bool(data.get("explain", True))
+    explain = data.get("explain", True)
+    if not isinstance(explain, bool):
+        raise ScenarioError("config.explain", f"must be true or false, got {explain!r}")
     return plan, config, explain
 
 
 def _config_echo(plan: SamplingPlan, config: SolverConfig, explain: bool) -> dict:
-    return {
-        "sampling": asdict(plan),
-        "solver": {
-            "coarse_pitch": config.coarse_pitch,
-            "step_init_pos": config.step_init_pos,
-            "step_init_ang": config.step_init_ang,
-            "step_min_pos": config.step_min_pos,
-            "step_min_ang": config.step_min_ang,
-            "theta_range": config.theta_range,
-            "starts": config.starts,
-            "headings": list(config.headings),
-            "max_refine_evals": config.max_refine_evals,
-            "rect_weights": dict(config.rect_weights),
-        },
-        "explain": explain,
-    }
+    return {"sampling": asdict(plan), "solver": asdict(config), "explain": explain}
 
 
 def _digest(text: str) -> str:
@@ -211,9 +190,7 @@ def _cmd_oracle(args) -> int:
             result = brute_force_minimize(
                 fields, footprint, spot, plan, args.resolution, config
             )
-        except ParkfieldError as exc:
-            if isinstance(exc, BudgetError):
-                raise
+        except InfeasibleSpotError as exc:
             infeasible.append((spot.id, str(exc)))
             continue
         strategies.append(round_strategy(result, spot, footprint))

@@ -17,6 +17,7 @@ class ScenarioError(ParkfieldError, ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 

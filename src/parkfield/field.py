@@ -29,10 +29,11 @@ from .geometry import Point2, Polygon
 
 MAX_FIELD_MAP_CELLS = 10**8
 
-# Points per kernel block: a 6-line polygon's line values take 1.5 MB, and
-# one block holds a whole compass-refinement poll (18 poses of ~940
-# samples at the default density).
-_BLOCK_POINTS = 32768
+# Points per kernel block: a 6-line polygon's line values take 384 KB, so
+# a block's temporaries stay in cache.  One compass-refinement poll (up to
+# 18 poses of ~940-1250 samples at the default density) spans 2 to 3 pose
+# blocks of the objective.
+_BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,11 @@ def _block_slices(n: int, limit: int):
 
 
 class CompiledFieldSet:
-    """A FieldSet prepared for repeated batch evaluation."""
+    """A FieldSet prepared for repeated batch evaluation.
+
+    It keeps one scratch buffer for the line values across calls, so an
+    instance must not be shared between threads.
+    """
 
     def __init__(self, fields: FieldSet):
         # Per polygon: (L, 2) line normals and (L, 1) offsets.
@@ -71,13 +76,20 @@ class CompiledFieldSet:
             for poly in fields.polygons
         ]
         self._max_lines = max(len(normals) for normals, _ in self._lines)
+        # Grown on demand, never per call: a fresh buffer of this size is
+        # often mmapped by the allocator, and its page faults cost more
+        # than the products it holds.
+        self._buf = np.empty(0)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Composite field at ``pts`` shaped (N, 2)."""
         out = np.empty(len(pts))
         # Flat, so every (L, n_block) view of it is C-contiguous and matmul
         # writes into it through BLAS.
-        buf = np.empty(self._max_lines * min(len(pts), _BLOCK_POINTS))
+        need = self._max_lines * min(len(pts), _BLOCK_POINTS)
+        if len(self._buf) < need:
+            self._buf = np.empty(need)
+        buf = self._buf
         for lo, hi in _block_slices(len(pts), _BLOCK_POINTS):
             block = pts[lo:hi].T
             dst = out[lo:hi]

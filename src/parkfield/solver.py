@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleSpotError
+from .errors import BudgetError, InfeasibleSpotError, ScenarioError
 from .field import _BLOCK_POINTS, CompiledFieldSet, FieldSet, _block_slices
 from .geometry import normalize_angle, transform_polygon
 from .scenario import ParkingSpot, Rect, VehicleFootprint
@@ -24,7 +24,9 @@ from .scenario import ParkingSpot, Rect, VehicleFootprint
 GRID = "grid"
 MONTE_CARLO = "monte_carlo"
 
-MAX_ORACLE_POSES = 10**7
+# Cap on the poses of one lattice: the coarse grid of ``minimize`` or the
+# oracle lattice of ``brute_force_minimize``.
+MAX_LATTICE_POSES = 10**7
 
 # Share of monte-carlo samples placed on the rectangle boundary.  This
 # deliberately mimics the edge-heavy low-count sampling that grid mode
@@ -62,9 +64,10 @@ class SamplingPlan:
 
     def __post_init__(self):
         if self.mode not in (GRID, MONTE_CARLO):
-            raise ValueError(f"unknown sampling mode '{self.mode}'")
-        if self.density <= 0:
-            raise ValueError("sampling density must be positive")
+            raise ScenarioError("mode", f"unknown sampling mode {self.mode!r}")
+        object.__setattr__(self, "density", _number("density", self.density, 0.0, False))
+        if not _is_int(self.seed):
+            raise ScenarioError("seed", f"must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -83,17 +86,58 @@ class SolverConfig:
     rect_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("need at least one refinement start")
-        if not self.headings:
-            raise ValueError("need at least one discrete heading")
+        for name in ("coarse_pitch", "step_init_pos", "step_min_pos"):
+            _number(name, getattr(self, name), 0.0, False)
+        # A zero angular step freezes the heading at its coarse value.
+        for name in ("step_init_ang", "step_min_ang", "theta_range"):
+            _number(name, getattr(self, name), 0.0)
+        if not _is_int(self.starts) or self.starts < 1:
+            raise ScenarioError("starts", f"must be an integer >= 1, got {self.starts!r}")
+        if not _is_int(self.max_refine_evals) or self.max_refine_evals < 0:
+            raise ScenarioError(
+                "max_refine_evals", f"must be an integer >= 0, got {self.max_refine_evals!r}"
+            )
+        if not isinstance(self.headings, (list, tuple)) or not self.headings:
+            raise ScenarioError("headings", "must be a non-empty list of angles")
+        for k, h in enumerate(self.headings):
+            _number(f"headings[{k}]", h)
         object.__setattr__(
             self, "headings", tuple(normalize_angle(h) for h in self.headings)
         )
+        if not isinstance(self.rect_weights, dict):
+            raise ScenarioError("rect_weights", "must map rectangle labels to weights")
+        for label, weight in self.rect_weights.items():
+            _number(f"rect_weights.{label}", weight)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _number(name: str, value, low: float = -math.inf, inclusive: bool = True) -> float:
+    """``value`` as a float after checking it is a finite number above ``low``.
+
+    Raises ``ScenarioError`` at ``name``, so a config reader can name the
+    offending option.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+        raise ScenarioError(name, f"must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or value < low or (value == low and not inclusive):
+        bound = "" if low == -math.inf else f" {'>=' if inclusive else '>'} {low}"
+        raise ScenarioError(name, f"must be a finite number{bound}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Best pose of one solve.
+
+    ``evaluations`` counts the poses the search requested: the coarse grid
+    plus every refinement probe, including the probes answered from the
+    solve's score memo without reaching the evaluator.
+    """
+
     pose: Pose
     score: float
     evaluations: int
@@ -269,9 +313,25 @@ def _local_field_set(fields: FieldSet, spot: ParkingSpot) -> FieldSet:
     )
 
 
-def _axis_grid(extent: float, pitch: float) -> np.ndarray:
-    n = max(2, int(math.ceil(extent / pitch - 1e-9)) + 1)
-    return np.linspace(0.0, extent, n)
+def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> np.ndarray:
+    """(x, y, theta) rows of a ``pitch`` lattice over the spot box and headings.
+
+    Each axis spans its extent inclusively in equal steps of at most
+    ``pitch``; more than ``MAX_LATTICE_POSES`` poses raise ``BudgetError``
+    before anything is allocated.
+    """
+    cells = [extent / pitch for extent in (spot.length, spot.width)]
+    if max(cells) > MAX_LATTICE_POSES:
+        raise BudgetError(f"pitch {pitch} gives over {MAX_LATTICE_POSES} lattice poses")
+    xs, ys = (
+        np.linspace(0.0, extent, max(2, int(math.ceil(n - 1e-9)) + 1))
+        for extent, n in zip((spot.length, spot.width), cells)
+    )
+    total = len(xs) * len(ys) * len(headings)
+    if total > MAX_LATTICE_POSES:
+        raise BudgetError(f"{total} lattice poses exceed {MAX_LATTICE_POSES}")
+    gx, gy, gt = np.meshgrid(xs, ys, np.array(headings), indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
 
 
 def _poll_directions(step_p: float, step_a: float):
@@ -294,13 +354,27 @@ def _poll_directions(step_p: float, step_a: float):
     return axes + diagonals + coupled
 
 
-def _compass_refine(evaluator, start, score, theta_center, cfg, spot, budget):
+def _memo_scores(evaluator, memo: dict, probes: list) -> list:
+    """Scores of ``probes`` (pose tuples), looked up in one solve's ``memo``.
+
+    Only the distinct probes not in the memo reach the evaluator, in one
+    batch; their scores join the memo.  A pose's score does not depend on
+    the batch it is scored in, so a memo hit equals a fresh evaluation.
+    """
+    fresh = list(dict.fromkeys(p for p in probes if p not in memo))
+    if fresh:
+        memo.update(zip(fresh, evaluator.scores(np.array(fresh)).tolist()))
+    return [memo[p] for p in probes]
+
+
+def _compass_refine(evaluator, memo, start, score, theta_center, cfg, spot, budget):
     """Pattern search with shrinking steps around one coarse-stage start.
 
     Polls axis, diagonal and position-angle-coupled moves; after the steps
     bottom out it restarts at the initial step sizes until a whole pass
     brings no improvement, which rides coupled valleys the plain compass
-    stalls in.
+    stalls in.  Probes are scored through the solve's ``memo``; the budget
+    counts every probe polled, memo hits included.
     """
     x, y, theta = start
     best = score
@@ -321,7 +395,7 @@ def _compass_refine(evaluator, start, score, theta_center, cfg, spot, budget):
                 if (px, py, pt) != (x, y, theta):
                     probes.append((px, py, pt))
             if probes:
-                scores = evaluator.scores(np.array(probes))
+                scores = _memo_scores(evaluator, memo, probes)
                 evals += len(probes)
                 idx = int(np.argmin(scores))
                 if scores[idx] < best:
@@ -375,12 +449,12 @@ def minimize(
     local = _local_field_set(fields, spot)
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
 
-    xs = _axis_grid(spot.length, config.coarse_pitch)
-    ys = _axis_grid(spot.width, config.coarse_pitch)
-    gx, gy, gt = np.meshgrid(xs, ys, np.array(config.headings), indexing="ij")
-    coarse = np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
+    coarse = _pose_lattice(spot, config.coarse_pitch, config.headings)
     coarse_scores = evaluator.scores(coarse)
     evaluations = len(coarse)
+    # Pose tuple -> score for this solve: the refinement polls of all
+    # starts revisit poses, and step-pitch probes land on coarse nodes.
+    memo = dict(zip(map(tuple, coarse.tolist()), coarse_scores.tolist()))
 
     order = sorted(
         range(len(coarse)),
@@ -396,6 +470,7 @@ def minimize(
         x, y, theta = coarse[i]
         rx, ry, rt, rscore, revals, rconv = _compass_refine(
             evaluator,
+            memo,
             (float(x), float(y), float(theta)),
             float(coarse_scores[i]),
             float(theta),
@@ -423,16 +498,11 @@ def brute_force_minimize(
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
     """Exhaustive pose-lattice search; the test oracle, not a production path."""
+    _number("resolution", resolution, 0.0, False)
     check_feasible(footprint, spot, config.headings)
-    xs = _axis_grid(spot.length, resolution)
-    ys = _axis_grid(spot.width, resolution)
-    total = len(xs) * len(ys) * len(config.headings)
-    if total > MAX_ORACLE_POSES:
-        raise BudgetError(f"{total} lattice poses exceed {MAX_ORACLE_POSES}")
+    poses = _pose_lattice(spot, resolution, config.headings)
     local = _local_field_set(fields, spot)
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
-    gx, gy, gt = np.meshgrid(xs, ys, np.array(config.headings), indexing="ij")
-    poses = np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
     scores = evaluator.scores(poses)
     # Ties are broken only among the poses holding the minimum score: the
     # tie key orders by score first, so this is the same total order.
@@ -444,4 +514,4 @@ def brute_force_minimize(
         ),
     )
     pose = Pose(poses[best, 0], poses[best, 1], poses[best, 2])
-    return SolveResult(pose, float(scores[best]), total, True)
+    return SolveResult(pose, float(scores[best]), len(poses), True)

@@ -1,4 +1,6 @@
+import importlib
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from parkfield.geometry import Point2, Polygon
 from parkfield.scenario import Rect, VehicleFootprint, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 # One line per acceptance criterion, printed after the run.
 ACCEPTANCE_RESULTS: list = []
@@ -90,3 +93,10 @@ def unblocked_scores(fields, evaluator, poses):
         fields, np.column_stack([gx.ravel(), gy.ravel()])
     ).reshape(len(poses), -1)
     return (values * evaluator._weights).sum(axis=1)
+
+
+def bench_module(name: str):
+    """A helper module of the benchmark (``lot``, ``stats``), imported read-only."""
+    if str(BENCH_DIR) not in sys.path:
+        sys.path.insert(0, str(BENCH_DIR))
+    return importlib.import_module(name)

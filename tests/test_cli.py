@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SCENARIO_DIR
+from conftest import BENCH_DIR, SCENARIO_DIR, bench_module
+
+from parkfield import cli
 
 CLI = [sys.executable, "-m", "parkfield.cli"]
 
@@ -192,3 +194,44 @@ def test_bad_config_is_parse_error(tmp_path):
     proc = run_cli("solve", scenario("empty_spot.json"), "--config", config)
     assert proc.returncode == 2
     assert "warp_speed" in proc.stderr
+
+
+MALFORMED_CONFIGS = [
+    ({"solver": {"coarse_pitch": 0}}, 2, "config.solver.coarse_pitch"),
+    ({"solver": {"step_min_pos": float("nan")}}, 2, "config.solver.step_min_pos"),
+    ({"solver": {"theta_range": -0.1}}, 2, "config.solver.theta_range"),
+    ({"solver": {"headings": 5}}, 2, "config.solver.headings"),
+    ({"solver": {"headings": [0.0, "pi"]}}, 2, "config.solver.headings[1]"),
+    ({"solver": {"starts": 1.5}}, 2, "config.solver.starts"),
+    ({"solver": {"max_refine_evals": "many"}}, 2, "config.solver.max_refine_evals"),
+    ({"solver": {"rect_weights": {"body": "heavy"}}}, 2, "config.solver.rect_weights.body"),
+    ({"solver": {"coarse_pitch": 1e-9}}, 4, "lattice poses"),
+    ({"solver": 3}, 2, "config.solver"),
+    ({"sampling": 5}, 2, "config.sampling"),
+    ({"sampling": {"density": "dense"}}, 2, "config.sampling.density"),
+    ({"sampling": {"mode": ["grid"]}}, 2, "config.sampling.mode"),
+    ({"explain": "no"}, 2, "config.explain"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, code, path", MALFORMED_CONFIGS, ids=[row[2] for row in MALFORMED_CONFIGS]
+)
+def test_malformed_config_exit_codes(tmp_path, config, code, path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    proc = run_cli("solve", scenario("empty_spot.json"), "--config", config_path)
+    assert proc.returncode == code
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_solve_report_bytes_match_recorded(name, capsys):
+    # The benchmark's recorded reports are the behavioural contract: every
+    # byte but the wall time.
+    stats = bench_module("stats")
+    assert cli.main(["solve", str(SCENARIO_DIR / name)]) == 0
+    got = stats.normalize_report(capsys.readouterr().out.encode("utf-8"))
+    want = (BENCH_DIR / "expected" / name.replace(".json", ".report")).read_bytes()
+    assert got == want

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import (
     _BLOCK_POINTS,
+    CompiledFieldSet,
     FieldMap,
     FieldSet,
     gamma,
@@ -81,15 +82,18 @@ def test_gamma_many_bitwise_equals_point_major_kernel(lines):
         6: regular_polygon(-0.6, 0.5, 1.3, 6),
     }
     fields = FieldSet(tuple(shapes[k] for k in lines))
+    # One instance across every count, growing and shrinking, so its
+    # scratch buffer is reused at sizes other than the one it was made for.
+    compiled = CompiledFieldSet(fields)
     rng = np.random.default_rng(11)
     # A last-bit rounding difference shows on about one random point in
     # three, so each count is drawn many times.
-    for n in BLOCK_STRADDLING_COUNTS:
+    for n in BLOCK_STRADDLING_COUNTS + BLOCK_STRADDLING_COUNTS[::-1]:
         for _ in range(25):
             pts = rng.uniform(-3, 3, size=(n, 2))
-            assert np.array_equal(
-                gamma_many(fields, pts), point_major_gamma_many(fields, pts)
-            ), n
+            want = point_major_gamma_many(fields, pts)
+            assert np.array_equal(gamma_many(fields, pts), want), n
+            assert np.array_equal(compiled.eval_many(pts), want), n
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):

@@ -30,7 +30,10 @@ from parkfield.solver import (
     objective,
 )
 
-from conftest import load_golden, unblocked_scores
+from parkfield import solver
+from parkfield.strategy import rank_spots
+
+from conftest import SCENARIO_DIR, bench_module, load_golden, unblocked_scores
 
 
 def one_sided_edge(p, q):
@@ -467,3 +470,84 @@ def test_oracle_tie_break_matches_per_pose_key_loop():
             best = (float(scores[j]), poses[j, 0], poses[j, 1], poses[j, 2])
     assert result.evaluations == len(poses)
     assert (result.score, result.pose) == (best[0], Pose(best[1], best[2], best[3]))
+
+
+# ---------------------------------------------------------------------------
+# per-solve score memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def scored_poses(monkeypatch):
+    """Every pose each ``ObjectiveEvaluator`` instance scored, in order.
+
+    One ``minimize`` builds one evaluator, so an instance's list is one
+    solve's traffic to the field kernel.
+    """
+    seen = {}
+    original = ObjectiveEvaluator.scores
+
+    def recording(self, poses):
+        seen.setdefault(self, []).extend(map(tuple, np.asarray(poses).tolist()))
+        return original(self, poses)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "scores", recording)
+    return seen
+
+
+def assert_no_pose_scored_twice(seen):
+    assert seen
+    for poses in seen.values():
+        assert len(poses) == len(set(poses))
+
+
+def test_no_pose_scored_twice_per_solve_on_goldens(scored_poses):
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        rank_spots(load_scenario(path.read_text()), explain=True)
+    assert_no_pose_scored_twice(scored_poses)
+
+
+def test_no_pose_scored_twice_per_solve_on_a_lot(scored_poses):
+    ranked = rank_spots(load_scenario(bench_module("lot").generate_lot(3)), explain=False)
+    assert len(ranked.strategies) == 2
+    assert_no_pose_scored_twice(scored_poses)
+
+
+def no_memo(evaluator, memo, probes):
+    return evaluator.scores(np.array(probes)).tolist()
+
+
+@pytest.fixture
+def checked_memo(monkeypatch):
+    """Asserts that each poll's memo answers equal a fresh evaluation."""
+    original = solver._memo_scores
+
+    def checked(evaluator, memo, probes):
+        scores = original(evaluator, memo, probes)
+        assert scores == no_memo(evaluator, memo, probes)
+        return scores
+
+    monkeypatch.setattr(solver, "_memo_scores", checked)
+
+
+def test_memo_answers_equal_fresh_scores_on_goldens(checked_memo):
+    # The golden spots are 5 m x 2.5 m, whole multiples of the coarse pitch,
+    # so refinement probes land on coarse nodes and read their memo scores.
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        rank_spots(load_scenario(path.read_text()), explain=True)
+
+
+@pytest.mark.parametrize("max_refine_evals", [4000, 30])
+def test_memo_leaves_every_solve_result_unchanged(
+    monkeypatch, checked_memo, max_refine_evals
+):
+    rng = random.Random(31)
+    plan = SamplingPlan(GRID, 25.0)
+    config = SolverConfig(max_refine_evals=max_refine_evals)
+    cases = [random_scenario(rng) for _ in range(20)]
+    with_memo = [minimize(f, fp, spot, plan, config) for spot, f, fp in cases]
+    monkeypatch.setattr(solver, "_memo_scores", no_memo)
+    without = [minimize(f, fp, spot, plan, config) for spot, f, fp in cases]
+    assert with_memo == without
+    if max_refine_evals == 30:
+        assert not any(result.converged for result in with_memo)
