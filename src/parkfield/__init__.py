@@ -7,28 +7,8 @@ from .errors import (
     ParkfieldError,
     ScenarioError,
 )
-from .field import FieldMap, FieldSet, gamma, gamma_many, polygon_field, sample_field
-from .geometry import (
-    EdgeLine,
-    Point2,
-    Polygon,
-    RigidTransform,
-    apply_transform,
-    edge_lines,
-    eval_line,
-    inverse_transform,
-)
-from .scenario import (
-    CabinContext,
-    ParkingSpot,
-    Rect,
-    Scenario,
-    VehicleFootprint,
-    VehicleSpec,
-    build_footprint,
-    load_scenario,
-    spot_field_set,
-)
+from .field import FieldSet, gamma, sample_field
+from .scenario import build_footprint, load_scenario, spot_field_set
 from .solver import (
     Pose,
     SamplingPlan,
@@ -38,46 +18,27 @@ from .solver import (
     minimize,
     objective,
 )
-from .strategy import ParkingStrategy, RankedStrategies, rank_spots, round_strategy
+from .strategy import rank_spots, round_strategy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
-    "CabinContext",
-    "EdgeLine",
-    "FieldMap",
     "FieldSet",
     "GeometryError",
     "InfeasibleSpotError",
     "ParkfieldError",
-    "ParkingSpot",
-    "ParkingStrategy",
-    "Point2",
-    "Polygon",
     "Pose",
-    "RankedStrategies",
-    "Rect",
-    "RigidTransform",
     "SamplingPlan",
-    "Scenario",
     "ScenarioError",
     "SolveResult",
     "SolverConfig",
-    "VehicleFootprint",
-    "VehicleSpec",
-    "apply_transform",
     "brute_force_minimize",
     "build_footprint",
-    "edge_lines",
-    "eval_line",
     "gamma",
-    "gamma_many",
-    "inverse_transform",
     "load_scenario",
     "minimize",
     "objective",
-    "polygon_field",
     "rank_spots",
     "round_strategy",
     "sample_field",

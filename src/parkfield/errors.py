@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that
+raises one at the offending path."""
+
+import math
+import numbers
 
 
 class ParkfieldError(Exception):
@@ -31,3 +35,21 @@ class InfeasibleSpotError(ParkfieldError, ValueError):
 
 class BudgetError(ParkfieldError, RuntimeError):
     """A sampling or search request exceeds the hard evaluation budget."""
+
+
+def finite_number(path: str, value, low: float = -math.inf, inclusive: bool = True) -> float:
+    """``value`` as a float after checking it is a finite number above ``low``.
+
+    Booleans are not numbers here.  Raises ``ScenarioError`` at ``path``, so
+    a reader of a scenario, a config or a flag can name what is wrong.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(path, f"must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number) or number < low or (number == low and not inclusive):
+        bound = "" if low == -math.inf else f" {'>=' if inclusive else '>'} {low}"
+        raise ScenarioError(path, f"must be a finite number{bound}, got {number!r}")
+    return number

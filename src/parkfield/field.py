@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, GeometryError
+from .errors import BudgetError, GeometryError, finite_number
 from .geometry import Point2, Polygon
 
 MAX_FIELD_MAP_CELLS = 10**8
@@ -148,10 +148,6 @@ class FieldMap:
             )
         object.__setattr__(self, "values", vals)
 
-    def node_xy(self, row: int, col: int) -> tuple[float, float]:
-        return (self.origin.x + col * self.cell_size,
-                self.origin.y + row * self.cell_size)
-
     def to_text(self) -> str:
         """Plain-text grid: one header line, then row-major values."""
         header = (
@@ -187,15 +183,16 @@ def sample_field(
     x_min, y_min, x_max, y_max = bounds
     if not (x_max > x_min and y_max > y_min):
         raise GeometryError(f"degenerate bounds {bounds}")
-    if resolution <= 0:
-        raise GeometryError("resolution must be positive")
+    resolution = finite_number("resolution", resolution, 0.0, False)
     cell = 1.0 / resolution
-    cols = int(np.ceil((x_max - x_min) * resolution)) + 1
-    rows = int(np.ceil((y_max - y_min) * resolution)) + 1
+    # Counted in floats first: a huge resolution overflows them to inf.
+    cols = np.ceil((x_max - x_min) * resolution) + 1
+    rows = np.ceil((y_max - y_min) * resolution) + 1
     if rows * cols > MAX_FIELD_MAP_CELLS:
         raise BudgetError(
-            f"field map of {rows}x{cols} nodes exceeds {MAX_FIELD_MAP_CELLS}"
+            f"field map of {rows:.0f}x{cols:.0f} nodes exceeds {MAX_FIELD_MAP_CELLS}"
         )
+    cols, rows = int(cols), int(rows)
     xs = x_min + cell * np.arange(cols)
     ys = y_min + cell * np.arange(rows)
     gx, gy = np.meshgrid(xs, ys)

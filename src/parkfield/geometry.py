@@ -160,15 +160,6 @@ class Polygon:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-def edge_lines(polygon: Polygon) -> list[EdgeLine]:
-    """Recompute the unit-normalized edge lines of a polygon.
-
-    One line per cyclic vertex pair; for a 2-vertex spot edge a single
-    line with the left-hand normal of the directed segment.
-    """
-    return list(_lines_for_vertices(polygon.vertices))
-
-
 def eval_line(line: EdgeLine, p: Point2) -> float:
     """Signed distance of ``p`` from the line, positive on the normal side."""
     return line.a * p.x + line.b * p.y + line.c
@@ -182,26 +173,11 @@ def apply_transform(t: RigidTransform, p_local: Point2) -> Point2:
                   s * p_local.x + c * p_local.y + t.ty)
 
 
-def inverse_transform(t: RigidTransform, p_global: Point2) -> Point2:
-    """Inverse of :func:`apply_transform`: undo translation, then rotation."""
-    c = math.cos(t.theta)
-    s = math.sin(t.theta)
-    dx = p_global.x - t.tx
-    dy = p_global.y - t.ty
-    return Point2(c * dx + s * dy, -s * dx + c * dy)
-
-
 def invert(t: RigidTransform) -> RigidTransform:
     """The transform that maps apply_transform(t, p) back to p."""
     c = math.cos(t.theta)
     s = math.sin(t.theta)
     return RigidTransform(-t.theta, -(c * t.tx + s * t.ty), -(-s * t.tx + c * t.ty))
-
-
-def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
-    """Transform equivalent to applying ``inner`` first, then ``outer``."""
-    p = apply_transform(outer, Point2(inner.tx, inner.ty))
-    return RigidTransform(normalize_angle(outer.theta + inner.theta), p.x, p.y)
 
 
 def transform_polygon(t: RigidTransform, polygon: Polygon) -> Polygon:

@@ -28,6 +28,18 @@ def _interp(p0, v0, p1, v1, level):
     return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
 
+# Contour segments of the non-saddle cases, as pairs of cell edges:
+# 0 bottom, 1 right, 2 top, 3 left.  Case k and case 15 - k share them.
+_CASE_EDGES = {
+    1: ((3, 0),),
+    2: ((0, 1),),
+    3: ((3, 1),),
+    4: ((1, 2),),
+    6: ((0, 2),),
+    7: ((3, 2),),
+}
+
+
 def _cell_segments(corners, values, level):
     """Contour segments for one grid cell.
 
@@ -39,40 +51,13 @@ def _cell_segments(corners, values, level):
     case = (v0 >= level) | ((v1 >= level) << 1) | ((v2 >= level) << 2) | ((v3 >= level) << 3)
     if case in (0, 15):
         return []
-
-    def e0():
-        return _interp(c0, v0, c1, v1, level)
-
-    def e1():
-        return _interp(c1, v1, c2, v2, level)
-
-    def e2():
-        return _interp(c3, v3, c2, v2, level)
-
-    def e3():
-        return _interp(c0, v0, c3, v3, level)
-
-    if case in (1, 14):
-        return [(e3(), e0())]
-    if case in (2, 13):
-        return [(e0(), e1())]
-    if case in (3, 12):
-        return [(e3(), e1())]
-    if case in (4, 11):
-        return [(e1(), e2())]
-    if case in (6, 9):
-        return [(e0(), e2())]
-    if case in (7, 8):
-        return [(e3(), e2())]
-    center_inside = (v0 + v1 + v2 + v3) / 4.0 >= level
-    if case == 5:
-        if center_inside:
-            return [(e0(), e1()), (e2(), e3())]
-        return [(e3(), e0()), (e1(), e2())]
-    # case 10
-    if center_inside:
-        return [(e3(), e0()), (e1(), e2())]
-    return [(e0(), e1()), (e2(), e3())]
+    if case in (5, 10):
+        center_inside = (v0 + v1 + v2 + v3) / 4.0 >= level
+        pairs = ((0, 1), (2, 3)) if center_inside == (case == 5) else ((3, 0), (1, 2))
+    else:
+        pairs = _CASE_EDGES[min(case, 15 - case)]
+    edges = ((c0, v0, c1, v1), (c1, v1, c2, v2), (c3, v3, c2, v2), (c0, v0, c3, v3))
+    return [tuple(_interp(*edges[e], level) for e in pair) for pair in pairs]
 
 
 def _chain(segments):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, ScenarioError
+from .errors import GeometryError, ScenarioError, finite_number
 from .field import CompiledFieldSet, FieldSet
 from .geometry import (
     OBSTACLE,
@@ -57,6 +57,13 @@ _DOOR_SLOT_ORDER = (
     ("front", "right"),
     ("rear", "left"),
     ("rear", "right"),
+)
+
+# Labels of the footprint rectangles, the keys ``rect_weights`` accepts.
+RECT_LABELS = (
+    "body",
+    *(f"{row}_{side}_door" for row, side in _DOOR_SLOT_ORDER),
+    "trunk",
 )
 
 _RECT_CORNER_TOL = 1e-6
@@ -174,9 +181,6 @@ class VehicleFootprint:
                 reach = max(reach, math.hypot(cx, cy))
         return reach
 
-    def total_area(self) -> float:
-        return sum(r.area for r in self.all_rects())
-
 
 @dataclass(frozen=True)
 class ParkingSpot:
@@ -195,14 +199,8 @@ class ParkingSpot:
     spot_frame: RigidTransform
     approach_side: str
 
-    def frame_to_global(self) -> RigidTransform:
-        return invert(self.spot_frame)
-
-    def to_local(self, p: Point2) -> Point2:
-        return apply_transform(self.spot_frame, p)
-
     def to_global(self, p: Point2) -> Point2:
-        return apply_transform(self.frame_to_global(), p)
+        return apply_transform(invert(self.spot_frame), p)
 
 
 def make_spot(
@@ -367,10 +365,7 @@ def _dominated_everywhere(
     pitch = 0.25
     xs = np.linspace(x_min, x_max, max(2, int(math.ceil((x_max - x_min) / pitch)) + 1))
     ys = np.linspace(y_min, y_max, max(2, int(math.ceil((y_max - y_min) / pitch)) + 1))
-    h = max(
-        xs[1] - xs[0] if len(xs) > 1 else 0.0,
-        ys[1] - ys[0] if len(ys) > 1 else 0.0,
-    )
+    h = max(xs[1] - xs[0], ys[1] - ys[0])
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     edge_vals = CompiledFieldSet(FieldSet(tuple(spot_edges))).eval_many(pts)
@@ -425,19 +420,10 @@ def _expect(value, types, path: str, what: str):
     return value
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ScenarioError(path, "number must be finite")
-    return v
-
-
 def _point(value, path: str) -> Point2:
     if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioError(path, "expected a [x, y] pair")
-    return Point2(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    return Point2(finite_number(f"{path}[0]", value[0]), finite_number(f"{path}[1]", value[1]))
 
 
 def _parse_spot(entry, path: str, seen_ids: set) -> ParkingSpot:
@@ -467,9 +453,9 @@ def _parse_spot(entry, path: str, seen_ids: set) -> ParkingSpot:
             ]
             return make_spot(spot_id, corners, approach)
         center = _point(entry.get("center"), f"{path}.center")
-        length = _number(entry.get("length"), f"{path}.length")
-        width = _number(entry.get("width"), f"{path}.width")
-        heading = _number(entry.get("heading", 0.0), f"{path}.heading")
+        length = finite_number(f"{path}.length", entry.get("length"))
+        width = finite_number(f"{path}.width", entry.get("width"))
+        heading = finite_number(f"{path}.heading", entry.get("heading", 0.0))
         return make_spot_from_center(spot_id, center, length, width, heading, approach)
     except GeometryError as exc:
         raise ScenarioError(path, str(exc)) from exc
@@ -515,8 +501,8 @@ def _parse_cabin(entry, path: str) -> CabinContext:
 
 def _parse_vehicle(entry, path: str) -> VehicleSpec:
     _expect(entry, dict, path, "an object")
-    length = _number(entry.get("body_length", DEFAULT_BODY_LENGTH), f"{path}.body_length")
-    width = _number(entry.get("body_width", DEFAULT_BODY_WIDTH), f"{path}.body_width")
+    length = finite_number(f"{path}.body_length", entry.get("body_length", DEFAULT_BODY_LENGTH))
+    width = finite_number(f"{path}.body_width", entry.get("body_width", DEFAULT_BODY_WIDTH))
     table = dict(DEFAULT_CLEARANCE_TABLE)
     override = entry.get("clearance_table", {})
     _expect(override, dict, f"{path}.clearance_table", "an object")
@@ -526,7 +512,7 @@ def _parse_vehicle(entry, path: str) -> VehicleSpec:
                 f"{path}.clearance_table.{key}",
                 f"unknown entry, expected one of {tuple(DEFAULT_CLEARANCE_TABLE)}",
             )
-        table[key] = _number(value, f"{path}.clearance_table.{key}")
+        table[key] = finite_number(f"{path}.clearance_table.{key}", value)
     try:
         return VehicleSpec(length, width, table)
     except GeometryError as exc:
@@ -560,8 +546,10 @@ def parse_scenario(data) -> Scenario:
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file; pure in the file content."""
+    # ValueError is malformed JSON or an over-long integer literal;
+    # RecursionError, arrays or objects nested too deep.
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError("$", f"not valid JSON: {exc}") from exc
     return parse_scenario(data)

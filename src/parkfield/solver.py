@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleSpotError, ScenarioError
+from .errors import BudgetError, InfeasibleSpotError, ScenarioError, finite_number
 from .field import _BLOCK_POINTS, CompiledFieldSet, FieldSet, _block_slices
 from .geometry import normalize_angle, transform_polygon
-from .scenario import ParkingSpot, Rect, VehicleFootprint
+from .scenario import RECT_LABELS, ParkingSpot, Rect, VehicleFootprint
 
 GRID = "grid"
 MONTE_CARLO = "monte_carlo"
@@ -27,6 +27,9 @@ MONTE_CARLO = "monte_carlo"
 # Cap on the poses of one lattice: the coarse grid of ``minimize`` or the
 # oracle lattice of ``brute_force_minimize``.
 MAX_LATTICE_POSES = 10**7
+
+# Cap on the sample points of one footprint, over all its rectangles.
+MAX_FOOTPRINT_SAMPLES = 10**6
 
 # Share of monte-carlo samples placed on the rectangle boundary.  This
 # deliberately mimics the edge-heavy low-count sampling that grid mode
@@ -65,7 +68,7 @@ class SamplingPlan:
     def __post_init__(self):
         if self.mode not in (GRID, MONTE_CARLO):
             raise ScenarioError("mode", f"unknown sampling mode {self.mode!r}")
-        object.__setattr__(self, "density", _number("density", self.density, 0.0, False))
+        object.__setattr__(self, "density", finite_number("density", self.density, 0.0, False))
         if not _is_int(self.seed):
             raise ScenarioError("seed", f"must be an integer, got {self.seed!r}")
 
@@ -87,46 +90,34 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("coarse_pitch", "step_init_pos", "step_min_pos"):
-            _number(name, getattr(self, name), 0.0, False)
+            finite_number(name, getattr(self, name), 0.0, False)
         # A zero angular step freezes the heading at its coarse value.
         for name in ("step_init_ang", "step_min_ang", "theta_range"):
-            _number(name, getattr(self, name), 0.0)
-        if not _is_int(self.starts) or self.starts < 1:
-            raise ScenarioError("starts", f"must be an integer >= 1, got {self.starts!r}")
-        if not _is_int(self.max_refine_evals) or self.max_refine_evals < 0:
-            raise ScenarioError(
-                "max_refine_evals", f"must be an integer >= 0, got {self.max_refine_evals!r}"
-            )
+            finite_number(name, getattr(self, name), 0.0)
+        for name, low in (("starts", 1), ("max_refine_evals", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ScenarioError(name, f"must be an integer >= {low}, got {value!r}")
         if not isinstance(self.headings, (list, tuple)) or not self.headings:
             raise ScenarioError("headings", "must be a non-empty list of angles")
-        for k, h in enumerate(self.headings):
-            _number(f"headings[{k}]", h)
-        object.__setattr__(
-            self, "headings", tuple(normalize_angle(h) for h in self.headings)
+        headings = tuple(
+            normalize_angle(finite_number(f"headings[{k}]", h))
+            for k, h in enumerate(self.headings)
         )
+        object.__setattr__(self, "headings", headings)
         if not isinstance(self.rect_weights, dict):
             raise ScenarioError("rect_weights", "must map rectangle labels to weights")
         for label, weight in self.rect_weights.items():
-            _number(f"rect_weights.{label}", weight)
+            if label not in RECT_LABELS:
+                raise ScenarioError(
+                    f"rect_weights.{label}", f"unknown rectangle, expected one of {RECT_LABELS}"
+                )
+            # Zero is allowed: it drops the rectangle from the objective.
+            finite_number(f"rect_weights.{label}", weight, 0.0)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _number(name: str, value, low: float = -math.inf, inclusive: bool = True) -> float:
-    """``value`` as a float after checking it is a finite number above ``low``.
-
-    Raises ``ScenarioError`` at ``name``, so a config reader can name the
-    offending option.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
-        raise ScenarioError(name, f"must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value < low or (value == low and not inclusive):
-        bound = "" if low == -math.inf else f" {'>=' if inclusive else '>'} {low}"
-        raise ScenarioError(name, f"must be a finite number{bound}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -144,9 +135,17 @@ class SolveResult:
     converged: bool
 
 
-def _grid_rect_samples(rect: Rect, density: float):
-    nx = max(1, int(math.ceil((rect.x_max - rect.x_min) * math.sqrt(density))))
-    ny = max(1, int(math.ceil((rect.y_max - rect.y_min) * math.sqrt(density))))
+def _rect_sample_shape(rect: Rect, plan: SamplingPlan) -> tuple:
+    """``(nx, ny)`` grid cells over ``rect``, or ``(count,)`` monte-carlo samples."""
+    if plan.mode == GRID:
+        return tuple(
+            max(1, int(math.ceil(extent * math.sqrt(plan.density))))
+            for extent in (rect.x_max - rect.x_min, rect.y_max - rect.y_min)
+        )
+    return (max(1, int(plan.density)),)
+
+
+def _grid_rect_samples(rect: Rect, nx: int, ny: int):
     xs = rect.x_min + (rect.x_max - rect.x_min) * (np.arange(nx) + 0.5) / nx
     ys = rect.y_min + (rect.y_max - rect.y_min) * (np.arange(ny) + 0.5) / ny
     gx, gy = np.meshgrid(xs, ys)
@@ -183,15 +182,26 @@ def _mc_rect_samples(rect: Rect, count: int, seed: int, rect_index: int):
 def _footprint_samples(
     footprint: VehicleFootprint, plan: SamplingPlan, rect_weights: dict
 ):
-    """Vehicle-frame sample points and per-point quadrature weights."""
+    """Vehicle-frame sample points and per-point quadrature weights.
+
+    More than ``MAX_FOOTPRINT_SAMPLES`` points raise ``BudgetError`` before
+    anything is allocated.
+    """
     labelled = [(footprint.body, "body")] + list(footprint.maneuver_rects)
+    shapes = [_rect_sample_shape(rect, plan) for rect, _ in labelled]
+    total = sum(math.prod(shape) for shape in shapes)
+    if total > MAX_FOOTPRINT_SAMPLES:
+        raise BudgetError(
+            f"sampling density {plan.density} gives {total} footprint samples, "
+            f"over {MAX_FOOTPRINT_SAMPLES}"
+        )
     all_pts = []
     all_weights = []
-    for index, (rect, label) in enumerate(labelled):
+    for index, ((rect, label), shape) in enumerate(zip(labelled, shapes)):
         if plan.mode == GRID:
-            pts = _grid_rect_samples(rect, plan.density)
+            pts = _grid_rect_samples(rect, *shape)
         else:
-            pts = _mc_rect_samples(rect, max(1, int(plan.density)), plan.seed, index)
+            pts = _mc_rect_samples(rect, shape[0], plan.seed, index)
         weight = rect_weights.get(label, 1.0) * rect.area / len(pts)
         all_pts.append(pts)
         all_weights.append(np.full(len(pts), weight))
@@ -334,24 +344,31 @@ def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
 
 
+def _scored_lattice(fields, footprint, spot, plan, config, pitch):
+    """``(evaluator, poses, scores)`` of one spot's ``pitch`` lattice.
+
+    The stage ``minimize`` and ``brute_force_minimize`` share: the
+    feasibility check, the spot-local field set, the compiled objective
+    and the scores of every lattice pose.
+    """
+    check_feasible(footprint, spot, config.headings)
+    poses = _pose_lattice(spot, pitch, config.headings)
+    local = _local_field_set(fields, spot)
+    evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
+    return evaluator, poses, evaluator.scores(poses)
+
+
 def _poll_directions(step_p: float, step_a: float):
-    axes = [
-        (step_p, 0.0, 0.0),
-        (-step_p, 0.0, 0.0),
-        (0.0, step_p, 0.0),
-        (0.0, -step_p, 0.0),
-        (0.0, 0.0, step_a),
-        (0.0, 0.0, -step_a),
-    ]
-    diagonals = [
-        (sx * step_p, sy * step_p, 0.0) for sx in (1.0, -1.0) for sy in (1.0, -1.0)
-    ]
-    coupled = [
-        (sx * step_p, 0.0, sa * step_a) for sx in (1.0, -1.0) for sa in (1.0, -1.0)
-    ] + [
-        (0.0, sy * step_p, sa * step_a) for sy in (1.0, -1.0) for sa in (1.0, -1.0)
-    ]
-    return axes + diagonals + coupled
+    """Axis moves, then position diagonals, then position-angle couplings."""
+    signs = (1.0, -1.0)
+    return (
+        [(sx * step_p, 0.0, 0.0) for sx in signs]
+        + [(0.0, sy * step_p, 0.0) for sy in signs]
+        + [(0.0, 0.0, sa * step_a) for sa in signs]
+        + [(sx * step_p, sy * step_p, 0.0) for sx in signs for sy in signs]
+        + [(sx * step_p, 0.0, sa * step_a) for sx in signs for sa in signs]
+        + [(0.0, sy * step_p, sa * step_a) for sy in signs for sa in signs]
+    )
 
 
 def _memo_scores(evaluator, memo: dict, probes: list) -> list:
@@ -418,15 +435,12 @@ def _diverse_starts(order, coarse, count: int, separation: float):
     """Best coarse cells, skipping same-heading cells crowding a chosen one."""
     chosen: list[int] = []
     for i in order:
-        crowded = False
-        for j in chosen:
-            if coarse[i, 2] == coarse[j, 2] and (
-                math.hypot(coarse[i, 0] - coarse[j, 0], coarse[i, 1] - coarse[j, 1])
-                < separation
-            ):
-                crowded = True
-                break
-        if not crowded:
+        if not any(
+            coarse[i, 2] == coarse[j, 2]
+            and math.hypot(coarse[i, 0] - coarse[j, 0], coarse[i, 1] - coarse[j, 1])
+            < separation
+            for j in chosen
+        ):
             chosen.append(i)
             if len(chosen) == count:
                 break
@@ -445,12 +459,9 @@ def minimize(
     ``fields`` is in the global frame; the search runs in spot-local
     coordinates with the body center box-constrained to the spot.
     """
-    check_feasible(footprint, spot, config.headings)
-    local = _local_field_set(fields, spot)
-    evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
-
-    coarse = _pose_lattice(spot, config.coarse_pitch, config.headings)
-    coarse_scores = evaluator.scores(coarse)
+    evaluator, coarse, coarse_scores = _scored_lattice(
+        fields, footprint, spot, plan, config, config.coarse_pitch
+    )
     evaluations = len(coarse)
     # Pose tuple -> score for this solve: the refinement polls of all
     # starts revisit poses, and step-pitch probes land on coarse nodes.
@@ -498,12 +509,8 @@ def brute_force_minimize(
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
     """Exhaustive pose-lattice search; the test oracle, not a production path."""
-    _number("resolution", resolution, 0.0, False)
-    check_feasible(footprint, spot, config.headings)
-    poses = _pose_lattice(spot, resolution, config.headings)
-    local = _local_field_set(fields, spot)
-    evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
-    scores = evaluator.scores(poses)
+    resolution = finite_number("resolution", resolution, 0.0, False)
+    _, poses, scores = _scored_lattice(fields, footprint, spot, plan, config, resolution)
     # Ties are broken only among the poses holding the minimum score: the
     # tie key orders by score first, so this is the same total order.
     tied = np.flatnonzero(scores == scores.min())

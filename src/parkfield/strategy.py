@@ -86,17 +86,12 @@ def footprint_extent_at(
     """Spot-frame bounding box of the posed footprint."""
     c = math.cos(pose.theta_hat)
     s = math.sin(pose.theta_hat)
-    x_min = y_min = math.inf
-    x_max = y_max = -math.inf
-    for rect in footprint.all_rects():
-        for lx, ly in rect.corners():
-            gx = c * lx - s * ly + pose.x_hat
-            gy = s * lx + c * ly + pose.y_hat
-            x_min = min(x_min, gx)
-            x_max = max(x_max, gx)
-            y_min = min(y_min, gy)
-            y_max = max(y_max, gy)
-    return x_min, x_max, y_min, y_max
+    xs, ys = zip(*(
+        (c * lx - s * ly + pose.x_hat, s * lx + c * ly + pose.y_hat)
+        for rect in footprint.all_rects()
+        for lx, ly in rect.corners()
+    ))
+    return min(xs), max(xs), min(ys), max(ys)
 
 
 def spot_margins(
@@ -125,19 +120,16 @@ def _biases(footprint: VehicleFootprint, pose: Pose, spot: ParkingSpot):
     margins = spot_margins(footprint, pose, spot)
     lat = (margins["left"] - margins["right"]) / 2.0
     lon = (margins["front"] - margins["back"]) / 2.0
-    if lat > EPS_LATERAL:
-        lateral = MAX_LEFT
-    elif lat < -EPS_LATERAL:
-        lateral = MAX_RIGHT
-    else:
-        lateral = CENTERED
-    if lon > EPS_LONGITUDINAL:
-        longitudinal = MAX_FRONT
-    elif lon < -EPS_LONGITUDINAL:
-        longitudinal = MAX_BACK
-    else:
-        longitudinal = CENTERED
+    lateral = _side(lat, EPS_LATERAL, MAX_LEFT, MAX_RIGHT)
+    longitudinal = _side(lon, EPS_LONGITUDINAL, MAX_FRONT, MAX_BACK)
     return lateral, longitudinal
+
+
+def _side(delta: float, eps: float, positive: str, negative: str) -> str:
+    """The side whose margin is larger by more than ``eps``, else centered."""
+    if delta > eps:
+        return positive
+    return negative if delta < -eps else CENTERED
 
 
 def _phrase(direction: str, lateral: str, longitudinal: str) -> str:
@@ -219,11 +211,18 @@ def rank_spots(
     plan: SamplingPlan = SamplingPlan(),
     config: SolverConfig = SolverConfig(),
     explain: bool = True,
+    solve=None,
 ) -> RankedStrategies:
     """Solve every spot, round each optimum, rank ascending by score.
 
-    Infeasible spots are reported with their reason, never dropped.
+    ``solve`` has the signature of :func:`minimize`, the default; the CLI's
+    ``oracle`` passes the lattice search.  Infeasible spots are reported
+    with their reason, never dropped.
     """
+    if solve is None:
+        # Looked up per call, not bound at definition, so a rebinding of
+        # the module's ``minimize`` (the benchmark tracer's wrapper) is seen.
+        solve = minimize
     footprint = build_footprint(scenario.context, scenario.vehicle)
     reach = footprint.max_reach()
     strategies = []
@@ -232,13 +231,13 @@ def rank_spots(
     for spot in scenario.spots:
         fields = spot_field_set(spot, list(scenario.obstacles), reach=reach)
         try:
-            result = minimize(fields, footprint, spot, plan, config)
+            result = solve(fields, footprint, spot, plan, config)
         except InfeasibleSpotError as exc:
             infeasible.append((spot.id, str(exc)))
             continue
-        base = round_strategy(result, spot, footprint)
         drivers: tuple = ()
         if explain and footprint.maneuver_rects:
+            base = round_strategy(result, spot, footprint)
             drivers = bias_drivers(fields, footprint, spot, base, plan, config)
         strategies.append(round_strategy(result, spot, footprint, drivers))
         stats.append((spot.id, result.evaluations, result.converged))

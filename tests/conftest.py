@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parkfield.geometry import Point2, Polygon
+from parkfield.geometry import EdgeLine, Point2, Polygon, RigidTransform, apply_transform
 from parkfield.scenario import Rect, VehicleFootprint, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -65,6 +65,57 @@ def regular_polygon(cx: float, cy: float, radius: float, sides: int) -> Polygon:
         for k in range(sides)
     )
     return Polygon(verts)
+
+
+# Independent geometry oracles: re-derivations the tests check the package
+# against, kept here because the package itself has no use for them.
+
+
+def edge_lines(polygon: Polygon) -> list:
+    """Unit-normalized edge lines recomputed from the vertices.
+
+    One line per cyclic vertex pair, or one for a 2-vertex spot edge, each
+    with the left-hand normal of its directed edge.
+    """
+    verts = polygon.vertices
+    pairs = [verts] if len(verts) == 2 else zip(verts, verts[1:] + verts[:1])
+    lines = []
+    for p, q in pairs:
+        dx, dy = q.x - p.x, q.y - p.y
+        length = math.hypot(dx, dy)
+        a, b = -dy / length, dx / length
+        lines.append(EdgeLine(a, b, -(a * p.x + b * p.y), math.atan2(dy, dx)))
+    return lines
+
+
+def inverse_transform(t: RigidTransform, p_global: Point2) -> Point2:
+    """Inverse of ``apply_transform``: undo the translation, then the rotation."""
+    c, s = math.cos(t.theta), math.sin(t.theta)
+    dx, dy = p_global.x - t.tx, p_global.y - t.ty
+    return Point2(c * dx + s * dy, -s * dx + c * dy)
+
+
+def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
+    """Transform equivalent to applying ``inner`` first, then ``outer``."""
+    p = apply_transform(outer, Point2(inner.tx, inner.ty))
+    return RigidTransform(outer.theta + inner.theta, p.x, p.y)
+
+
+def to_local(spot, p: Point2) -> Point2:
+    """``p`` in the spot's local frame, through ``spot.spot_frame``."""
+    return apply_transform(spot.spot_frame, p)
+
+
+def total_area(footprint: VehicleFootprint) -> float:
+    """Area of the body and every maneuver rectangle, from their intervals."""
+    return sum(
+        (r.x_max - r.x_min) * (r.y_max - r.y_min) for r in footprint.all_rects()
+    )
+
+
+def node_xy(fmap, row: int, col: int) -> tuple:
+    """Global position of lattice node ``(row, col)`` of a field map."""
+    return (fmap.origin.x + col * fmap.cell_size, fmap.origin.y + row * fmap.cell_size)
 
 
 def point_major_gamma_many(fields, pts):

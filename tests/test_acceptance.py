@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import SCENARIO_DIR, load_golden
+from conftest import SCENARIO_DIR, load_golden, to_local
 
 from parkfield.field import FieldSet, gamma_many
 from parkfield.geometry import Point2, Polygon, RigidTransform, apply_transform, transform_polygon
@@ -100,7 +100,7 @@ def test_criterion_2_obstacles_push_pose_and_raise_score():
             result = minimize(fields, footprint, scenario.spots[0])
             assert result.score > empty.score, name
             for obstacle in scenario.obstacles:
-                centroid = scenario.spots[0].to_local(obstacle.centroid())
+                centroid = to_local(scenario.spots[0], obstacle.centroid())
                 d_opt = math.hypot(
                     result.pose.x_hat - centroid.x, result.pose.y_hat - centroid.y
                 )

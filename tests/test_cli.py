@@ -205,6 +205,10 @@ MALFORMED_CONFIGS = [
     ({"solver": {"starts": 1.5}}, 2, "config.solver.starts"),
     ({"solver": {"max_refine_evals": "many"}}, 2, "config.solver.max_refine_evals"),
     ({"solver": {"rect_weights": {"body": "heavy"}}}, 2, "config.solver.rect_weights.body"),
+    ({"solver": {"rect_weights": {"bodyy": 1.0}}}, 2, "config.solver.rect_weights.bodyy"),
+    ({"solver": {"rect_weights": {"trunk": -0.5}}}, 2, "config.solver.rect_weights.trunk"),
+    ({"sampling": {"density": 1e13}}, 4, "footprint samples"),
+    ({"sampling": {"mode": "mc", "density": 2e6}}, 4, "footprint samples"),
     ({"solver": {"coarse_pitch": 1e-9}}, 4, "lattice poses"),
     ({"solver": 3}, 2, "config.solver"),
     ({"sampling": 5}, 2, "config.sampling"),
@@ -235,3 +239,50 @@ def test_solve_report_bytes_match_recorded(name, capsys):
     got = stats.normalize_report(capsys.readouterr().out.encode("utf-8"))
     want = (BENCH_DIR / "expected" / name.replace(".json", ".report")).read_bytes()
     assert got == want
+
+
+@pytest.mark.parametrize("verb", ["render", "oracle"])
+@pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf"])
+def test_bad_resolution_exit_codes(tmp_path, verb, resolution):
+    extra = ["--field", "-o", tmp_path / "x.svg"] if verb == "render" else []
+    proc = run_cli(verb, scenario("empty_spot.json"), *extra, "--resolution", resolution)
+    assert proc.returncode == 2
+    assert "resolution" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_oracle_report_bytes_match_recorded(name, capsys):
+    # The recorded oracle reports pin its ranking, stats and config echo:
+    # every byte but the wall time.
+    stats = bench_module("stats")
+    assert cli.main(["oracle", str(SCENARIO_DIR / name), "--resolution", "0.25"]) == 0
+    got = stats.normalize_report(capsys.readouterr().out.encode("utf-8"))
+    want = Path(__file__).parent / "expected_oracle" / name.replace(".json", ".report")
+    assert got == want.read_bytes()
+
+
+def test_oracle_reports_infeasible_spots_like_solve(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "empty_spot.json").read_text())
+    doc["spots"].append(
+        {"id": "small", "corners": [[10, 0], [13, 0], [13, 1.5], [10, 1.5]]}
+    )
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    reports = {}
+    for verb, extra in (("solve", []), ("oracle", ["--resolution", "0.25"])):
+        assert cli.main([verb, str(path), *extra]) == 0
+        reports[verb] = json.loads(capsys.readouterr().out)
+    assert reports["oracle"]["infeasible"] == reports["solve"]["infeasible"]
+    assert [e["spot_id"] for e in reports["oracle"]["infeasible"]] == ["small"]
+    assert [s["spot_id"] for s in reports["oracle"]["strategies"]] == ["main"]
+    assert [s["spot_id"] for s in reports["oracle"]["stats"]] == ["main"]
+    assert reports["oracle"]["config"]["explain"] is False
+
+
+def test_public_api_is_the_documented_surface():
+    import parkfield
+
+    assert len(parkfield.__all__) <= 20
+    for name in parkfield.__all__:
+        assert hasattr(parkfield, name), name

@@ -18,7 +18,7 @@ from parkfield.field import (
 from parkfield.geometry import Point2, Polygon, SPOT_EDGE
 from parkfield.scenario import spot_field_set, make_spot
 
-from conftest import point_in_polygon_raycast, point_major_gamma_many, regular_polygon
+from conftest import node_xy, point_in_polygon_raycast, point_major_gamma_many, regular_polygon
 
 coord = st.floats(-10, 10, allow_nan=False)
 
@@ -189,7 +189,7 @@ def test_sample_field_matches_pointwise_oracle(unit_square):
     direct = np.array(
         [
             [
-                polygon_field(unit_square, Point2(*fmap.node_xy(r, c)))
+                polygon_field(unit_square, Point2(*node_xy(fmap, r, c)))
                 for c in range(fmap.cols)
             ]
             for r in range(fmap.rows)

@@ -10,14 +10,13 @@ from parkfield.geometry import (
     RigidTransform,
     SPOT_EDGE,
     apply_transform,
-    compose,
-    edge_lines,
     eval_line,
-    inverse_transform,
     invert,
     normalize_angle,
     transform_polygon,
 )
+
+from conftest import compose, edge_lines, inverse_transform
 
 # Inward-positive convention for convex CCW obstacles: the min edge-line
 # value at the centroid is positive.  Flip here if the convention changes.
@@ -30,6 +29,10 @@ angle = st.floats(-math.pi, math.pi, allow_nan=False)
 def test_unit_square_edge_lines(unit_square):
     lines = edge_lines(unit_square)
     assert len(lines) == 4
+    # The polygon's own lines match the independent recomputation.
+    assert [v for e in unit_square.edges for v in (e.a, e.b, e.c, e.alpha)] == pytest.approx(
+        [v for e in lines for v in (e.a, e.b, e.c, e.alpha)]
+    )
     a, b, c, _ = lines[0].a, lines[0].b, lines[0].c, lines[0].alpha
     # bottom edge (0,0)->(1,0): f(x,y) = y
     assert (a, b) == pytest.approx((0.0, 1.0))

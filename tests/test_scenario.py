@@ -20,7 +20,7 @@ from parkfield.scenario import (
     spot_field_set,
 )
 
-from conftest import load_golden, read_scenario
+from conftest import load_golden, read_scenario, to_local, total_area
 
 MINIMAL = json.dumps(
     {
@@ -59,7 +59,7 @@ def test_spot_frame_maps_corners_to_local_rectangle():
     spot = scenario.spots[0]
     expected = [(0, 0), (spot.length, 0), (spot.length, spot.width), (0, spot.width)]
     for corner, (ex, ey) in zip(spot.corners, expected):
-        local = spot.to_local(corner)
+        local = to_local(spot, corner)
         assert (local.x, local.y) == pytest.approx((ex, ey), abs=1e-9)
         back = spot.to_global(local)
         assert (back.x, back.y) == pytest.approx((corner.x, corner.y), abs=1e-9)
@@ -70,7 +70,7 @@ def test_spot_from_center_matches_corners():
     spot = make_spot_from_center("s", Point2(3, -2), 5.0, 2.5, heading, "y_min")
     assert spot.length == pytest.approx(5.0)
     assert spot.width == pytest.approx(2.5)
-    local = spot.to_local(Point2(3, -2))
+    local = to_local(spot, Point2(3, -2))
     assert (local.x, local.y) == pytest.approx((2.5, 1.25), abs=1e-9)
 
 
@@ -247,7 +247,7 @@ def test_footprint_area_is_sum_of_parts():
         trunk_loaded=True,
     )
     footprint = build_footprint(context, VehicleSpec())
-    total = footprint.total_area()
+    total = total_area(footprint)
     parts = footprint.body.area + sum(r.area for r, _ in footprint.maneuver_rects)
     assert total == pytest.approx(parts)
     # no pairwise overlaps

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parkfield.errors import BudgetError, InfeasibleSpotError
+from parkfield.errors import BudgetError, InfeasibleSpotError, ScenarioError
 from parkfield.field import _BLOCK_POINTS, FieldSet
 from parkfield.geometry import Point2, Polygon, SPOT_EDGE, transform_polygon
 from parkfield.scenario import (
+    RECT_LABELS,
     Rect,
     VehicleFootprint,
     build_footprint,
@@ -33,7 +34,7 @@ from parkfield.solver import (
 from parkfield import solver
 from parkfield.strategy import rank_spots
 
-from conftest import SCENARIO_DIR, bench_module, load_golden, unblocked_scores
+from conftest import SCENARIO_DIR, bench_module, load_golden, to_local, unblocked_scores
 
 
 def one_sided_edge(p, q):
@@ -175,6 +176,33 @@ def test_sampling_plan_validation():
         SamplingPlan(GRID, 0.0)
 
 
+def test_rect_weights_take_known_labels_and_non_negative_weights():
+    for weights, path in (
+        ({"bodyy": 1.0}, "rect_weights.bodyy"),
+        ({"trunk": -0.5}, "rect_weights.trunk"),
+    ):
+        with pytest.raises(ScenarioError) as err:
+            SolverConfig(rect_weights=weights)
+        assert err.value.path == path
+    SolverConfig(rect_weights={label: 0.0 for label in RECT_LABELS})
+
+
+def test_footprint_sample_cap(body_only_footprint):
+    spot = standard_spot()
+    fields = spot_field_set(spot, [])
+    for plan in (SamplingPlan(density=1e13), SamplingPlan(MONTE_CARLO, 2e6)):
+        with pytest.raises(BudgetError, match="footprint samples"):
+            minimize(fields, body_only_footprint, spot, plan)
+    # The goldens' footprints stay far below the cap at the benchmark's
+    # reference density.
+    reference = SamplingPlan(density=2500.0)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        scenario = load_scenario(path.read_text())
+        footprint = build_footprint(scenario.context, scenario.vehicle)
+        pts, _ = solver._footprint_samples(footprint, reference, {})
+        assert len(pts) <= 31350 < solver.MAX_FOOTPRINT_SAMPLES
+
+
 # ---------------------------------------------------------------------------
 # minimize
 # ---------------------------------------------------------------------------
@@ -210,7 +238,7 @@ def test_obstacle_pushes_pose_away(body_only_footprint):
         name="bin",
     )
     blocked = minimize(spot_field_set(spot, [obstacle]), body_only_footprint, spot)
-    centroid = spot.to_local(obstacle.centroid())
+    centroid = to_local(spot, obstacle.centroid())
     d_blocked = math.hypot(
         blocked.pose.x_hat - centroid.x, blocked.pose.y_hat - centroid.y
     )
