@@ -1,8 +1,13 @@
-"""Exception types shared across the package, and the number check that
-raises one at the offending path."""
+"""Exception types shared across the package, the number check that
+raises one at the offending path, and the lattice budget."""
 
 import math
 import numbers
+
+# Cap on the nodes of one lattice: the coarse grid of ``minimize``, the
+# oracle lattice of ``brute_force_minimize`` and the obstacle-domination
+# lattice of ``spot_field_set``.
+MAX_LATTICE_POSES = 10**7
 
 
 class ParkfieldError(Exception):

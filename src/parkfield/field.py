@@ -104,15 +104,6 @@ class CompiledFieldSet:
         return out
 
 
-def polygon_field(polygon: Polygon, p: Point2) -> float:
-    """Field of a single polygon at ``p``: min over its edge lines.
-
-    Positive inside a convex obstacle; a spot edge gives its signed line
-    distance, negative on the side the spot lies on and zero on the edge.
-    """
-    return gamma(FieldSet((polygon,)), p)
-
-
 def gamma(fields: FieldSet, p: Point2) -> float:
     """Composite field at ``p``: max over polygons of the per-polygon field."""
     return float(gamma_many(fields, np.array([[p.x, p.y]]))[0])

@@ -146,23 +146,11 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", _lines_for_vertices(verts))
 
-    def centroid(self) -> Point2:
-        n = len(self.vertices)
-        return Point2(
-            sum(v.x for v in self.vertices) / n,
-            sum(v.y for v in self.vertices) / n,
-        )
-
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max)."""
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
-
-
-def eval_line(line: EdgeLine, p: Point2) -> float:
-    """Signed distance of ``p`` from the line, positive on the normal side."""
-    return line.a * p.x + line.b * p.y + line.c
 
 
 def apply_transform(t: RigidTransform, p_local: Point2) -> Point2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, ScenarioError, finite_number
+from .errors import MAX_LATTICE_POSES, GeometryError, ScenarioError, finite_number
 from .field import CompiledFieldSet, FieldSet
 from .geometry import (
     OBSTACLE,
@@ -359,12 +359,20 @@ def _dominated_everywhere(
 
     Sampled on a lattice with a Lipschitz safety margin: the difference of
     two 1-Lipschitz fields is 2-Lipschitz, so a sampled margin of sqrt(2)*h
-    at pitch h certifies strict domination between nodes.
+    at pitch h certifies strict domination between nodes.  A region of more
+    than ``MAX_LATTICE_POSES`` nodes is not checked and counts as not
+    dominated: pruning only saves work, and keeping the obstacle is safe.
     """
     x_min, y_min, x_max, y_max = region
     pitch = 0.25
-    xs = np.linspace(x_min, x_max, max(2, int(math.ceil((x_max - x_min) / pitch)) + 1))
-    ys = np.linspace(y_min, y_max, max(2, int(math.ceil((y_max - y_min) / pitch)) + 1))
+    # Counted in floats first: a huge region overflows them to inf.
+    nx, ny = (
+        max(2.0, np.ceil((hi - lo) / pitch) + 1) for lo, hi in ((x_min, x_max), (y_min, y_max))
+    )
+    if nx * ny > MAX_LATTICE_POSES:
+        return False
+    xs = np.linspace(x_min, x_max, int(nx))
+    ys = np.linspace(y_min, y_max, int(ny))
     h = max(xs[1] - xs[0], ys[1] - ys[0])
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])

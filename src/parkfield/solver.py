@@ -16,17 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleSpotError, ScenarioError, finite_number
+from .errors import (
+    MAX_LATTICE_POSES,
+    BudgetError,
+    InfeasibleSpotError,
+    ScenarioError,
+    finite_number,
+)
 from .field import _BLOCK_POINTS, CompiledFieldSet, FieldSet, _block_slices
-from .geometry import normalize_angle, transform_polygon
+from .geometry import TAU, normalize_angle, transform_polygon
 from .scenario import RECT_LABELS, ParkingSpot, Rect, VehicleFootprint
 
 GRID = "grid"
 MONTE_CARLO = "monte_carlo"
-
-# Cap on the poses of one lattice: the coarse grid of ``minimize`` or the
-# oracle lattice of ``brute_force_minimize``.
-MAX_LATTICE_POSES = 10**7
 
 # Cap on the sample points of one footprint, over all its rectangles.
 MAX_FOOTPRINT_SAMPLES = 10**6
@@ -179,10 +181,8 @@ def _mc_rect_samples(rect: Rect, count: int, seed: int, rect_index: int):
     return np.array(pts).reshape(-1, 2)
 
 
-def _footprint_samples(
-    footprint: VehicleFootprint, plan: SamplingPlan, rect_weights: dict
-):
-    """Vehicle-frame sample points and per-point quadrature weights.
+def _sample_layout(footprint: VehicleFootprint, plan: SamplingPlan):
+    """``(rect, label, shape, index)`` of each footprint rectangle.
 
     More than ``MAX_FOOTPRINT_SAMPLES`` points raise ``BudgetError`` before
     anything is allocated.
@@ -195,43 +195,79 @@ def _footprint_samples(
             f"sampling density {plan.density} gives {total} footprint samples, "
             f"over {MAX_FOOTPRINT_SAMPLES}"
         )
-    all_pts = []
-    all_weights = []
-    for index, ((rect, label), shape) in enumerate(zip(labelled, shapes)):
-        if plan.mode == GRID:
-            pts = _grid_rect_samples(rect, *shape)
-        else:
-            pts = _mc_rect_samples(rect, shape[0], plan.seed, index)
-        weight = rect_weights.get(label, 1.0) * rect.area / len(pts)
-        all_pts.append(pts)
-        all_weights.append(np.full(len(pts), weight))
-    return np.concatenate(all_pts), np.concatenate(all_weights)
+    return [
+        (rect, label, shape, index)
+        for index, ((rect, label), shape) in enumerate(zip(labelled, shapes))
+    ]
 
 
 class ObjectiveEvaluator:
-    """Compiled (fields, footprint, plan) triple scoring poses in batch."""
+    """Compiled (fields, footprints, plan) scoring poses in batch.
+
+    ``footprint`` is one footprint, or a sequence of footprints scored
+    together: the union of their sample blocks passes the field kernel once
+    per pose, and each footprint's score sums its own blocks in its own
+    order, so it is bit-identical to scoring that footprint alone.
+    ``compiled`` shares one spot's compiled field set, and its scratch
+    buffer, between evaluators.
+    """
 
     def __init__(
         self,
         fields: FieldSet,
-        footprint: VehicleFootprint,
+        footprint,
         plan: SamplingPlan,
         rect_weights: dict | None = None,
+        compiled: CompiledFieldSet | None = None,
     ):
-        self._compiled = CompiledFieldSet(fields)
-        self._pts, self._weights = _footprint_samples(
-            footprint, plan, rect_weights or {}
-        )
+        if isinstance(footprint, VehicleFootprint):
+            footprint = (footprint,)
+        rect_weights = rect_weights or {}
+        layouts = [_sample_layout(fp, plan) for fp in footprint]
+        self._compiled = compiled or CompiledFieldSet(fields)
+        spans: dict = {}  # block key -> (first union column, point count)
+        blocks = []
+        size = 0
+        columns = []
+        for layout in layouts:
+            cols = []
+            weights = []
+            for rect, label, shape, index in layout:
+                # Footprints sharing a rectangle share its sample block.
+                # Monte-carlo draws are seeded by the rectangle's index too,
+                # and an ablation re-indexes the rectangles after the
+                # removed one.
+                key = rect if plan.mode == GRID else (rect, index)
+                if key not in spans:
+                    if plan.mode == GRID:
+                        blocks.append(_grid_rect_samples(rect, *shape))
+                    else:
+                        blocks.append(_mc_rect_samples(rect, shape[0], plan.seed, index))
+                    spans[key] = (size, len(blocks[-1]))
+                    size += len(blocks[-1])
+                first, count = spans[key]
+                cols.append(np.arange(first, first + count))
+                weights.append(np.full(count, rect_weights.get(label, 1.0) * rect.area / count))
+            columns.append((np.concatenate(cols), np.concatenate(weights)))
+        self._pts = np.concatenate(blocks)
+        # Per footprint: its union columns (None when it uses all of them in
+        # order, so its sums run on the kernel's values as they are) and
+        # its per-point quadrature weights.
+        self._columns = [
+            (None if np.array_equal(cols, np.arange(size)) else cols, weights)
+            for cols, weights in columns
+        ]
 
     def scores(self, poses: np.ndarray) -> np.ndarray:
         """Objective at each pose row (x, y, theta).
 
+        Shape ``(P,)`` for one footprint, ``(F, P)`` for F footprints.
         Poses are scored in blocks of about ``_BLOCK_POINTS`` sample points,
         so memory stays bounded whatever the batch; every row's arithmetic
         is independent of the blocking.
         """
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
-        out = np.empty(len(poses))
+        out = np.empty((len(self._columns), len(poses)))
         lx = self._pts[:, 0]
         ly = self._pts[:, 1]
         step = max(1, _BLOCK_POINTS // len(self._pts))
@@ -244,8 +280,12 @@ class ObjectiveEvaluator:
             values = self._compiled.eval_many(
                 np.column_stack([gx.ravel(), gy.ravel()])
             ).reshape(len(block), -1)
-            out[lo:hi] = (values * self._weights).sum(axis=1)
-        return out
+            for row, (cols, weights) in zip(out, self._columns):
+                # A C-contiguous copy: the row sums of a fancy-indexed
+                # (F-ordered) view round differently.
+                kept = values if cols is None else np.ascontiguousarray(values[:, cols])
+                row[lo:hi] = (kept * weights).sum(axis=1)
+        return out[0] if len(self._columns) == 1 else out
 
     def score(self, pose: Pose) -> float:
         return float(self.scores(pose.as_array()[None, :])[0])
@@ -304,17 +344,24 @@ def _approach_distance(spot: ParkingSpot, x: float, y: float) -> float:
     return spot.width - y
 
 
-def _tie_key(score: float, x: float, y: float, theta: float, cfg: SolverConfig, spot: ParkingSpot):
-    """Total order for argmin reduction; documented in the README."""
-    deviation = min(abs(normalize_angle(theta - h)) for h in cfg.headings)
-    return (
-        score,
-        deviation,
-        -_approach_distance(spot, x, y),
-        x,
-        y,
-        normalize_angle(theta),
-    )
+def _normalize_angles(angles: np.ndarray) -> np.ndarray:
+    """``normalize_angle`` of every element."""
+    wrapped = np.mod(angles, TAU)
+    return np.where(wrapped > math.pi, wrapped - TAU, wrapped)
+
+
+def _tie_order(scores, poses, cfg: SolverConfig, spot: ParkingSpot) -> np.ndarray:
+    """Indices of the scored poses in the total order of the README.
+
+    Ascending score, then heading deviation from the nearest configured
+    heading, then distance to the approach edge (larger first), then x, y
+    and the normalized heading; exact ties keep their input order.
+    """
+    poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+    x, y, theta = poses.T
+    deviation = np.min([np.abs(_normalize_angles(theta - h)) for h in cfg.headings], axis=0)
+    approach = -_approach_distance(spot, x, y)
+    return np.lexsort((_normalize_angles(theta), y, x, approach, deviation, scores))
 
 
 def _local_field_set(fields: FieldSet, spot: ParkingSpot) -> FieldSet:
@@ -344,18 +391,46 @@ def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
 
 
-def _scored_lattice(fields, footprint, spot, plan, config, pitch):
-    """``(evaluator, poses, scores)`` of one spot's ``pitch`` lattice.
+class ScoredLattice:
+    """One spot's pose lattice, scored once for several footprints.
 
-    The stage ``minimize`` and ``brute_force_minimize`` share: the
-    feasibility check, the spot-local field set, the compiled objective
-    and the scores of every lattice pose.
+    ``minimize`` starts from the lattice at the coarse pitch, and the
+    explained solves of a spot (the footprint and each of its one-rectangle
+    ablations) share one: the spot-local field set is compiled once, the
+    union of the footprints' sample blocks passes the field kernel once per
+    lattice pose, and each footprint reads its own score column.  Scoring
+    waits for the first ``column`` call, so it runs inside the first solve
+    that needs it.
     """
-    check_feasible(footprint, spot, config.headings)
-    poses = _pose_lattice(spot, pitch, config.headings)
-    local = _local_field_set(fields, spot)
-    evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
-    return evaluator, poses, evaluator.scores(poses)
+
+    def __init__(self, fields, footprints, spot, plan, config, pitch=None):
+        self._footprints = tuple(footprints)
+        self._fields = fields
+        self._spot = spot
+        self._plan = plan
+        self._config = config
+        self._pitch = config.coarse_pitch if pitch is None else pitch
+        self._scored = None
+
+    def column(self, footprint: VehicleFootprint):
+        """``(evaluator, poses, scores)`` of ``footprint``, one of the lattice's.
+
+        The evaluator scores ``footprint`` alone and shares the lattice's
+        compiled field set.
+        """
+        plan, weights = self._plan, self._config.rect_weights
+        if self._scored is None:
+            poses = _pose_lattice(self._spot, self._pitch, self._config.headings)
+            local = _local_field_set(self._fields, self._spot)
+            shared = ObjectiveEvaluator(local, self._footprints, plan, weights)
+            columns = shared.scores(poses).reshape(len(self._footprints), -1)
+            self._scored = (local, shared, poses, columns)
+        local, shared, poses, columns = self._scored
+        if self._footprints == (footprint,):
+            evaluator = shared
+        else:
+            evaluator = ObjectiveEvaluator(local, footprint, plan, weights, shared._compiled)
+        return evaluator, poses, columns[self._footprints.index(footprint)]
 
 
 def _poll_directions(step_p: float, step_a: float):
@@ -453,37 +528,37 @@ def minimize(
     spot: ParkingSpot,
     plan: SamplingPlan = SamplingPlan(),
     config: SolverConfig = SolverConfig(),
+    coarse: ScoredLattice | None = None,
 ) -> SolveResult:
     """Best in-spot pose for the footprint under the given field.
 
     ``fields`` is in the global frame; the search runs in spot-local
     coordinates with the body center box-constrained to the spot.
+    ``coarse`` is this spot's coarse lattice, scored for ``footprint`` among
+    others and shared with their solves; without one the solve scores its
+    own.
     """
-    evaluator, coarse, coarse_scores = _scored_lattice(
-        fields, footprint, spot, plan, config, config.coarse_pitch
-    )
-    evaluations = len(coarse)
+    check_feasible(footprint, spot, config.headings)
+    if coarse is None:
+        coarse = ScoredLattice(fields, (footprint,), spot, plan, config)
+    evaluator, grid, grid_scores = coarse.column(footprint)
+    evaluations = len(grid)
     # Pose tuple -> score for this solve: the refinement polls of all
     # starts revisit poses, and step-pitch probes land on coarse nodes.
-    memo = dict(zip(map(tuple, coarse.tolist()), coarse_scores.tolist()))
+    memo = dict(zip(map(tuple, grid.tolist()), grid_scores.tolist()))
 
-    order = sorted(
-        range(len(coarse)),
-        key=lambda i: _tie_key(
-            float(coarse_scores[i]), coarse[i, 0], coarse[i, 1], coarse[i, 2], config, spot
-        ),
-    )
-    starts = _diverse_starts(order, coarse, config.starts, 2.0 * config.coarse_pitch)
+    order = _tie_order(grid_scores, grid, config, spot)
+    starts = _diverse_starts(order.tolist(), grid, config.starts, 2.0 * config.coarse_pitch)
 
     candidates = []
     converged = True
     for i in starts:
-        x, y, theta = coarse[i]
+        x, y, theta = grid[i]
         rx, ry, rt, rscore, revals, rconv = _compass_refine(
             evaluator,
             memo,
             (float(x), float(y), float(theta)),
-            float(coarse_scores[i]),
+            float(grid_scores[i]),
             float(theta),
             config,
             spot,
@@ -493,9 +568,8 @@ def minimize(
         converged = converged and rconv
         candidates.append((rscore, rx, ry, rt))
 
-    best = min(
-        candidates, key=lambda c: _tie_key(c[0], c[1], c[2], c[3], config, spot)
-    )
+    table = np.array(candidates)
+    best = candidates[_tie_order(table[:, 0], table[:, 1:], config, spot)[0]]
     pose = Pose(best[1], best[2], best[3])
     return SolveResult(pose, best[0], evaluations, converged)
 
@@ -510,15 +584,12 @@ def brute_force_minimize(
 ) -> SolveResult:
     """Exhaustive pose-lattice search; the test oracle, not a production path."""
     resolution = finite_number("resolution", resolution, 0.0, False)
-    _, poses, scores = _scored_lattice(fields, footprint, spot, plan, config, resolution)
+    check_feasible(footprint, spot, config.headings)
+    lattice = ScoredLattice(fields, (footprint,), spot, plan, config, resolution)
+    _, poses, scores = lattice.column(footprint)
     # Ties are broken only among the poses holding the minimum score: the
-    # tie key orders by score first, so this is the same total order.
+    # order puts the lowest score first, so this is the same total order.
     tied = np.flatnonzero(scores == scores.min())
-    best = min(
-        tied,
-        key=lambda i: _tie_key(
-            float(scores[i]), poses[i, 0], poses[i, 1], poses[i, 2], config, spot
-        ),
-    )
+    best = tied[_tie_order(scores[tied], poses[tied], config, spot)[0]]
     pose = Pose(poses[best, 0], poses[best, 1], poses[best, 2])
     return SolveResult(pose, float(scores[best]), len(poses), True)

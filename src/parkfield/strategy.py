@@ -25,6 +25,7 @@ from .scenario import (
 from .solver import (
     Pose,
     SamplingPlan,
+    ScoredLattice,
     SolveResult,
     SolverConfig,
     minimize,
@@ -186,17 +187,19 @@ def bias_drivers(
     base: ParkingStrategy,
     plan: SamplingPlan,
     config: SolverConfig,
+    coarse: ScoredLattice,
 ) -> tuple:
     """Maneuver rectangles whose removal changes a discrete directive.
 
     Each rectangle is deleted in turn, the optimization re-run and the
     result re-rounded; a rectangle is a driver when any of direction or
-    biases differs from the base strategy.
+    biases differs from the base strategy.  The re-solves start from
+    ``coarse``, the spot's coarse lattice scored for every ablation.
     """
     drivers = []
     for label in footprint.labels():
         ablated = footprint.without(label)
-        result = minimize(fields, ablated, spot, plan, config)
+        result = minimize(fields, ablated, spot, plan, config, coarse=coarse)
         rounded = round_strategy(result, spot, ablated)
         if (
             rounded.lateral_bias != base.lateral_bias
@@ -216,29 +219,37 @@ def rank_spots(
     """Solve every spot, round each optimum, rank ascending by score.
 
     ``solve`` has the signature of :func:`minimize`, the default; the CLI's
-    ``oracle`` passes the lattice search.  Infeasible spots are reported
-    with their reason, never dropped.
+    ``oracle`` passes the lattice search.  With explain on, the default
+    solve and the explain re-solves of a spot share one coarse lattice,
+    scored for the footprint and all its ablations at once.  Infeasible
+    spots are reported with their reason, never dropped.
     """
-    if solve is None:
-        # Looked up per call, not bound at definition, so a rebinding of
-        # the module's ``minimize`` (the benchmark tracer's wrapper) is seen.
-        solve = minimize
     footprint = build_footprint(scenario.context, scenario.vehicle)
     reach = footprint.max_reach()
+    explained = ()
+    if explain and footprint.maneuver_rects:
+        explained = (footprint, *(footprint.without(lb) for lb in footprint.labels()))
     strategies = []
     infeasible = []
     stats = []
     for spot in scenario.spots:
         fields = spot_field_set(spot, list(scenario.obstacles), reach=reach)
+        coarse = ScoredLattice(fields, explained, spot, plan, config) if explained else None
         try:
-            result = solve(fields, footprint, spot, plan, config)
+            if solve is None:
+                # ``minimize`` is looked up per call, not bound at
+                # definition, so a rebinding of the module's name (the
+                # benchmark tracer's wrapper) is seen.
+                result = minimize(fields, footprint, spot, plan, config, coarse=coarse)
+            else:
+                result = solve(fields, footprint, spot, plan, config)
         except InfeasibleSpotError as exc:
             infeasible.append((spot.id, str(exc)))
             continue
         drivers: tuple = ()
-        if explain and footprint.maneuver_rects:
+        if coarse is not None:
             base = round_strategy(result, spot, footprint)
-            drivers = bias_drivers(fields, footprint, spot, base, plan, config)
+            drivers = bias_drivers(fields, footprint, spot, base, plan, config, coarse)
         strategies.append(round_strategy(result, spot, footprint, drivers))
         stats.append((spot.id, result.evaluations, result.converged))
     strategies.sort(key=lambda st: (st.score, st.spot_id))

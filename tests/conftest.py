@@ -6,8 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parkfield.geometry import EdgeLine, Point2, Polygon, RigidTransform, apply_transform
-from parkfield.scenario import Rect, VehicleFootprint, load_scenario
+from parkfield.geometry import (
+    EdgeLine,
+    Point2,
+    Polygon,
+    RigidTransform,
+    apply_transform,
+    normalize_angle,
+)
+from parkfield.scenario import (
+    Rect,
+    VehicleFootprint,
+    load_scenario,
+    make_spot_from_center,
+    spot_field_set,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -67,6 +80,53 @@ def regular_polygon(cx: float, cy: float, radius: float, sides: int) -> Polygon:
     return Polygon(verts)
 
 
+def random_scenario(rng, rects=1):
+    """``(spot, fields, footprint)``: a random spot with up to two convex
+    obstacles and a footprint that fits it, in the style of acceptance 5.
+
+    The footprint carries the first ``rects`` of a front-left door, a
+    rear-right door and a trunk; the extra rectangles draw nothing from
+    ``rng``, so a seed gives the same spot and obstacles for every count.
+    """
+    lx = rng.uniform(3.0, 4.2)
+    ly = rng.uniform(2.0, 2.7)
+    spot = make_spot_from_center(
+        "r",
+        Point2(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+        lx,
+        ly,
+        rng.uniform(-math.pi, math.pi),
+        rng.choice(["x_min", "x_max", "y_min", "y_max"]),
+    )
+    obstacles = []
+    for k in range(rng.randint(0, 2)):
+        cx, cy = rng.uniform(0, lx), rng.uniform(0, ly)
+        radius = rng.uniform(0.15, 0.5)
+        sides = rng.randint(3, 5)
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(sides))
+        if len(set(round(a, 3) for a in angles)) < sides:
+            continue
+        verts = tuple(
+            spot.to_global(Point2(cx + radius * math.cos(a), cy + radius * math.sin(a)))
+            for a in angles
+        )
+        try:
+            obstacles.append(Polygon(verts, name=f"o{k}"))
+        except Exception:
+            continue
+    length = rng.uniform(2.2, min(2.9, lx - 0.1))
+    width = rng.uniform(1.4, min(1.9, ly - 0.1))
+    half_l, half_w = length / 2, width / 2
+    maneuver = (
+        (Rect(0, half_l, half_w, half_w + 0.6), "front_left_door"),
+        (Rect(-half_l, 0, -half_w - 0.9, -half_w), "rear_right_door"),
+        (Rect(-half_l - 0.5, -half_l, -half_w, half_w), "trunk"),
+    )
+    footprint = VehicleFootprint(Rect(-half_l, half_l, -half_w, half_w), maneuver[:rects])
+    fields = spot_field_set(spot, obstacles, reach=footprint.max_reach())
+    return spot, fields, footprint
+
+
 # Independent geometry oracles: re-derivations the tests check the package
 # against, kept here because the package itself has no use for them.
 
@@ -86,6 +146,25 @@ def edge_lines(polygon: Polygon) -> list:
         a, b = -dy / length, dx / length
         lines.append(EdgeLine(a, b, -(a * p.x + b * p.y), math.atan2(dy, dx)))
     return lines
+
+
+def eval_line(line: EdgeLine, p: Point2) -> float:
+    """Signed distance of ``p`` from the line, positive on the normal side."""
+    return line.a * p.x + line.b * p.y + line.c
+
+
+def polygon_field(polygon: Polygon, p: Point2) -> float:
+    """Field of one polygon at ``p``: the minimum of its edge-line values,
+    each evaluated in scalar arithmetic."""
+    return min(eval_line(line, p) for line in polygon.edges)
+
+
+def centroid(polygon: Polygon) -> Point2:
+    """Mean of the polygon's vertices."""
+    n = len(polygon.vertices)
+    return Point2(
+        sum(v.x for v in polygon.vertices) / n, sum(v.y for v in polygon.vertices) / n
+    )
 
 
 def inverse_transform(t: RigidTransform, p_global: Point2) -> Point2:
@@ -130,9 +209,26 @@ def point_major_gamma_many(fields, pts):
     return values
 
 
+def scalar_tie_key(score, x, y, theta, cfg, spot):
+    """The README's total order of scored poses, as one tuple per pose.
+
+    Score, heading deviation from the nearest configured heading, distance
+    to the approach edge (larger first), x, y, normalized heading.
+    """
+    deviation = min(abs(normalize_angle(theta - h)) for h in cfg.headings)
+    distance = {
+        "x_min": x,
+        "x_max": spot.length - x,
+        "y_min": y,
+        "y_max": spot.width - y,
+    }[spot.approach_side]
+    return (score, deviation, -distance, x, y, normalize_angle(theta))
+
+
 def unblocked_scores(fields, evaluator, poses):
-    """Objective oracle: all P x M posed sample points in one evaluation of
-    ``point_major_gamma_many``, then the per-row weighted sum."""
+    """Objective oracle for a one-footprint evaluator: all P x M posed sample
+    points in one evaluation of ``point_major_gamma_many``, then the per-row
+    weighted sum."""
     poses = np.asarray(poses, dtype=float).reshape(-1, 3)
     cos = np.cos(poses[:, 2])
     sin = np.sin(poses[:, 2])
@@ -143,7 +239,8 @@ def unblocked_scores(fields, evaluator, poses):
     values = point_major_gamma_many(
         fields, np.column_stack([gx.ravel(), gy.ravel()])
     ).reshape(len(poses), -1)
-    return (values * evaluator._weights).sum(axis=1)
+    (_, weights), = evaluator._columns
+    return (values * weights).sum(axis=1)
 
 
 def bench_module(name: str):

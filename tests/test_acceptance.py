@@ -100,7 +100,7 @@ def test_criterion_2_obstacles_push_pose_and_raise_score():
             result = minimize(fields, footprint, scenario.spots[0])
             assert result.score > empty.score, name
             for obstacle in scenario.obstacles:
-                centroid = to_local(scenario.spots[0], obstacle.centroid())
+                centroid = to_local(scenario.spots[0], conftest.centroid(obstacle))
                 d_opt = math.hypot(
                     result.pose.x_hat - centroid.x, result.pose.y_hat - centroid.y
                 )

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,30 @@ def test_oracle_budget_exit_code():
     proc = run_cli("oracle", scenario("empty_spot.json"), "--resolution", "0.001")
     assert proc.returncode == 4
     assert "budget" in proc.stderr.lower()
+
+
+def test_huge_spot_with_far_obstacle_exits_at_the_lattice_budget(tmp_path, capsys):
+    # The obstacle lies outside the footprint's reach of a 1e9 m spot, so
+    # only the domination check could prune it; its lattice would have
+    # ~1.6e19 nodes, so the obstacle is kept unchecked and the solve stops
+    # at the coarse-grid cap, allocating nothing large.
+    doc = {
+        "spots": [{"id": "huge", "corners": [[0, 0], [1e9, 0], [1e9, 1e9], [0, 1e9]]}],
+        "obstacles": [{"id": "far", "vertices": [[-100, -100], [-99, -100], [-99, -99]]}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = cli.main(["solve", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "lattice poses" in err
+    assert "Traceback" not in err
+    assert peak < 64 * 2**20
 
 
 def test_oracle_matches_solve():

@@ -12,13 +12,18 @@ from parkfield.field import (
     FieldSet,
     gamma,
     gamma_many,
-    polygon_field,
     sample_field,
 )
 from parkfield.geometry import Point2, Polygon, SPOT_EDGE
 from parkfield.scenario import spot_field_set, make_spot
 
-from conftest import node_xy, point_in_polygon_raycast, point_major_gamma_many, regular_polygon
+from conftest import (
+    node_xy,
+    point_in_polygon_raycast,
+    point_major_gamma_many,
+    polygon_field,
+    regular_polygon,
+)
 
 coord = st.floats(-10, 10, allow_nan=False)
 

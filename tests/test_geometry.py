@@ -10,13 +10,12 @@ from parkfield.geometry import (
     RigidTransform,
     SPOT_EDGE,
     apply_transform,
-    eval_line,
     invert,
     normalize_angle,
     transform_polygon,
 )
 
-from conftest import compose, edge_lines, inverse_transform
+from conftest import centroid, compose, edge_lines, eval_line, inverse_transform
 
 # Inward-positive convention for convex CCW obstacles: the min edge-line
 # value at the centroid is positive.  Flip here if the convention changes.
@@ -58,7 +57,7 @@ def test_rotated_square_lines_pass_through_vertices():
         q = poly.vertices[(i + 1) % 4]
         assert abs(eval_line(line, p)) < 1e-9
         assert abs(eval_line(line, q)) < 1e-9
-    assert min(eval_line(e, poly.centroid()) for e in poly.edges) > 0
+    assert min(eval_line(e, centroid(poly)) for e in poly.edges) > 0
 
 
 def test_eval_line_examples(unit_square):
@@ -100,11 +99,11 @@ def test_non_convex_rejected():
 def test_clockwise_obstacle_reversed_with_warning():
     with pytest.warns(UserWarning, match="clockwise"):
         poly = Polygon((Point2(0, 0), Point2(0, 1), Point2(1, 1), Point2(1, 0)))
-    assert min(eval_line(e, poly.centroid()) for e in poly.edges) > 0
+    assert min(eval_line(e, centroid(poly)) for e in poly.edges) > 0
 
 
 def test_inward_normals_at_centroid(unit_square):
-    values = [eval_line(e, unit_square.centroid()) for e in unit_square.edges]
+    values = [eval_line(e, centroid(unit_square)) for e in unit_square.edges]
     if INWARD_POSITIVE:
         assert min(values) > 0
     else:
@@ -190,4 +189,4 @@ def test_transform_polygon_recomputes_edges(unit_square):
     moved = transform_polygon(RigidTransform(0.4, 2.0, -1.0), unit_square)
     for i, line in enumerate(moved.edges):
         assert abs(eval_line(line, moved.vertices[i])) < 1e-9
-    assert min(eval_line(e, moved.centroid()) for e in moved.edges) > 0
+    assert min(eval_line(e, centroid(moved)) for e in moved.edges) > 0

@@ -15,7 +15,6 @@ from parkfield.scenario import (
     build_footprint,
     load_scenario,
     make_spot,
-    make_spot_from_center,
     spot_field_set,
 )
 from parkfield.solver import (
@@ -25,7 +24,6 @@ from parkfield.solver import (
     Pose,
     SamplingPlan,
     SolverConfig,
-    _tie_key,
     brute_force_minimize,
     minimize,
     objective,
@@ -34,7 +32,16 @@ from parkfield.solver import (
 from parkfield import solver
 from parkfield.strategy import rank_spots
 
-from conftest import SCENARIO_DIR, bench_module, load_golden, to_local, unblocked_scores
+from conftest import (
+    SCENARIO_DIR,
+    bench_module,
+    centroid,
+    load_golden,
+    random_scenario,
+    scalar_tie_key,
+    to_local,
+    unblocked_scores,
+)
 
 
 def one_sided_edge(p, q):
@@ -45,43 +52,6 @@ def standard_spot():
     return make_spot(
         "s", [Point2(0, 0), Point2(5, 0), Point2(5, 2.5), Point2(0, 2.5)], "x_max"
     )
-
-
-def random_scenario(rng):
-    lx = rng.uniform(3.0, 4.2)
-    ly = rng.uniform(2.0, 2.7)
-    spot = make_spot_from_center(
-        "r",
-        Point2(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-        lx,
-        ly,
-        rng.uniform(-math.pi, math.pi),
-        rng.choice(["x_min", "x_max", "y_min", "y_max"]),
-    )
-    obstacles = []
-    for k in range(rng.randint(0, 2)):
-        cx, cy = rng.uniform(0, lx), rng.uniform(0, ly)
-        radius = rng.uniform(0.15, 0.5)
-        sides = rng.randint(3, 5)
-        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(sides))
-        if len(set(round(a, 3) for a in angles)) < sides:
-            continue
-        verts = tuple(
-            spot.to_global(Point2(cx + radius * math.cos(a), cy + radius * math.sin(a)))
-            for a in angles
-        )
-        try:
-            obstacles.append(Polygon(verts, name=f"o{k}"))
-        except Exception:
-            continue
-    length = rng.uniform(2.2, min(2.9, lx - 0.1))
-    width = rng.uniform(1.4, min(1.9, ly - 0.1))
-    footprint = VehicleFootprint(
-        Rect(-length / 2, length / 2, -width / 2, width / 2),
-        ((Rect(0, length / 2, width / 2, width / 2 + 0.6), "front_left_door"),),
-    )
-    fields = spot_field_set(spot, obstacles, reach=footprint.max_reach())
-    return spot, fields, footprint
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +169,7 @@ def test_footprint_sample_cap(body_only_footprint):
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         scenario = load_scenario(path.read_text())
         footprint = build_footprint(scenario.context, scenario.vehicle)
-        pts, _ = solver._footprint_samples(footprint, reference, {})
+        pts = ObjectiveEvaluator(fields, footprint, reference)._pts
         assert len(pts) <= 31350 < solver.MAX_FOOTPRINT_SAMPLES
 
 
@@ -238,11 +208,11 @@ def test_obstacle_pushes_pose_away(body_only_footprint):
         name="bin",
     )
     blocked = minimize(spot_field_set(spot, [obstacle]), body_only_footprint, spot)
-    centroid = to_local(spot, obstacle.centroid())
+    center = to_local(spot, centroid(obstacle))
     d_blocked = math.hypot(
-        blocked.pose.x_hat - centroid.x, blocked.pose.y_hat - centroid.y
+        blocked.pose.x_hat - center.x, blocked.pose.y_hat - center.y
     )
-    d_empty = math.hypot(empty.pose.x_hat - centroid.x, empty.pose.y_hat - centroid.y)
+    d_empty = math.hypot(empty.pose.x_hat - center.x, empty.pose.y_hat - center.y)
     assert d_blocked > d_empty
     assert blocked.score > empty.score
 
@@ -492,12 +462,46 @@ def test_oracle_tie_break_matches_per_pose_key_loop():
     assert np.count_nonzero(scores == scores.min()) >= 10
     best_key = None
     for j in range(len(poses)):
-        key = _tie_key(float(scores[j]), poses[j, 0], poses[j, 1], poses[j, 2], config, spot)
+        key = scalar_tie_key(float(scores[j]), poses[j, 0], poses[j, 1], poses[j, 2], config, spot)
         if best_key is None or key < best_key:
             best_key = key
             best = (float(scores[j]), poses[j, 0], poses[j, 1], poses[j, 2])
     assert result.evaluations == len(poses)
     assert (result.score, result.pose) == (best[0], Pose(best[1], best[2], best[3]))
+
+
+@pytest.mark.parametrize("side", ["x_min", "x_max", "y_min", "y_max"])
+def test_tie_order_equals_sorting_by_the_scalar_key(side):
+    # Few distinct values per column force ties on every key, and headings
+    # on both sides of +-pi exercise the angle wrap.
+    spot = make_spot(
+        "s", [Point2(0, 0), Point2(5, 0), Point2(5, 2.5), Point2(0, 2.5)], side
+    )
+    near_pi = [math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-12, 3.1, -3.1]
+    thetas = np.array(near_pi + [0.0, 1e-15, -1e-15, 0.05, 2 * math.pi, -0.17])
+    rng = np.random.default_rng(["x_min", "x_max", "y_min", "y_max"].index(side))
+    configs = (
+        SolverConfig(),
+        SolverConfig(headings=(math.pi / 2,)),
+        SolverConfig(headings=(-math.pi + 0.01, 3.0, 0.2)),
+    )
+    for config in configs:
+        for _ in range(10):
+            n = int(rng.integers(1, 300))
+            poses = np.column_stack([
+                rng.choice([0.0, 1.25, 2.5, 5.0], n),
+                rng.choice([0.0, 0.75, 2.5], n),
+                rng.choice(thetas, n),
+            ])
+            scores = rng.choice([-1.5, -1.5 + 1e-15, 0.0, 2.0], n)
+            order = solver._tie_order(scores, poses, config, spot)
+            expected = sorted(
+                range(n),
+                key=lambda i: scalar_tie_key(
+                    float(scores[i]), poses[i, 0], poses[i, 1], poses[i, 2], config, spot
+                ),
+            )
+            assert order.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from parkfield.field import FieldSet
@@ -14,7 +16,22 @@ from parkfield.scenario import (
     make_spot,
     spot_field_set,
 )
-from parkfield.solver import Pose, SamplingPlan, SolveResult, objective
+from parkfield import strategy as strategy_module
+from parkfield.field import CompiledFieldSet
+from parkfield.solver import (
+    GRID,
+    MONTE_CARLO,
+    ObjectiveEvaluator,
+    Pose,
+    SamplingPlan,
+    ScoredLattice,
+    SolveResult,
+    SolverConfig,
+    _local_field_set,
+    _pose_lattice,
+    minimize,
+    objective,
+)
 from parkfield.strategy import (
     BACKWARDS,
     CENTERED,
@@ -22,12 +39,13 @@ from parkfield.strategy import (
     MAX_BACK,
     MAX_LEFT,
     MAX_RIGHT,
+    bias_drivers,
     rank_spots,
     round_strategy,
     spot_margins,
 )
 
-from conftest import load_golden
+from conftest import SCENARIO_DIR, load_golden, random_scenario
 
 
 def standard_spot(spot_id="s"):
@@ -226,3 +244,134 @@ def test_stats_reported_per_spot():
     assert spot_id == "main"
     assert evaluations > 0
     assert converged is True
+
+
+# ---------------------------------------------------------------------------
+# bias_drivers: one coarse lattice per spot, the same answers
+# ---------------------------------------------------------------------------
+
+
+def independent_explain(fields, footprint, spot, base, plan, config):
+    """Drivers and ablated results from one fresh ``minimize`` per label."""
+    drivers = []
+    results = []
+    for label in footprint.labels():
+        ablated = footprint.without(label)
+        result = minimize(fields, ablated, spot, plan, config)
+        results.append(result)
+        rounded = round_strategy(result, spot, ablated)
+        if (rounded.lateral_bias, rounded.longitudinal_bias) != (
+            base.lateral_bias,
+            base.longitudinal_bias,
+        ):
+            drivers.append(label)
+    return tuple(drivers), results
+
+
+def assert_explain_equivalent(monkeypatch, fields, footprint, spot, plan, config):
+    """``bias_drivers`` and its re-solves, on a lattice shared with the base
+    solve (as ``rank_spots`` runs them) and on one of the ablations alone,
+    equal independent per-label solves; every shared score column is
+    bit-identical to scoring its footprint alone."""
+    ablations = [footprint.without(label) for label in footprint.labels()]
+    base_result = minimize(fields, footprint, spot, plan, config)
+    base = round_strategy(base_result, spot, footprint)
+    expected, expected_results = independent_explain(fields, footprint, spot, base, plan, config)
+
+    shared = ScoredLattice(fields, [footprint, *ablations], spot, plan, config)
+    assert minimize(fields, footprint, spot, plan, config, coarse=shared) == base_result
+    recorded = []
+
+    def recording(*args, **kwargs):
+        recorded.append(minimize(*args, **kwargs))
+        return recorded[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(strategy_module, "minimize", recording)
+        for coarse in (shared, ScoredLattice(fields, ablations, spot, plan, config)):
+            recorded.clear()
+            assert bias_drivers(fields, footprint, spot, base, plan, config, coarse) == expected
+            assert recorded == expected_results
+
+    lattice = _pose_lattice(spot, config.coarse_pitch, config.headings)
+    local = _local_field_set(fields, spot)
+    for fp in [footprint, *ablations]:
+        alone = ObjectiveEvaluator(local, fp, plan, config.rect_weights).scores(lattice)
+        assert np.array_equal(shared.column(fp)[2], alone)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_explain_equals_independent_resolves_on_goldens(monkeypatch, name):
+    scenario = load_golden(name)
+    footprint = build_footprint(scenario.context, scenario.vehicle)
+    for spot in scenario.spots:
+        fields = spot_field_set(spot, list(scenario.obstacles), reach=footprint.max_reach())
+        assert_explain_equivalent(
+            monkeypatch, fields, footprint, spot, SamplingPlan(), SolverConfig()
+        )
+
+
+def test_explain_equals_independent_resolves_on_random_scenarios(monkeypatch):
+    rng = random.Random(55)
+    plan = SamplingPlan(GRID, 25.0)
+    for trial in range(20):
+        spot, fields, footprint = random_scenario(rng, rects=1 + trial % 3)
+        assert_explain_equivalent(monkeypatch, fields, footprint, spot, plan, SolverConfig())
+
+
+def test_explain_equals_independent_resolves_with_monte_carlo_and_weights(monkeypatch):
+    # Monte-carlo blocks are seeded by rectangle index, so an ablation
+    # draws the rectangles after the removed one afresh.
+    scenario = load_golden("single_obstacle_baby.json")
+    footprint = build_footprint(scenario.context, scenario.vehicle)
+    spot = scenario.spots[0]
+    fields = spot_field_set(spot, list(scenario.obstacles), reach=footprint.max_reach())
+    assert len(footprint.labels()) == 3
+    weighted = SolverConfig(rect_weights={"rear_right_door": 0.0, "trunk": 2.5})
+    for plan, config in (
+        (SamplingPlan(MONTE_CARLO, 60.0, seed=4), SolverConfig()),
+        (SamplingPlan(), weighted),
+        (SamplingPlan(MONTE_CARLO, 40.0, seed=9), weighted),
+    ):
+        assert_explain_equivalent(monkeypatch, fields, footprint, spot, plan, config)
+    rng = random.Random(56)
+    for _ in range(4):
+        spot, fields, footprint = random_scenario(rng, rects=3)
+        assert_explain_equivalent(
+            monkeypatch, fields, footprint, spot, SamplingPlan(MONTE_CARLO, 30.0, seed=2),
+            SolverConfig(),
+        )
+
+
+def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
+    # With explain on, the base solve and its 3 re-solves start from one
+    # coarse pass: every lattice pose's samples reach the field kernel
+    # once, not once per solve.
+    scenario = load_golden("single_obstacle_baby.json")
+    footprint = build_footprint(scenario.context, scenario.vehicle)
+    assert len(footprint.labels()) == 3 and len(scenario.spots) == 1
+    spot = scenario.spots[0]
+    config = SolverConfig()
+    lattice = set(map(tuple, _pose_lattice(spot, config.coarse_pitch, config.headings).tolist()))
+    samples = len(ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._pts)
+    calls = []  # per scores call: [poses, kernel rows]
+    scores = ObjectiveEvaluator.scores
+    eval_many = CompiledFieldSet.eval_many
+
+    def counting_scores(self, poses):
+        calls.append([list(map(tuple, np.asarray(poses).tolist())), 0])
+        return scores(self, poses)
+
+    def counting_eval_many(self, pts):
+        if calls:
+            calls[-1][1] += len(pts)
+        return eval_many(self, pts)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
+    monkeypatch.setattr(CompiledFieldSet, "eval_many", counting_eval_many)
+    ranked = rank_spots(scenario, explain=True)
+    assert "rear_right_door" in ranked.strategies[0].bias_drivers
+    hits = [pose for poses, _ in calls for pose in poses if pose in lattice]
+    assert len(hits) == len(lattice) == len(set(hits))
+    coarse = [rows for poses, rows in calls if lattice & set(poses)]
+    assert coarse == [len(lattice) * samples]
