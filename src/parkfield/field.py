@@ -16,6 +16,14 @@ the min over lines runs along the long axis.  Each line value is the same
 BLAS product the point-major ``pts @ normals.T`` gives, so results are
 bit-identical to it; one product over all polygons' lines at once, or an
 elementwise ``a*x + b*y + c``, rounds differently.
+
+Every caller, the objective included, passes C-ordered ``(N, 2)`` points,
+so each block's ``(2, n)`` operand is the F-ordered transpose.  A
+coordinate-major ``(2, N)`` buffer passed through its transposed view
+multiplies faster, but it is not bit-identical: a one-line
+polygon (a spot edge) sends its product to BLAS gemv, and in that layout
+gemv rounds the ``n % 4`` tail points of a block differently when the
+line's normal is not axis-aligned.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ def normalize_angle(angle: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     """A point in the plane, metres."""
 
@@ -39,7 +39,7 @@ class Point2:
             raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeLine:
     """Unit-normalized line ``a*x + b*y + c`` through one polygon edge.
 
@@ -54,7 +54,7 @@ class EdgeLine:
     alpha: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidTransform:
     """Rotation by ``theta`` followed by translation by ``(tx, ty)``."""
 
@@ -108,7 +108,7 @@ def _is_convex_ccw(vertices: tuple[Point2, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polygon:
     """Ordered cyclic vertex list with derived per-edge lines.
 

@@ -68,8 +68,13 @@ RECT_LABELS = (
 
 _RECT_CORNER_TOL = 1e-6
 
+# Largest spot length or width, metres.  Up to 1e9 m a corner coordinate's
+# float64 spacing (1.2e-7 m) stays well below ``_RECT_CORNER_TOL``, so the
+# rectangle check still resolves its tolerance.
+MAX_SPOT_EXTENT = 1e9
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Rect:
     """Axis-aligned rectangle stored as coordinate intervals."""
 
@@ -98,7 +103,7 @@ class Rect:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleSpec:
     """Body dimensions plus the door/trunk clearance-depth table."""
 
@@ -118,7 +123,7 @@ class VehicleSpec:
             raise GeometryError("baby_door clearance must be >= adult_door")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CabinContext:
     """Seat occupancy over the fixed 5-seat layout plus the trunk flag."""
 
@@ -143,7 +148,7 @@ class CabinContext:
         return bool(self.seats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleFootprint:
     """Body rectangle plus door/trunk maneuvering rectangles.
 
@@ -182,7 +187,7 @@ class VehicleFootprint:
         return reach
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParkingSpot:
     """Rectangular spot: global corners plus the global-to-local frame.
 
@@ -211,7 +216,8 @@ def make_spot(
     """Build a spot from 4 counter-clockwise rectangle corners.
 
     Raises GeometryError with the max corner residual if the corners do
-    not form a CCW rectangle within tolerance.
+    not form a CCW rectangle within tolerance, and if the length or width
+    is not finite or over ``MAX_SPOT_EXTENT``.
     """
     if len(corners) != 4:
         raise GeometryError(f"spot '{spot_id}' needs 4 corners, got {len(corners)}")
@@ -227,6 +233,11 @@ def make_spot(
         raise GeometryError(
             f"spot '{spot_id}': corners are clockwise or degenerate (width {l_y:.3g})"
         )
+    if not (l_x <= MAX_SPOT_EXTENT and l_y <= MAX_SPOT_EXTENT):
+        raise GeometryError(
+            f"spot '{spot_id}': size {l_x:.3g} m x {l_y:.3g} m is not finite "
+            f"or over {MAX_SPOT_EXTENT:.0e} m"
+        )
     ideal = [
         (c0.x, c0.y),
         (c0.x + l_x * ux, c0.y + l_x * uy),
@@ -236,7 +247,9 @@ def make_spot(
     residual = max(
         math.hypot(c.x - ix, c.y - iy) for c, (ix, iy) in zip(corners, ideal)
     )
-    if residual > _RECT_CORNER_TOL:
+    # Written so that NaN fails it: corners near the float range give an
+    # infinite or NaN size and a NaN residual.
+    if not residual <= _RECT_CORNER_TOL:
         raise GeometryError(
             f"spot '{spot_id}': corners deviate from a rectangle by {residual:.3g} m"
         )
@@ -271,7 +284,7 @@ def make_spot_from_center(
     return make_spot(spot_id, corners, approach_side)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """One parking area, cabin context and vehicle in a shared global frame."""
 
@@ -459,7 +472,10 @@ def _parse_spot(entry, path: str, seen_ids: set) -> ParkingSpot:
             corners = [
                 _point(c, f"{path}.corners[{i}]") for i, c in enumerate(corners_raw)
             ]
-            return make_spot(spot_id, corners, approach)
+            try:
+                return make_spot(spot_id, corners, approach)
+            except GeometryError as exc:
+                raise ScenarioError(f"{path}.corners", str(exc)) from exc
         center = _point(entry.get("center"), f"{path}.center")
         length = finite_number(f"{path}.length", entry.get("length"))
         width = finite_number(f"{path}.width", entry.get("width"))

@@ -39,7 +39,7 @@ MAX_FOOTPRINT_SAMPLES = 10**6
 _MC_EDGE_FRACTION = 0.75
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Body-center position and heading in spot-local coordinates."""
 
@@ -54,7 +54,7 @@ class Pose:
         return np.array([self.x_hat, self.y_hat, self.theta_hat])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplingPlan:
     """How footprint rectangles are sampled for the surface integral.
 
@@ -75,7 +75,7 @@ class SamplingPlan:
             raise ScenarioError("seed", f"must be an integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverConfig:
     """Search parameters; every default is echoed into CLI reports."""
 
@@ -122,7 +122,7 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Best pose of one solve.
 
@@ -208,8 +208,10 @@ class ObjectiveEvaluator:
     together: the union of their sample blocks passes the field kernel once
     per pose, and each footprint's score sums its own blocks in its own
     order, so it is bit-identical to scoring that footprint alone.
-    ``compiled`` shares one spot's compiled field set, and its scratch
-    buffer, between evaluators.
+    ``shared`` is an evaluator of the same plan over the same spot-local
+    fields; this one reuses its compiled field set, with its scratch
+    buffer, and the sample blocks it already holds.  An instance keeps
+    scratch state across calls, so it must not be shared between threads.
     """
 
     def __init__(
@@ -218,15 +220,17 @@ class ObjectiveEvaluator:
         footprint,
         plan: SamplingPlan,
         rect_weights: dict | None = None,
-        compiled: CompiledFieldSet | None = None,
+        shared: ObjectiveEvaluator | None = None,
     ):
         if isinstance(footprint, VehicleFootprint):
             footprint = (footprint,)
         rect_weights = rect_weights or {}
         layouts = [_sample_layout(fp, plan) for fp in footprint]
-        self._compiled = compiled or CompiledFieldSet(fields)
-        spans: dict = {}  # block key -> (first union column, point count)
-        blocks = []
+        self._compiled = CompiledFieldSet(fields) if shared is None else shared._compiled
+        known = {} if shared is None else shared._blocks
+        # Block key -> sample points, in union column order.
+        self._blocks: dict = {}
+        first: dict = {}  # block key -> its first union column
         size = 0
         columns = []
         for layout in layouts:
@@ -238,18 +242,21 @@ class ObjectiveEvaluator:
                 # and an ablation re-indexes the rectangles after the
                 # removed one.
                 key = rect if plan.mode == GRID else (rect, index)
-                if key not in spans:
-                    if plan.mode == GRID:
-                        blocks.append(_grid_rect_samples(rect, *shape))
-                    else:
-                        blocks.append(_mc_rect_samples(rect, shape[0], plan.seed, index))
-                    spans[key] = (size, len(blocks[-1]))
-                    size += len(blocks[-1])
-                first, count = spans[key]
-                cols.append(np.arange(first, first + count))
+                if key not in self._blocks:
+                    block = known.get(key)
+                    if block is None and plan.mode == GRID:
+                        block = _grid_rect_samples(rect, *shape)
+                    elif block is None:
+                        block = _mc_rect_samples(rect, shape[0], plan.seed, index)
+                    self._blocks[key] = block
+                    first[key] = size
+                    size += len(block)
+                count = len(self._blocks[key])
+                cols.append(np.arange(first[key], first[key] + count))
                 weights.append(np.full(count, rect_weights.get(label, 1.0) * rect.area / count))
             columns.append((np.concatenate(cols), np.concatenate(weights)))
-        self._pts = np.concatenate(blocks)
+        self._pts = np.concatenate(list(self._blocks.values()))
+        self._coords = np.ascontiguousarray(self._pts.T)  # x row, y row
         # Per footprint: its union columns (None when it uses all of them in
         # order, so its sums run on the kernel's values as they are) and
         # its per-point quadrature weights.
@@ -257,6 +264,11 @@ class ObjectiveEvaluator:
             (None if np.array_equal(cols, np.arange(size)) else cols, weights)
             for cols, weights in columns
         ]
+        # Rotated sample rows by the bit patterns of (cos, sin), and the
+        # scratch buffer of posed points and weighted values, kept across
+        # calls.
+        self._rows: dict = {}
+        self._buf = np.empty(0)
 
     def scores(self, poses: np.ndarray) -> np.ndarray:
         """Objective at each pose row (x, y, theta).
@@ -264,27 +276,72 @@ class ObjectiveEvaluator:
         Shape ``(P,)`` for one footprint, ``(F, P)`` for F footprints.
         Poses are scored in blocks of about ``_BLOCK_POINTS`` sample points,
         so memory stays bounded whatever the batch; every row's arithmetic
-        is independent of the blocking.
+        is independent of the blocking and of the batch order.
+
+        The poses are grouped by heading, and each block takes cos and sin
+        of its headings in one vector call each.  The samples are rotated
+        once per distinct (cos, sin) pair, cached by its bit patterns (so a
+        ``-0.0`` heading never shares the rows of ``0.0``), and each
+        heading's poses translate the rotated rows with one call per
+        coordinate into a reused point-major ``(n, 2)`` buffer, the layout
+        the kernel is exact in (see ``field``).  A posed point is still
+        ``(cos*lx - sin*ly) + x`` and ``(sin*lx + cos*ly) + y``, the same
+        IEEE operations in the same order as broadcasting every pose, so
+        the scores are bit-identical to that.  The cache is cleared once
+        it holds a block's worth of headings, so it stays within about two
+        blocks' points.
         """
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
-        out = np.empty((len(self._columns), len(poses)))
-        lx = self._pts[:, 0]
-        ly = self._pts[:, 1]
-        step = max(1, _BLOCK_POINTS // len(self._pts))
+        order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
+        poses = poses[order]
+        sums = np.empty((len(self._columns), len(poses)))
+        m = len(self._pts)
+        step = max(1, _BLOCK_POINTS // m)
+        # Posed points (2 per sample), then the weighted values (1 per sample).
+        need = 3 * m * min(step, len(poses))
+        if len(self._buf) < need:
+            self._buf = np.empty(need)
+        lx, ly = self._coords
+        rows = self._rows
         for lo, hi in _block_slices(len(poses), step):
             block = poses[lo:hi]
+            k = hi - lo
             cos = np.cos(block[:, 2])
             sin = np.sin(block[:, 2])
-            gx = cos[:, None] * lx[None, :] - sin[:, None] * ly[None, :] + block[:, 0:1]
-            gy = sin[:, None] * lx[None, :] + cos[:, None] * ly[None, :] + block[:, 1:2]
-            values = self._compiled.eval_many(
-                np.column_stack([gx.ravel(), gy.ravel()])
-            ).reshape(len(block), -1)
-            for row, (cols, weights) in zip(out, self._columns):
-                # A C-contiguous copy: the row sums of a fancy-indexed
-                # (F-ordered) view round differently.
-                kept = values if cols is None else np.ascontiguousarray(values[:, cols])
-                row[lo:hi] = (kept * weights).sum(axis=1)
+            keys = list(zip(cos.view(np.int64).tolist(), sin.view(np.int64).tolist()))
+            if len(rows) >= step:
+                rows.clear()
+            # First pose of each heading's run, and those not yet rotated.
+            runs = [i for i in range(k) if i == 0 or keys[i] != keys[i - 1]]
+            fresh = [i for i in runs if keys[i] not in rows]
+            if fresh:
+                c = cos[fresh, None]
+                s = sin[fresh, None]
+                rot = np.empty((2, len(fresh), m))
+                np.subtract(c * lx, s * ly, out=rot[0])
+                np.add(s * lx, c * ly, out=rot[1])
+                for j, i in enumerate(fresh):
+                    rows[keys[i]] = rot[:, j]
+            xy = self._buf[: 2 * k * m].reshape(k, m, 2)
+            for first, end in zip(runs, runs[1:] + [k]):
+                rx, ry = rows[keys[first]]
+                np.add(rx, block[first:end, 0:1], out=xy[first:end, :, 0])
+                np.add(ry, block[first:end, 1:2], out=xy[first:end, :, 1])
+            values = self._compiled.eval_many(xy.reshape(k * m, 2)).reshape(k, m)
+            for row, (cols, weights) in zip(sums, self._columns):
+                width = m if cols is None else len(cols)
+                weighted = self._buf[2 * k * m : (2 * m + width) * k].reshape(k, width)
+                if cols is None:
+                    np.multiply(values, weights, out=weighted)
+                else:
+                    # A C-contiguous copy: the row sums of a fancy-indexed
+                    # (F-ordered) view round differently.  The columns are
+                    # in range; mode "raise" would buffer the output.
+                    np.take(values, cols, axis=1, out=weighted, mode="clip")
+                    weighted *= weights
+                weighted.sum(axis=1, out=row[lo:hi])
+        out = np.empty_like(sums)
+        out[:, order] = sums
         return out[0] if len(self._columns) == 1 else out
 
     def score(self, pose: Pose) -> float:
@@ -416,7 +473,7 @@ class ScoredLattice:
         """``(evaluator, poses, scores)`` of ``footprint``, one of the lattice's.
 
         The evaluator scores ``footprint`` alone and shares the lattice's
-        compiled field set.
+        compiled field set and sample blocks.
         """
         plan, weights = self._plan, self._config.rect_weights
         if self._scored is None:
@@ -429,7 +486,7 @@ class ScoredLattice:
         if self._footprints == (footprint,):
             evaluator = shared
         else:
-            evaluator = ObjectiveEvaluator(local, footprint, plan, weights, shared._compiled)
+            evaluator = ObjectiveEvaluator(local, footprint, plan, weights, shared=shared)
         return evaluator, poses, columns[self._footprints.index(footprint)]
 
 

@@ -51,7 +51,7 @@ _APPROACH_OUTWARD = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParkingStrategy:
     spot_id: str
     pose: Pose
@@ -63,7 +63,7 @@ class ParkingStrategy:
     bias_drivers: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedStrategies:
     """Strategies ascending by (score, spot_id) plus the spots that failed."""
 
@@ -192,8 +192,9 @@ def bias_drivers(
     """Maneuver rectangles whose removal changes a discrete directive.
 
     Each rectangle is deleted in turn, the optimization re-run and the
-    result re-rounded; a rectangle is a driver when any of direction or
-    biases differs from the base strategy.  The re-solves start from
+    result re-rounded; a rectangle is a driver when the lateral or the
+    longitudinal bias differs from the base strategy.  A change of
+    direction alone does not make a driver.  The re-solves start from
     ``coarse``, the spot's coarse lattice scored for every ablation.
     """
     drivers = []

@@ -255,6 +255,31 @@ def test_malformed_config_exit_codes(tmp_path, config, code, path):
     assert "Traceback" not in proc.stderr
 
 
+MALFORMED_SPOTS = [
+    # Passed validation and exited 4 at the coarse-grid cap.
+    ({"corners": [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]]}, "spots[0].corners"),
+    # The length overflows to infinity.
+    (
+        {"corners": [[-1e308, 0], [1e308, 0], [1e308, 1e308], [-1e308, 1e308]]},
+        "spots[0].corners",
+    ),
+    ({"corners": [[0, 0], [2e9, 0], [2e9, 2.5], [0, 2.5]]}, "spots[0].corners"),
+    ({"center": [0, 0], "length": 1e200, "width": 2.5}, "spots[0]"),
+]
+
+
+@pytest.mark.parametrize("spot, path", MALFORMED_SPOTS, ids=[str(i) for i in range(4)])
+@pytest.mark.parametrize("verb", ["validate", "solve"])
+def test_malformed_spot_exit_codes(tmp_path, capsys, verb, spot, path):
+    doc_path = tmp_path / "spot.json"
+    doc_path.write_text(json.dumps({"spots": [{"id": "a", **spot}]}))
+    assert cli.main([verb, str(doc_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
+    assert "over 1e+09 m" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
 def test_solve_report_bytes_match_recorded(name, capsys):
     # The benchmark's recorded reports are the behavioural contract: every

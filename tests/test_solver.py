@@ -394,7 +394,13 @@ def test_evaluator_batch_matches_scalar():
     assert batch == pytest.approx(singles, abs=1e-12)
 
 
-def golden_evaluator(name):
+def golden_evaluator(name, plan=SamplingPlan()):
+    spot, local, footprint = golden_local(name)
+    return spot, local, ObjectiveEvaluator(local, footprint, plan)
+
+
+def golden_local(name):
+    """First spot, its spot-local field set and the footprint of a golden."""
     scenario = load_golden(name)
     footprint = build_footprint(scenario.context, scenario.vehicle)
     spot = scenario.spots[0]
@@ -402,7 +408,7 @@ def golden_evaluator(name):
     local = FieldSet(
         tuple(transform_polygon(spot.spot_frame, p) for p in fields.polygons)
     )
-    return spot, local, ObjectiveEvaluator(local, footprint, SamplingPlan())
+    return spot, local, footprint
 
 
 def random_poses(rng, spot, count):
@@ -422,6 +428,72 @@ def test_scores_bitwise_equal_unblocked_across_pose_blocks():
         assert np.array_equal(
             evaluator.scores(poses), unblocked_scores(local, evaluator, poses)
         ), count
+        # Repeated headings, grouped across block boundaries.
+        poses[:, 2] = rng.choice([0.0, 0.05, -0.05, math.pi, 1.0], count)
+        assert_scores_exact(local, evaluator, poses)
+
+
+def assert_scores_exact(local, evaluator, poses):
+    """``scores`` bit-identical to the unblocked oracle, on a fresh call and
+    on a repeat that reads the evaluator's cached rotations."""
+    want = unblocked_scores(local, evaluator, poses)
+    assert np.array_equal(evaluator.scores(poses), want)
+    assert np.array_equal(evaluator.scores(poses), want)
+
+
+def test_scores_exact_on_a_whole_coarse_lattice():
+    spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
+    # Every heading repeats hundreds of times, interleaved pose by pose.
+    lattice = solver._pose_lattice(spot, 0.25, (0.0, math.pi, -0.3))
+    assert_scores_exact(local, evaluator, lattice)
+
+
+def test_scores_exact_on_compass_polls():
+    spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
+    # At heading 0 the +-step headings share their cosine.
+    for center in ((2.5, 1.25, 0.0), (1.0, 0.7, 3.1)):
+        for step_p, step_a in ((0.25, 0.05), (0.01, 0.005)):
+            poll = np.array(center) + np.array(solver._poll_directions(step_p, step_a))
+            assert_scores_exact(local, evaluator, poll)
+
+
+def test_scores_exact_for_negative_zero_heading():
+    spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
+    poses = np.array([[2.0, 1.0, 0.0], [2.0, 1.0, -0.0], [2.1, 1.2, -0.0], [2.1, 1.2, 0.0]])
+    assert_scores_exact(local, evaluator, poses)
+    # One heading per call, each asked after the other one is cached.
+    for pose in (poses[0:1], poses[1:2], poses[3:4], poses[2:3]):
+        assert_scores_exact(local, evaluator, pose)
+
+
+def test_union_scores_exact_per_footprint():
+    spot, local, footprint = golden_local("loaded_family_context.json")
+    footprints = [footprint] + [footprint.without(lb) for lb in footprint.labels()]
+    rng = np.random.default_rng(9)
+    poses = solver._pose_lattice(spot, 0.5, (0.0, math.pi))
+    poses = np.concatenate([poses, random_poses(rng, spot, 40)])
+    for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
+        union = ObjectiveEvaluator(local, footprints, plan)
+        columns = union.scores(poses)
+        assert columns.shape == (len(footprints), len(poses))
+        for fp, column in zip(footprints, columns):
+            own = ObjectiveEvaluator(local, fp, plan)
+            assert np.array_equal(column, unblocked_scores(local, own, poses))
+            shared = ObjectiveEvaluator(local, fp, plan, shared=union)
+            assert np.array_equal(shared._pts, own._pts)
+            assert np.array_equal(shared.scores(poses), column)
+
+
+def test_scores_exact_with_monte_carlo_plan():
+    # 301 samples per rectangle: a pose block's point count is not a
+    # multiple of 4, where the kernel's BLAS products take their tail path.
+    plan = SamplingPlan(MONTE_CARLO, 301.0, 7)
+    spot, local, evaluator = golden_evaluator("mixed_obstacles.json", plan)
+    assert len(evaluator._pts) % 4
+    poses = solver._pose_lattice(spot, 0.25, (0.0, math.pi))
+    assert_scores_exact(local, evaluator, poses)
+    for count in (1, 3, 5, 37):
+        assert_scores_exact(local, evaluator, poses[::-1][:count])
 
 
 def test_scores_memory_bounded_for_large_batches():
