@@ -16,11 +16,11 @@ import time
 from dataclasses import asdict, fields as dataclass_fields
 
 from .errors import BudgetError, ParkfieldError, ScenarioError
-from .field import FieldMap, sample_field
+from .field import FieldMap
 from .render import CONTOUR_LEVELS, render_scene, scene_bounds
 # ``spot_field_set`` is bound here although only ``strategy`` calls it: the
 # benchmark's tracer self-test asserts ``cli.spot_field_set`` is wrapped.
-from .scenario import area_field_set, build_footprint, load_scenario, spot_field_set
+from .scenario import area_field_map, build_footprint, load_scenario, spot_field_set
 from .solver import (
     GRID,
     MONTE_CARLO,
@@ -184,7 +184,7 @@ def _cmd_render(args) -> int:
     poses = None
     footprint = None
     if args.field:
-        fmap = sample_field(area_field_set(scenario), scene_bounds(scenario), args.resolution)
+        fmap = area_field_map(scenario, scene_bounds(scenario), args.resolution)
         # Round-trip through the documented text format; the renderer
         # consumes exactly what the serialization carries.
         fmap = FieldMap.from_text(fmap.to_text())

@@ -4,9 +4,9 @@ Every polygon contributes the minimum over its edge-line values: for a
 convex obstacle that is the penetration depth inside and non-positive
 outside; a 2-vertex spot edge carries one signed line, negative over the
 spot interior (zero on the edge) and positive beyond it.  The composite
-field is the maximum over all polygons.  Evaluators come in a scalar form
-and a vectorized ``*_many`` form over (N, 2) arrays; all of them run the
-one ``CompiledFieldSet.eval_many`` kernel.
+field is the maximum over all polygons.  A ``FieldSet`` compiles its
+polygons' lines once and evaluates them with its one kernel,
+``FieldSet.eval_many``; ``gamma`` is the scalar form.
 
 The kernel walks its points in equal blocks of at most ``_BLOCK_POINTS``,
 and the objective walks its poses the same way, so peak memory does not
@@ -44,18 +44,6 @@ MAX_FIELD_MAP_CELLS = 10**8
 _BLOCK_POINTS = 8192
 
 
-@dataclass(frozen=True)
-class FieldSet:
-    """Non-empty collection of field-generating polygons."""
-
-    polygons: tuple[Polygon, ...]
-
-    def __post_init__(self):
-        if not self.polygons:
-            raise GeometryError("FieldSet needs at least one polygon")
-        object.__setattr__(self, "polygons", tuple(self.polygons))
-
-
 def _block_slices(n: int, limit: int):
     """``(lo, hi)`` bounds of equal blocks of at most ``limit`` rows over ``n``.
 
@@ -67,27 +55,36 @@ def _block_slices(n: int, limit: int):
         yield n * b // blocks, n * (b + 1) // blocks
 
 
-class CompiledFieldSet:
-    """A FieldSet prepared for repeated batch evaluation.
+class FieldSet:
+    """Non-empty collection of field-generating polygons, compiled once.
 
-    It keeps one scratch buffer for the line values across calls, so an
+    Building one compiles each polygon's line normals and offsets.  It
+    keeps one scratch buffer for the line values across calls, so an
     instance must not be shared between threads.
     """
 
-    def __init__(self, fields: FieldSet):
+    def __init__(self, polygons):
+        polygons = tuple(polygons)
+        if not polygons:
+            raise GeometryError("FieldSet needs at least one polygon")
+        self._polygons = polygons
         # Per polygon: (L, 2) line normals and (L, 1) offsets.
         self._lines = [
             (
                 np.array([[e.a, e.b] for e in poly.edges]),
                 np.array([[e.c] for e in poly.edges]),
             )
-            for poly in fields.polygons
+            for poly in polygons
         ]
         self._max_lines = max(len(normals) for normals, _ in self._lines)
         # Grown on demand, never per call: a fresh buffer of this size is
         # often mmapped by the allocator, and its page faults cost more
         # than the products it holds.
         self._buf = np.empty(0)
+
+    @property
+    def polygons(self) -> tuple[Polygon, ...]:
+        return self._polygons
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Composite field at ``pts`` shaped (N, 2)."""
@@ -112,14 +109,12 @@ class CompiledFieldSet:
         return out
 
 
+CompiledFieldSet = FieldSet  # the name the benchmark's tracer wraps; goes with ROADMAP item 2
+
+
 def gamma(fields: FieldSet, p: Point2) -> float:
     """Composite field at ``p``: max over polygons of the per-polygon field."""
-    return float(gamma_many(fields, np.array([[p.x, p.y]]))[0])
-
-
-def gamma_many(fields: FieldSet, pts: np.ndarray) -> np.ndarray:
-    """Composite field at many points, pts shaped (N, 2)."""
-    return CompiledFieldSet(fields).eval_many(np.asarray(pts, dtype=float))
+    return float(fields.eval_many(np.array([[p.x, p.y]]))[0])
 
 
 @dataclass(frozen=True)
@@ -196,5 +191,5 @@ def sample_field(
     ys = y_min + cell * np.arange(rows)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    values = CompiledFieldSet(fields).eval_many(pts).reshape(rows, cols)
+    values = fields.eval_many(pts).reshape(rows, cols)
     return FieldMap(Point2(x_min, y_min), cell, rows, cols, values)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MAX_LATTICE_POSES, GeometryError, ScenarioError, finite_number
-from .field import CompiledFieldSet, FieldSet
+from .field import FieldMap, FieldSet, sample_field
 from .geometry import (
     OBSTACLE,
     SPOT_EDGE,
@@ -363,17 +363,14 @@ def _boxes_overlap(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
-def _dominated_everywhere(
-    obstacle: Polygon,
-    spot_edges: list[Polygon],
-    region: tuple[float, float, float, float],
-) -> bool:
-    """True if the spot edges strictly dominate the obstacle on the region.
+def _domination_test(spot_edges: list[Polygon], region: tuple[float, float, float, float]):
+    """Predicate: do the spot edges strictly dominate an obstacle on the region?
 
-    Sampled on a lattice with a Lipschitz safety margin: the difference of
+    Sampled on one lattice, with the edges' values on it computed once for
+    every obstacle tested, and a Lipschitz safety margin: the difference of
     two 1-Lipschitz fields is 2-Lipschitz, so a sampled margin of sqrt(2)*h
-    at pitch h certifies strict domination between nodes.  A region of more
-    than ``MAX_LATTICE_POSES`` nodes is not checked and counts as not
+    at pitch h certifies strict domination between nodes.  Over
+    ``MAX_LATTICE_POSES`` nodes nothing is checked and no obstacle counts as
     dominated: pruning only saves work, and keeping the obstacle is safe.
     """
     x_min, y_min, x_max, y_max = region
@@ -383,24 +380,37 @@ def _dominated_everywhere(
         max(2.0, np.ceil((hi - lo) / pitch) + 1) for lo, hi in ((x_min, x_max), (y_min, y_max))
     )
     if nx * ny > MAX_LATTICE_POSES:
-        return False
+        return lambda obstacle: False
     xs = np.linspace(x_min, x_max, int(nx))
     ys = np.linspace(y_min, y_max, int(ny))
     h = max(xs[1] - xs[0], ys[1] - ys[0])
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    edge_vals = CompiledFieldSet(FieldSet(tuple(spot_edges))).eval_many(pts)
-    obst_vals = CompiledFieldSet(FieldSet((obstacle,))).eval_many(pts)
-    return bool(np.all(obst_vals - edge_vals < -math.sqrt(2.0) * h))
+    edge_vals = FieldSet(spot_edges).eval_many(pts)
+
+    def dominated(obstacle: Polygon) -> bool:
+        obst_vals = FieldSet((obstacle,)).eval_many(pts)
+        return bool(np.all(obst_vals - edge_vals < -math.sqrt(2.0) * h))
+
+    return dominated
 
 
-def area_field_set(scenario: Scenario) -> FieldSet:
-    """Every spot edge plus every obstacle, unfiltered; for rendering."""
-    polygons: list[Polygon] = []
-    for spot in scenario.spots:
-        polygons.extend(_spot_edge_polygons(spot))
-    polygons.extend(scenario.obstacles)
-    return FieldSet(tuple(polygons))
+def area_field_map(scenario: Scenario, bounds: tuple, resolution: float) -> FieldMap:
+    """The whole area's field sampled over ``bounds``, for rendering.
+
+    A spot's edge field is negative only inside that spot, so the spots
+    combine by min, then the obstacles by max: max(obstacles, min over spots
+    of each spot's edge field).  Both are exact, so a one-spot area samples
+    the values of one ``FieldSet`` of its edges and every obstacle.
+    """
+    spots = [FieldSet(_spot_edge_polygons(spot)) for spot in scenario.spots]
+    fmap = sample_field(spots[0], bounds, resolution)
+    for fields in spots[1:]:
+        np.minimum(fmap.values, sample_field(fields, bounds, resolution).values, out=fmap.values)
+    if scenario.obstacles:
+        obstacles = sample_field(FieldSet(scenario.obstacles), bounds, resolution)
+        np.maximum(fmap.values, obstacles.values, out=fmap.values)
+    return fmap
 
 
 def spot_field_set(
@@ -422,12 +432,14 @@ def spot_field_set(
     ys = [c.y for c in spot.corners]
     region = (min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach)
     kept = []
+    dominated = None  # built for the first obstacle whose bounding box misses the region
     for obstacle in obstacles:
-        if _boxes_overlap(obstacle.bounding_box(), region):
-            kept.append(obstacle)
-        elif not _dominated_everywhere(obstacle, edges, region):
-            kept.append(obstacle)
-    return FieldSet(tuple(edges + kept))
+        if not _boxes_overlap(obstacle.bounding_box(), region):
+            dominated = dominated or _domination_test(edges, region)
+            if dominated(obstacle):
+                continue
+        kept.append(obstacle)
+    return FieldSet(edges + kept)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     ScenarioError,
     finite_number,
 )
-from .field import _BLOCK_POINTS, CompiledFieldSet, FieldSet, _block_slices
+from .field import _BLOCK_POINTS, FieldSet, _block_slices
 from .geometry import TAU, normalize_angle, transform_polygon
 from .scenario import RECT_LABELS, ParkingSpot, Rect, VehicleFootprint
 
@@ -49,9 +49,6 @@ class Pose:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_hat", normalize_angle(self.theta_hat))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_hat, self.y_hat, self.theta_hat])
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,10 +205,9 @@ class ObjectiveEvaluator:
     together: the union of their sample blocks passes the field kernel once
     per pose, and each footprint's score sums its own blocks in its own
     order, so it is bit-identical to scoring that footprint alone.
-    ``shared`` is an evaluator of the same plan over the same spot-local
-    fields; this one reuses its compiled field set, with its scratch
-    buffer, and the sample blocks it already holds.  An instance keeps
-    scratch state across calls, so it must not be shared between threads.
+    ``shared`` is an evaluator of the same plan; this one reuses the sample
+    blocks it already holds.  An instance keeps scratch state across calls,
+    as ``fields`` does, so it must not be shared between threads.
     """
 
     def __init__(
@@ -226,7 +222,7 @@ class ObjectiveEvaluator:
             footprint = (footprint,)
         rect_weights = rect_weights or {}
         layouts = [_sample_layout(fp, plan) for fp in footprint]
-        self._compiled = CompiledFieldSet(fields) if shared is None else shared._compiled
+        self._fields = fields
         known = {} if shared is None else shared._blocks
         # Block key -> sample points, in union column order.
         self._blocks: dict = {}
@@ -327,7 +323,7 @@ class ObjectiveEvaluator:
                 rx, ry = rows[keys[first]]
                 np.add(rx, block[first:end, 0:1], out=xy[first:end, :, 0])
                 np.add(ry, block[first:end, 1:2], out=xy[first:end, :, 1])
-            values = self._compiled.eval_many(xy.reshape(k * m, 2)).reshape(k, m)
+            values = self._fields.eval_many(xy.reshape(k * m, 2)).reshape(k, m)
             for row, (cols, weights) in zip(sums, self._columns):
                 width = m if cols is None else len(cols)
                 weighted = self._buf[2 * k * m : (2 * m + width) * k].reshape(k, width)
@@ -344,9 +340,6 @@ class ObjectiveEvaluator:
         out[:, order] = sums
         return out[0] if len(self._columns) == 1 else out
 
-    def score(self, pose: Pose) -> float:
-        return float(self.scores(pose.as_array()[None, :])[0])
-
 
 def objective(
     fields: FieldSet,
@@ -356,7 +349,8 @@ def objective(
     rect_weights: dict | None = None,
 ) -> float:
     """Sampled surface integral of the field under the footprint at ``pose``."""
-    return ObjectiveEvaluator(fields, footprint, plan, rect_weights).score(pose)
+    evaluator = ObjectiveEvaluator(fields, footprint, plan, rect_weights)
+    return float(evaluator.scores([pose.x_hat, pose.y_hat, pose.theta_hat])[0])
 
 
 def _rotated_extents(length: float, width: float, theta: float):
@@ -422,9 +416,7 @@ def _tie_order(scores, poses, cfg: SolverConfig, spot: ParkingSpot) -> np.ndarra
 
 
 def _local_field_set(fields: FieldSet, spot: ParkingSpot) -> FieldSet:
-    return FieldSet(
-        tuple(transform_polygon(spot.spot_frame, p) for p in fields.polygons)
-    )
+    return FieldSet(transform_polygon(spot.spot_frame, p) for p in fields.polygons)
 
 
 def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> np.ndarray:

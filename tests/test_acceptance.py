@@ -19,7 +19,7 @@ import pytest
 import conftest
 from conftest import SCENARIO_DIR, load_golden, to_local
 
-from parkfield.field import FieldSet, gamma_many
+from parkfield.field import FieldSet
 from parkfield.geometry import Point2, Polygon, RigidTransform, apply_transform, transform_polygon
 from parkfield.scenario import (
     Rect,
@@ -198,7 +198,7 @@ def _lipschitz_sampled_pairs():
     rng = np.random.default_rng(42)
     p = rng.uniform(-3, 8, size=(500, 2))
     q = rng.uniform(-3, 8, size=(500, 2))
-    gap = np.abs(gamma_many(fields, p) - gamma_many(fields, q))
+    gap = np.abs(fields.eval_many(p) - fields.eval_many(q))
     dist = np.linalg.norm(p - q, axis=1)
     assert np.all(gap <= dist + 1e-9)
 

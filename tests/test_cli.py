@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -310,6 +311,28 @@ def test_oracle_report_bytes_match_recorded(name, capsys):
     got = stats.normalize_report(capsys.readouterr().out.encode("utf-8"))
     want = Path(__file__).parent / "expected_oracle" / name.replace(".json", ".report")
     assert got == want.read_bytes()
+
+
+# sha256 of ``render --field`` on every single-spot golden.  A spot's edge
+# field and the obstacles combine by max and min only, which are exact, so
+# how the spots of an area are combined must not move a byte of these.
+FIELD_SVG_SHA256 = {
+    "adjacent_car.json": "c8cbd27b48b97aa54797a170b07a683549da9ecbb9c3d2770bfe58a2da7d5cdc",
+    "empty_spot.json": "df8d4ceffa2c5fa1e57ddda65a560b5fcad1cb7f56a5c64686b3403c98d8c5a4",
+    "field_demo.json": "81b9944e6604520c422b6797543dd1d1ea76cf495177c5aede123326d8987f64",
+    "loaded_family_context.json": "2f7d489246ed14f6aba4fe0c27fd1d0652e6061421b3b4aa1c448b101d914036",
+    "mixed_obstacles.json": "39e5155d1a75bf184b40a47178a91e3f4d9e0b93a6047520f89e2780644f12b2",
+    "single_obstacle.json": "2c7ec2c44a473ab55263dc6cdab8e9e62f4a2c1e643d715e9f2c9b126a65cc76",
+    "single_obstacle_baby.json": "2c7ec2c44a473ab55263dc6cdab8e9e62f4a2c1e643d715e9f2c9b126a65cc76",
+    "two_obstacles.json": "104e388fac0302632b713dcdd53a230db337f30017e88d42253a08c382cad44c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_SVG_SHA256))
+def test_single_spot_field_render_bytes_match_recorded(name, tmp_path):
+    out = tmp_path / "field.svg"
+    assert cli.main(["render", str(SCENARIO_DIR / name), "--field", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_SVG_SHA256[name]
 
 
 def test_oracle_reports_infeasible_spots_like_solve(tmp_path, capsys):

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parkfield.errors import BudgetError, GeometryError
-from parkfield.field import (
-    _BLOCK_POINTS,
-    CompiledFieldSet,
-    FieldMap,
-    FieldSet,
-    gamma,
-    gamma_many,
-    sample_field,
-)
+from parkfield.field import _BLOCK_POINTS, FieldMap, FieldSet, gamma, sample_field
 from parkfield.geometry import Point2, Polygon, SPOT_EDGE
 from parkfield.scenario import spot_field_set, make_spot
 
@@ -68,9 +60,9 @@ def test_gamma_matches_pairwise_maximum():
     ]
     fields = FieldSet(tuple(polys))
     pts = rng.uniform(-5, 5, size=(200, 2))
-    composite = gamma_many(fields, pts)
+    composite = fields.eval_many(pts)
     brute = np.max(
-        [gamma_many(FieldSet((p,)), pts) for p in polys], axis=0
+        [FieldSet((p,)).eval_many(pts) for p in polys], axis=0
     )
     assert np.allclose(composite, brute, atol=0)
 
@@ -88,8 +80,8 @@ def test_gamma_many_bitwise_equals_point_major_kernel(lines):
     }
     fields = FieldSet(tuple(shapes[k] for k in lines))
     # One instance across every count, growing and shrinking, so its
-    # scratch buffer is reused at sizes other than the one it was made for.
-    compiled = CompiledFieldSet(fields)
+    # scratch buffer is reused at sizes other than the one it was made for;
+    # a fresh instance evaluates each batch with a buffer made for it.
     rng = np.random.default_rng(11)
     # A last-bit rounding difference shows on about one random point in
     # three, so each count is drawn many times.
@@ -97,8 +89,8 @@ def test_gamma_many_bitwise_equals_point_major_kernel(lines):
         for _ in range(25):
             pts = rng.uniform(-3, 3, size=(n, 2))
             want = point_major_gamma_many(fields, pts)
-            assert np.array_equal(gamma_many(fields, pts), want), n
-            assert np.array_equal(compiled.eval_many(pts), want), n
+            assert np.array_equal(FieldSet(fields.polygons).eval_many(pts), want), n
+            assert np.array_equal(fields.eval_many(pts), want), n
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):
@@ -107,7 +99,7 @@ def test_gamma_monotone_under_added_polygon(unit_square):
     base = FieldSet((unit_square,))
     extra = regular_polygon(2.0, 1.0, 0.8, 5)
     bigger = FieldSet((unit_square, extra))
-    assert np.all(gamma_many(bigger, pts) >= gamma_many(base, pts))
+    assert np.all(bigger.eval_many(pts) >= base.eval_many(pts))
 
 
 def test_field_monotone_decreasing_away_from_obstacle():
@@ -127,7 +119,7 @@ def test_field_monotone_decreasing_away_from_obstacle():
     direction = np.array([0.3, 1.0])
     direction = direction / np.linalg.norm(direction)
     radii = np.linspace(0.0, 0.55, 8)
-    values = gamma_many(fields, start + radii[:, None] * direction[None, :])
+    values = fields.eval_many(start + radii[:, None] * direction[None, :])
     assert np.all(np.diff(values) < 0)
 
 
@@ -135,7 +127,7 @@ def test_polygon_field_positive_exactly_inside():
     poly = regular_polygon(0.5, -0.2, 1.0, 5)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2, 2, size=(500, 2))
-    values = gamma_many(FieldSet((poly,)), pts)
+    values = FieldSet((poly,)).eval_many(pts)
     for (x, y), v in zip(pts, values):
         inside = point_in_polygon_raycast(poly.vertices, x, y)
         if v > 1e-9:
@@ -164,6 +156,13 @@ def test_gamma_is_1_lipschitz(px, py, qx, qy):
 def test_fieldset_requires_polygons():
     with pytest.raises(GeometryError):
         FieldSet(())
+
+
+def test_fieldset_polygons_are_read_only(unit_square):
+    fields = FieldSet([unit_square])
+    assert fields.polygons == (unit_square,)
+    with pytest.raises(AttributeError):
+        fields.polygons = ()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from parkfield.field import FieldMap, sample_field
 from parkfield.geometry import Point2
 from parkfield.render import contour_polylines, render_scene, scene_bounds
-from parkfield.scenario import area_field_set, build_footprint
+from parkfield.scenario import area_field_map, build_footprint
 from parkfield.solver import Pose
 
 from conftest import load_golden, regular_polygon
@@ -47,10 +47,25 @@ def test_contours_nest_with_level():
 
 def test_field_render_has_contours_around_obstacle():
     scenario = load_golden("field_demo.json")
-    fmap = sample_field(area_field_set(scenario), scene_bounds(scenario), 8.0)
+    fmap = area_field_map(scenario, scene_bounds(scenario), 8.0)
     svg = render_scene(scenario, fmap=fmap)
     assert svg.count("<polyline") >= 5
     assert svg.count("<polygon") >= 2  # spot outline + obstacle
+
+
+def test_multi_spot_field_is_negative_in_every_spot():
+    # A spot's edge field is positive outside that spot, so the spots of an
+    # area combine by min: a max over every spot's edges reads positive in
+    # every spot and draws no contour at all.
+    scenario = load_golden("three_spot_area.json")
+    fmap = area_field_map(scenario, scene_bounds(scenario), 8.0)
+    for spot in scenario.spots:
+        cx = sum(c.x for c in spot.corners) / 4
+        cy = sum(c.y for c in spot.corners) / 4
+        row = round((cy - fmap.origin.y) / fmap.cell_size)
+        col = round((cx - fmap.origin.x) / fmap.cell_size)
+        assert fmap.values[row, col] < 0, spot.id
+    assert render_scene(scenario, fmap=fmap).count("<polyline") >= 1
 
 
 def test_pose_render_draws_footprint():
@@ -67,7 +82,7 @@ def test_pose_render_draws_footprint():
 
 def test_render_deterministic():
     scenario = load_golden("field_demo.json")
-    fmap = sample_field(area_field_set(scenario), scene_bounds(scenario), 8.0)
+    fmap = area_field_map(scenario, scene_bounds(scenario), 8.0)
     a = render_scene(scenario, fmap=fmap)
     b = render_scene(scenario, fmap=fmap)
     assert a == b

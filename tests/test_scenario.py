@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parkfield.errors import GeometryError, ScenarioError
-from parkfield.field import FieldSet, gamma_many
+from parkfield.field import FieldSet
 from parkfield.geometry import EdgeLine, Point2, Polygon, SPOT_EDGE
 from parkfield.scenario import (
     CabinContext,
@@ -302,8 +302,8 @@ def test_empty_spot_yields_four_edges():
 
 def test_spot_edges_negative_inside_positive_outside():
     fields = spot_field_set(_spot(), [])
-    inside = gamma_many(fields, np.array([[2.5, 1.25], [0.5, 0.5]]))
-    outside = gamma_many(fields, np.array([[-1.0, 1.25], [2.5, 3.5]]))
+    inside = fields.eval_many(np.array([[2.5, 1.25], [0.5, 0.5]]))
+    outside = fields.eval_many(np.array([[-1.0, 1.25], [2.5, 3.5]]))
     assert np.all(inside < 0)
     assert np.all(outside > 0)
 
@@ -331,8 +331,8 @@ def test_far_obstacle_excluded_and_dominated():
     ys = np.linspace(-reach, 2.5 + reach, 40)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    edge_vals = gamma_many(fields, pts)
-    far_vals = gamma_many(FieldSet((far,)), pts)
+    edge_vals = fields.eval_many(pts)
+    far_vals = FieldSet((far,)).eval_many(pts)
     assert np.all(far_vals < edge_vals)
 
 
@@ -352,3 +352,44 @@ def test_default_reach_uses_spot_extent():
     )
     fields = spot_field_set(_spot(), [far])
     assert all(p.name != "far" for p in fields.polygons)
+
+
+def _square(x, y, side, name):
+    return Polygon(
+        (Point2(x, y), Point2(x + side, y), Point2(x + side, y + side), Point2(x, y + side)),
+        name=name,
+    )
+
+
+def test_one_domination_lattice_decides_both_ways(monkeypatch):
+    # Reach 0.1 inflates the 5 m x 2.5 m spot to x in [-0.1, 5.1].  "beside"
+    # lies just outside it: at x = 5.1 the spot edge reads 0.1 and the
+    # obstacle -0.1, short of the sqrt(2)*h margin (h ~ 0.25), so it stays.
+    obstacles = [
+        _square(5.2, 1.0, 1.0, "beside"),
+        _square(100.0, 0.0, 1.0, "far"),
+        _square(4.9, 1.0, 1.0, "overlap"),
+        _square(-50.0, 1.0, 1.0, "far_left"),
+    ]
+    calls = []
+    eval_many = FieldSet.eval_many
+
+    def counting_eval_many(self, pts):
+        calls.append([p.name for p in self.polygons])
+        return eval_many(self, pts)
+
+    monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
+    fields = spot_field_set(_spot(), obstacles, reach=0.1)
+    assert [p.name for p in fields.polygons][4:] == ["beside", "overlap"]
+    # The spot edges are evaluated on the lattice once, then each obstacle
+    # the bounding-box test passes on.
+    edges = [p.name for p in fields.polygons][:4]
+    assert calls == [edges, ["beside"], ["far"], ["far_left"]]
+
+
+def test_region_over_lattice_cap_keeps_every_obstacle():
+    # A 1e4 m reach gives a domination lattice of ~6.4e9 nodes, over
+    # MAX_LATTICE_POSES: nothing is checked and the far obstacle is kept.
+    far = _square(1e5, 0.0, 1.0, "far")
+    fields = spot_field_set(_spot(), [far], reach=1e4)
+    assert [p.name for p in fields.polygons][4:] == ["far"]

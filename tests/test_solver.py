@@ -390,7 +390,7 @@ def test_evaluator_batch_matches_scalar():
     evaluator = ObjectiveEvaluator(local, footprint, SamplingPlan())
     poses = np.array([[1.0, 1.0, 0.0], [2.0, 0.5, 0.1], [0.5, 1.5, math.pi]])
     batch = evaluator.scores(poses)
-    singles = [evaluator.score(Pose(*p)) for p in poses]
+    singles = [objective(local, footprint, Pose(*p), SamplingPlan()) for p in poses]
     assert batch == pytest.approx(singles, abs=1e-12)
 
 

@@ -17,7 +17,6 @@ from parkfield.scenario import (
     spot_field_set,
 )
 from parkfield import strategy as strategy_module
-from parkfield.field import CompiledFieldSet
 from parkfield.solver import (
     GRID,
     MONTE_CARLO,
@@ -356,7 +355,7 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     samples = len(ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._pts)
     calls = []  # per scores call: [poses, kernel rows]
     scores = ObjectiveEvaluator.scores
-    eval_many = CompiledFieldSet.eval_many
+    eval_many = FieldSet.eval_many
 
     def counting_scores(self, poses):
         calls.append([list(map(tuple, np.asarray(poses).tolist())), 0])
@@ -368,7 +367,7 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
         return eval_many(self, pts)
 
     monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
-    monkeypatch.setattr(CompiledFieldSet, "eval_many", counting_eval_many)
+    monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
     ranked = rank_spots(scenario, explain=True)
     assert "rear_right_door" in ranked.strategies[0].bias_drivers
     hits = [pose for poses, _ in calls for pose in poses if pose in lattice]
