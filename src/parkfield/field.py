@@ -10,20 +10,31 @@ polygons' lines once and evaluates them with its one kernel,
 
 The kernel walks its points in equal blocks of at most ``_BLOCK_POINTS``,
 and the objective walks its poses the same way, so peak memory does not
-grow with the batch.  Per block and polygon, one ``(L, 2) @ (2, n)``
-product puts the polygon's line values line-major in a reused buffer, and
-the min over lines runs along the long axis.  Each line value is the same
-BLAS product the point-major ``pts @ normals.T`` gives, so results are
-bit-identical to it; one product over all polygons' lines at once, or an
-elementwise ``a*x + b*y + c``, rounds differently.
+grow with the batch.  Every caller, the objective included, passes
+C-ordered ``(N, 2)`` points.  The kernel's values are bit-identical to the
+point-major ``pts @ normals.T + offsets`` per polygon, for finite points and
+up to the sign of an exact zero, and it evaluates two kinds of polygon:
 
-Every caller, the objective included, passes C-ordered ``(N, 2)`` points,
-so each block's ``(2, n)`` operand is the F-ordered transpose.  A
-coordinate-major ``(2, N)`` buffer passed through its transposed view
-multiplies faster, but it is not bit-identical: a one-line
-polygon (a spot edge) sends its product to BLAS gemv, and in that layout
-gemv rounds the ``n % 4`` tail points of a block differently when the
-line's normal is not axis-aligned.
+- An axis polygon has only lines whose normal is exactly ``(±1, 0)`` or
+  ``(0, ±1)``; in its own frame a spot edge is one, and so is an upright
+  box.  Each line is ``x + c`` or ``c - x`` in one ufunc pass over a
+  contiguous copy of the block's coordinate.  BLAS's ``±1*x + 0*y`` is
+  exactly ``±x`` whether or not it fuses the multiply-add, so adding ``c``
+  rounds the same.  Only the sign of an exact zero can differ:
+  ``-0.0 + -0.0`` is ``-0.0`` here but ``(-0.0 + 0.0) + -0.0`` is ``+0.0`` in
+  BLAS, and no sum with a nonzero term can see that.
+- Every other polygon keeps one ``(L, 2) @ (2, n)`` product per block, into
+  a reused line-major buffer, from the F-ordered transpose of the block.
+  These values must stay BLAS's own: gemv and gemm may each fuse one of
+  the two products into the add (OpenBLAS 0.3.31 with its Haswell kernels
+  rounds gemv as ``fma(a, x, b*y)`` and gemm as ``fma(b, y, a*x)``), and
+  numpy has no fused multiply-add to reproduce either.  A coordinate-major ``(2, N)``
+  operand multiplies faster, but in that layout gemv rounds a one-line
+  polygon's ``n % 4`` tail points differently.
+
+Minimum and maximum are exact, so their order is free: each polygon's
+minimum over its lines is taken pairwise into one row (the first polygon's
+straight into the output), then the maximum with the output.
 """
 
 from __future__ import annotations
@@ -55,12 +66,31 @@ def _block_slices(n: int, limit: int):
         yield n * b // blocks, n * (b + 1) // blocks
 
 
+def _axis_lines(edges) -> tuple | None:
+    """``(coordinate, positive, offset)`` per line, or None if any line's
+    normal is not exactly ``(±1, 0)`` or ``(0, ±1)``.
+
+    No tolerance: a normal one bit off an axis rounds differently from
+    ``x + c``, so its polygon keeps the product.
+    """
+    lines = []
+    for e in edges:
+        if e.b == 0 and abs(e.a) == 1:
+            lines.append((0, e.a > 0, e.c))
+        elif e.a == 0 and abs(e.b) == 1:
+            lines.append((1, e.b > 0, e.c))
+        else:
+            return None
+    return tuple(lines)
+
+
 class FieldSet:
     """Non-empty collection of field-generating polygons, compiled once.
 
-    Building one compiles each polygon's line normals and offsets.  It
-    keeps one scratch buffer for the line values across calls, so an
-    instance must not be shared between threads.
+    Building one compiles each polygon's lines: axis triples when every
+    line is axis-aligned, else its line normals and offsets.  It keeps one
+    scratch buffer across calls, so an instance must not be shared between
+    threads.
     """
 
     def __init__(self, polygons):
@@ -68,15 +98,25 @@ class FieldSet:
         if not polygons:
             raise GeometryError("FieldSet needs at least one polygon")
         self._polygons = polygons
-        # Per polygon: (L, 2) line normals and (L, 1) offsets.
-        self._lines = [
-            (
-                np.array([[e.a, e.b] for e in poly.edges]),
-                np.array([[e.c] for e in poly.edges]),
-            )
-            for poly in polygons
-        ]
-        self._max_lines = max(len(normals) for normals, _ in self._lines)
+        # Per polygon: its axis triples, or None and its (L, 2) line normals
+        # and (L, 1) offsets.
+        self._lines = []
+        for poly in polygons:
+            axis = _axis_lines(poly.edges)
+            if axis is None:
+                normals = np.array([[e.a, e.b] for e in poly.edges])
+                offsets = np.array([[e.c] for e in poly.edges])
+                self._lines.append((None, normals, offsets))
+            else:
+                self._lines.append((axis, None, None))
+        # Scratch rows per block point: the x and y rows when any polygon
+        # is axis-aligned, then work rows shared by the polygons in turn: an
+        # axis polygon's running minimum and one line, or a general
+        # polygon's line values.
+        has_axis = any(axis is not None for axis, _, _ in self._lines)
+        general = max((len(n) for _, n, _ in self._lines if n is not None), default=0)
+        self._coord_rows = 2 if has_axis else 0
+        self._rows = self._coord_rows + max(self._coord_rows, general)
         # Grown on demand, never per call: a fresh buffer of this size is
         # often mmapped by the allocator, and its page faults cost more
         # than the products it holds.
@@ -89,23 +129,41 @@ class FieldSet:
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Composite field at ``pts`` shaped (N, 2)."""
         out = np.empty(len(pts))
-        # Flat, so every (L, n_block) view of it is C-contiguous and matmul
-        # writes into it through BLAS.
-        need = self._max_lines * min(len(pts), _BLOCK_POINTS)
+        need = self._rows * min(len(pts), _BLOCK_POINTS)
         if len(self._buf) < need:
             self._buf = np.empty(need)
-        buf = self._buf
         for lo, hi in _block_slices(len(pts), _BLOCK_POINTS):
             block = pts[lo:hi].T
+            # Flat, so every (L, n) view of it is C-contiguous and matmul
+            # writes into it through BLAS.
+            scratch = self._buf[: self._rows * (hi - lo)].reshape(self._rows, hi - lo)
+            xy, work = scratch[: self._coord_rows], scratch[self._coord_rows :]
+            if self._coord_rows:
+                np.copyto(xy, block)
             dst = out[lo:hi]
-            for k, (normals, offsets) in enumerate(self._lines):
-                vals = buf[: len(normals) * (hi - lo)].reshape(len(normals), hi - lo)
-                np.matmul(normals, block, out=vals)
-                vals += offsets
-                if k == 0:
-                    np.minimum.reduce(vals, axis=0, out=dst)
+            # The first polygon's minimum goes straight into ``dst``; each
+            # later one's into a work row, then the max into ``dst``.
+            for k, (axis, normals, offsets) in enumerate(self._lines):
+                if axis is not None:
+                    acc = dst if k == 0 else work[0]
+                    for j, (coord, positive, c) in enumerate(axis):
+                        line = acc if j == 0 else work[1]
+                        if positive:
+                            np.add(xy[coord], c, out=line)
+                        else:
+                            np.subtract(c, xy[coord], out=line)
+                        if j:
+                            np.minimum(acc, line, out=acc)
                 else:
-                    np.maximum(dst, np.minimum.reduce(vals, axis=0), out=dst)
+                    one = k == 0 and len(normals) == 1
+                    vals = dst[None] if one else work[: len(normals)]
+                    np.matmul(normals, block, out=vals)
+                    vals += offsets
+                    acc = dst if k == 0 else vals[0]
+                    for j in range(1, len(normals)):
+                        np.minimum(vals[0] if j == 1 else acc, vals[j], out=acc)
+                if k:
+                    np.maximum(dst, acc, out=dst)
         return out
 
 

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import _BLOCK_POINTS, FieldMap, FieldSet, gamma, sample_field
-from parkfield.geometry import Point2, Polygon, SPOT_EDGE
-from parkfield.scenario import spot_field_set, make_spot
+from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
+from parkfield.scenario import build_footprint, make_spot, spot_field_set
+from parkfield.solver import _local_field_set
 
 from conftest import (
+    SCENARIO_DIR,
+    load_golden,
     node_xy,
     point_in_polygon_raycast,
     point_major_gamma_many,
@@ -57,6 +60,9 @@ def test_gamma_matches_pairwise_maximum():
     polys = [
         regular_polygon(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.3, 1.2), k)
         for k in (3, 4, 5, 6)
+    ] + [
+        axis_rect(-1.0, -1.0, 0.0, 0.0),
+        spot_edge((4, -2), (-4, -2)),
     ]
     fields = FieldSet(tuple(polys))
     pts = rng.uniform(-5, 5, size=(200, 2))
@@ -64,21 +70,61 @@ def test_gamma_matches_pairwise_maximum():
     brute = np.max(
         [FieldSet((p,)).eval_many(pts) for p in polys], axis=0
     )
-    assert np.allclose(composite, brute, atol=0)
+    assert np.array_equal(composite, brute)
 
 
 BLOCK_STRADDLING_COUNTS = (0, 1, _BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1,
                            2 * _BLOCK_POINTS + 3)
 
 
-@pytest.mark.parametrize("lines", [(1,), (4,), (6,), (1, 4, 6)])
+def axis_rect(x0, y0, x1, y1):
+    return Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
+
+
+def tilted(poly, theta):
+    return transform_polygon(RigidTransform(theta, 0.0, 0.0), poly)
+
+
+def exactly_axis(edge):
+    return {abs(edge.a), abs(edge.b)} == {0.0, 1.0}
+
+
+KERNEL_SHAPES = {
+    "edge": (spot_edge((-1.0, -2.0), (2.0, 1.5)),),
+    "square": (regular_polygon(0.4, -0.3, 1.7, 4),),
+    "hexagon": (regular_polygon(-0.6, 0.5, 1.3, 6),),
+    "axis_rect": (axis_rect(-1.2, -0.7, 1.3, 0.9),),
+    # Edges along +x, -y, -x and +y; the first runs through the origin,
+    # so its offset is -0.0.
+    "axis_edges": (
+        spot_edge((0.0, 0.0), (4.0, 0.0)),
+        spot_edge((4.5, -1.0), (4.5, 2.0)),
+        spot_edge((3.0, 2.5), (-1.0, 2.5)),
+        spot_edge((-1.5, 2.0), (-1.5, -1.0)),
+    ),
+    # Normals 1e-12 and 1e-13 off the axes: both stay on the product path.
+    "tilted_rect": (tilted(axis_rect(-1.2, -0.7, 1.3, 0.9), 1e-12),),
+    "tilted_edge": (tilted(spot_edge((-3.0, 0.5), (3.0, 0.5)), -1e-13),),
+}
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ("edge",),
+        ("square",),
+        ("hexagon",),
+        ("edge", "square", "hexagon"),
+        ("axis_rect",),
+        ("axis_edges",),
+        ("axis_rect", "hexagon", "edge"),
+        ("edge", "axis_edges", "axis_rect"),
+        ("tilted_rect",),
+        ("tilted_edge", "axis_rect"),
+    ],
+)
 def test_gamma_many_bitwise_equals_point_major_kernel(lines):
-    shapes = {
-        1: spot_edge((-1.0, -2.0), (2.0, 1.5)),
-        4: regular_polygon(0.4, -0.3, 1.7, 4),
-        6: regular_polygon(-0.6, 0.5, 1.3, 6),
-    }
-    fields = FieldSet(tuple(shapes[k] for k in lines))
+    fields = FieldSet(tuple(p for name in lines for p in KERNEL_SHAPES[name]))
     # One instance across every count, growing and shrinking, so its
     # scratch buffer is reused at sizes other than the one it was made for;
     # a fresh instance evaluates each batch with a buffer made for it.
@@ -88,9 +134,37 @@ def test_gamma_many_bitwise_equals_point_major_kernel(lines):
     for n in BLOCK_STRADDLING_COUNTS + BLOCK_STRADDLING_COUNTS[::-1]:
         for _ in range(25):
             pts = rng.uniform(-3, 3, size=(n, 2))
+            # Coordinates exactly zero, of both signs.
+            pts[::7, 0] = 0.0
+            pts[3::11, 1] = -0.0
             want = point_major_gamma_many(fields, pts)
             assert np.array_equal(FieldSet(fields.polygons).eval_many(pts), want), n
             assert np.array_equal(fields.eval_many(pts), want), n
+
+
+def test_only_exactly_axis_aligned_polygons_skip_the_product():
+    polys = [p for shapes in KERNEL_SHAPES.values() for p in shapes]
+    fields = FieldSet(polys)
+    on_axis = [axis is not None for axis, _, _ in fields._lines]
+    assert on_axis == [all(exactly_axis(e) for e in p.edges) for p in polys]
+    assert sum(on_axis) == 5  # the axis rectangle and the four axis edges
+
+
+def test_golden_spot_frames_send_axis_lines_down_the_axis_path():
+    # As ``rank_spots`` builds them: each spot's field set at the
+    # footprint's reach, moved into the spot frame.
+    taken = {SPOT_EDGE: [0, 0], OBSTACLE: [0, 0]}
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        scenario = load_golden(path.name)
+        reach = build_footprint(scenario.context, scenario.vehicle).max_reach()
+        for spot in scenario.spots:
+            fields = spot_field_set(spot, list(scenario.obstacles), reach)
+            local = _local_field_set(fields, spot)
+            for poly, (axis, _, _) in zip(local.polygons, local._lines):
+                assert (axis is not None) == all(exactly_axis(e) for e in poly.edges)
+                taken[poly.kind][axis is None] += len(poly.edges)
+    # Every spot edge, and every obstacle line but a triangle's three.
+    assert taken == {SPOT_EDGE: [44, 0], OBSTACLE: [40, 3]}
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):
