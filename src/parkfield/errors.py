@@ -42,8 +42,9 @@ class BudgetError(ParkfieldError, RuntimeError):
     """A sampling or search request exceeds the hard evaluation budget."""
 
 
-def finite_number(path: str, value, low: float = -math.inf, inclusive: bool = True) -> float:
-    """``value`` as a float after checking it is a finite number above ``low``.
+def finite_number(path: str, value, low=-math.inf, inclusive=True, high=math.inf) -> float:
+    """``value`` as a float after checking it is a finite number above ``low``
+    and at most ``high``.
 
     Booleans are not numbers here.  Raises ``ScenarioError`` at ``path``, so
     a reader of a scenario, a config or a flag can name what is wrong.
@@ -54,7 +55,8 @@ def finite_number(path: str, value, low: float = -math.inf, inclusive: bool = Tr
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    if not math.isfinite(number) or number < low or (number == low and not inclusive):
-        bound = "" if low == -math.inf else f" {'>=' if inclusive else '>'} {low}"
+    if not (math.isfinite(number) and low <= number <= high) or (number == low and not inclusive):
+        bound = "" if low == -math.inf else f" {'>=' if inclusive else '>'} {low:g}"
+        bound += "" if high == math.inf else f"{' and' if bound else ''} <= {high:g}"
         raise ScenarioError(path, f"must be a finite number{bound}, got {number!r}")
     return number

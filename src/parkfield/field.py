@@ -8,29 +8,28 @@ field is the maximum over all polygons.  A ``FieldSet`` compiles its
 polygons' lines once and evaluates them with its one kernel,
 ``FieldSet.eval_many``; ``gamma`` is the scalar form.
 
-The kernel walks its points in equal blocks of at most ``_BLOCK_POINTS``,
-and the objective walks its poses the same way, so peak memory does not
-grow with the batch.  Every caller, the objective included, passes
-C-ordered ``(N, 2)`` points.  The kernel's values are bit-identical to the
-point-major ``pts @ normals.T + offsets`` per polygon, for finite points and
-up to the sign of an exact zero, and it evaluates two kinds of polygon:
+The kernel takes a batch of points as an x row and a y row, and walks them
+in equal blocks of at most ``_BLOCK_POINTS``, as the objective walks its
+poses, so peak memory does not grow with the batch.  Its values are
+bit-identical to the point-major ``pts @ normals.T + offsets`` per polygon,
+for finite points and up to the sign of an exact zero.  There are two kinds
+of polygon:
 
 - An axis polygon has only lines whose normal is exactly ``(±1, 0)`` or
   ``(0, ±1)``; in its own frame a spot edge is one, and so is an upright
-  box.  Each line is ``x + c`` or ``c - x`` in one ufunc pass over a
-  contiguous copy of the block's coordinate.  BLAS's ``±1*x + 0*y`` is
-  exactly ``±x`` whether or not it fuses the multiply-add, so adding ``c``
-  rounds the same.  Only the sign of an exact zero can differ:
-  ``-0.0 + -0.0`` is ``-0.0`` here but ``(-0.0 + 0.0) + -0.0`` is ``+0.0`` in
-  BLAS, and no sum with a nonzero term can see that.
-- Every other polygon keeps one ``(L, 2) @ (2, n)`` product per block, into
-  a reused line-major buffer, from the F-ordered transpose of the block.
-  These values must stay BLAS's own: gemv and gemm may each fuse one of
-  the two products into the add (OpenBLAS 0.3.31 with its Haswell kernels
-  rounds gemv as ``fma(a, x, b*y)`` and gemm as ``fma(b, y, a*x)``), and
-  numpy has no fused multiply-add to reproduce either.  A coordinate-major ``(2, N)``
-  operand multiplies faster, but in that layout gemv rounds a one-line
-  polygon's ``n % 4`` tail points differently.
+  box.  Each line is ``x + c`` or ``c - x``, one ufunc pass over a row.
+  BLAS's ``±1*x + 0*y`` is exactly ``±x`` whether or not it fuses the
+  multiply-add, so adding ``c`` rounds the same.  Only the sign of an exact
+  zero can differ: ``-0.0 + -0.0`` is ``-0.0`` here but ``(-0.0 + 0.0) + -0.0``
+  is ``+0.0`` in BLAS, and no sum with a nonzero term can see that.
+- Every other polygon keeps one ``(L, 2) @ (2, n)`` BLAS product per block.
+  Its operand is the F-ordered transpose of a C-ordered ``(n, 2)`` copy of
+  the block, made once per block and only for a set holding such a polygon.
+  BLAS may fuse one of the two products into the add (OpenBLAS 0.3.31 with
+  its Haswell kernels rounds gemv as ``fma(a, x, b*y)`` and gemm as
+  ``fma(b, y, a*x)``), and numpy has no fused multiply-add to reproduce
+  either; handed the rows themselves, gemv rounds a one-line polygon's
+  ``n % 4`` tail points differently.
 
 Minimum and maximum are exact, so their order is free: each polygon's
 minimum over its lines is taken pairwise into one row (the first polygon's
@@ -103,20 +102,17 @@ class FieldSet:
         self._lines = []
         for poly in polygons:
             axis = _axis_lines(poly.edges)
-            if axis is None:
-                normals = np.array([[e.a, e.b] for e in poly.edges])
-                offsets = np.array([[e.c] for e in poly.edges])
-                self._lines.append((None, normals, offsets))
-            else:
-                self._lines.append((axis, None, None))
-        # Scratch rows per block point: the x and y rows when any polygon
-        # is axis-aligned, then work rows shared by the polygons in turn: an
-        # axis polygon's running minimum and one line, or a general
-        # polygon's line values.
+            normals = None if axis else np.array([[e.a, e.b] for e in poly.edges])
+            offsets = None if axis else np.array([[e.c] for e in poly.edges])
+            self._lines.append((axis, normals, offsets))
+        # Scratch rows per block point: the 2 rows of BLAS's point-major copy
+        # of the block when any polygon is general, then work rows shared by
+        # the polygons in turn: an axis polygon's running minimum and one
+        # line, or a general polygon's line values.
         has_axis = any(axis is not None for axis, _, _ in self._lines)
         general = max((len(n) for _, n, _ in self._lines if n is not None), default=0)
-        self._coord_rows = 2 if has_axis else 0
-        self._rows = self._coord_rows + max(self._coord_rows, general)
+        self._copy_rows = 2 if general else 0
+        self._rows = self._copy_rows + max(2 if has_axis else 0, general)
         # Grown on demand, never per call: a fresh buffer of this size is
         # often mmapped by the allocator, and its page faults cost more
         # than the products it holds.
@@ -126,20 +122,25 @@ class FieldSet:
     def polygons(self) -> tuple[Polygon, ...]:
         return self._polygons
 
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Composite field at ``pts`` shaped (N, 2)."""
-        out = np.empty(len(pts))
-        need = self._rows * min(len(pts), _BLOCK_POINTS)
+    def eval_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Composite field at the points ``(x[i], y[i])``.
+
+        ``x`` and ``y`` are equal-length 1-D arrays of any stride.
+        """
+        out = np.empty(len(x))
+        need = self._rows * min(len(x), _BLOCK_POINTS)
         if len(self._buf) < need:
             self._buf = np.empty(need)
-        for lo, hi in _block_slices(len(pts), _BLOCK_POINTS):
-            block = pts[lo:hi].T
+        for lo, hi in _block_slices(len(x), _BLOCK_POINTS):
+            n = hi - lo
+            xy = (x[lo:hi], y[lo:hi])
             # Flat, so every (L, n) view of it is C-contiguous and matmul
             # writes into it through BLAS.
-            scratch = self._buf[: self._rows * (hi - lo)].reshape(self._rows, hi - lo)
-            xy, work = scratch[: self._coord_rows], scratch[self._coord_rows :]
-            if self._coord_rows:
-                np.copyto(xy, block)
+            work = self._buf[self._copy_rows * n : self._rows * n].reshape(-1, n)
+            if self._copy_rows:
+                # BLAS's operand is the transpose of this C-ordered copy.
+                pts = self._buf[: 2 * n].reshape(n, 2)
+                pts[:, 0], pts[:, 1] = xy
             dst = out[lo:hi]
             # The first polygon's minimum goes straight into ``dst``; each
             # later one's into a work row, then the max into ``dst``.
@@ -157,7 +158,7 @@ class FieldSet:
                 else:
                     one = k == 0 and len(normals) == 1
                     vals = dst[None] if one else work[: len(normals)]
-                    np.matmul(normals, block, out=vals)
+                    np.matmul(normals, pts.T, out=vals)
                     vals += offsets
                     acc = dst if k == 0 else vals[0]
                     for j in range(1, len(normals)):
@@ -172,7 +173,7 @@ CompiledFieldSet = FieldSet  # the name the benchmark's tracer wraps; goes with 
 
 def gamma(fields: FieldSet, p: Point2) -> float:
     """Composite field at ``p``: max over polygons of the per-polygon field."""
-    return float(fields.eval_many(np.array([[p.x, p.y]]))[0])
+    return float(fields.eval_many(np.array([p.x]), np.array([p.y]))[0])
 
 
 @dataclass(frozen=True)
@@ -248,6 +249,5 @@ def sample_field(
     xs = x_min + cell * np.arange(cols)
     ys = y_min + cell * np.arange(rows)
     gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    values = fields.eval_many(pts).reshape(rows, cols)
+    values = fields.eval_many(gx.ravel(), gy.ravel()).reshape(rows, cols)
     return FieldMap(Point2(x_min, y_min), cell, rows, cols, values)

@@ -87,25 +87,27 @@ def _lines_for_vertices(vertices: tuple[Point2, ...]) -> tuple[EdgeLine, ...]:
 
 
 def _signed_area(vertices: tuple[Point2, ...]) -> float:
+    # Fanned from the first vertex, so far from the origin the products
+    # stay the size of the polygon, not of its coordinates.
+    o = vertices[0]
     area = 0.0
-    n = len(vertices)
-    for i in range(n):
-        p = vertices[i]
-        q = vertices[(i + 1) % n]
-        area += p.x * q.y - q.x * p.y
+    for p, q in zip(vertices[1:], vertices[2:]):
+        area += (p.x - o.x) * (q.y - o.y) - (q.x - o.x) * (p.y - o.y)
     return 0.5 * area
 
 
 def _is_convex_ccw(vertices: tuple[Point2, ...]) -> bool:
-    n = len(vertices)
-    for i in range(n):
-        o = vertices[i]
-        p = vertices[(i + 1) % n]
-        q = vertices[(i + 2) % n]
-        cross = (p.x - o.x) * (q.y - p.y) - (p.y - o.y) * (q.x - p.x)
-        if cross < -1e-12:
+    """No turn to the right by over 1e-12 rad, and the turns add up to one
+    circle: a star outline such as a pentagram turns left but twice around.
+    Angles, unlike cross products, do not scale with the polygon."""
+    turning = 0.0
+    for o, p, q in zip(vertices, vertices[1:] + vertices[:1], vertices[2:] + vertices[:2]):
+        ux, uy, vx, vy = p.x - o.x, p.y - o.y, q.x - p.x, q.y - p.y
+        turn = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+        if turn < -1e-12:
             return False
-    return True
+        turning += turn
+    return turning < 3.0 * math.pi
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +135,10 @@ class Polygon:
                 raise GeometryError(
                     f"obstacle '{self.name}' needs >= 3 vertices, got {len(verts)}"
                 )
-            if _signed_area(verts) < 0.0:
+            area = _signed_area(verts)
+            if area == 0.0:
+                raise GeometryError(f"obstacle '{self.name}' has zero area")
+            if area < 0.0:
                 warnings.warn(
                     f"obstacle '{self.name}': clockwise vertex order reversed",
                     stacklevel=3,

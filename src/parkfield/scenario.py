@@ -70,7 +70,9 @@ _RECT_CORNER_TOL = 1e-6
 
 # Largest spot length or width, metres.  Up to 1e9 m a corner coordinate's
 # float64 spacing (1.2e-7 m) stays well below ``_RECT_CORNER_TOL``, so the
-# rectangle check still resolves its tolerance.
+# rectangle check still resolves its tolerance.  Obstacle coordinates, body
+# dimensions and clearance depths share the bound, so no edge length, area
+# or score overflows.
 MAX_SPOT_EXTENT = 1e9
 
 
@@ -384,12 +386,11 @@ def _domination_test(spot_edges: list[Polygon], region: tuple[float, float, floa
     xs = np.linspace(x_min, x_max, int(nx))
     ys = np.linspace(y_min, y_max, int(ny))
     h = max(xs[1] - xs[0], ys[1] - ys[0])
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    edge_vals = FieldSet(spot_edges).eval_many(pts)
+    gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
+    edge_vals = FieldSet(spot_edges).eval_many(gx, gy)
 
     def dominated(obstacle: Polygon) -> bool:
-        obst_vals = FieldSet((obstacle,)).eval_many(pts)
+        obst_vals = FieldSet((obstacle,)).eval_many(gx, gy)
         return bool(np.all(obst_vals - edge_vals < -math.sqrt(2.0) * h))
 
     return dominated
@@ -453,10 +454,14 @@ def _expect(value, types, path: str, what: str):
     return value
 
 
-def _point(value, path: str) -> Point2:
+def _point(value, path: str, limit: float = math.inf) -> Point2:
+    """An ``[x, y]`` pair, each coordinate at most ``limit`` in magnitude."""
     if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioError(path, "expected a [x, y] pair")
-    return Point2(finite_number(f"{path}[0]", value[0]), finite_number(f"{path}[1]", value[1]))
+    return Point2(
+        finite_number(f"{path}[0]", value[0], -limit, high=limit),
+        finite_number(f"{path}[1]", value[1], -limit, high=limit),
+    )
 
 
 def _parse_spot(entry, path: str, seen_ids: set) -> ParkingSpot:
@@ -509,7 +514,7 @@ def _parse_obstacle(entry, path: str, seen_ids: set) -> Polygon:
     if len(verts_raw) < 3:
         raise ScenarioError(f"{path}.vertices", "expected at least 3 vertex pairs")
     vertices = tuple(
-        _point(v, f"{path}.vertices[{i}]") for i, v in enumerate(verts_raw)
+        _point(v, f"{path}.vertices[{i}]", MAX_SPOT_EXTENT) for i, v in enumerate(verts_raw)
     )
     try:
         return Polygon(vertices, kind=OBSTACLE, name=obst_id)
@@ -537,8 +542,11 @@ def _parse_cabin(entry, path: str) -> CabinContext:
 
 def _parse_vehicle(entry, path: str) -> VehicleSpec:
     _expect(entry, dict, path, "an object")
-    length = finite_number(f"{path}.body_length", entry.get("body_length", DEFAULT_BODY_LENGTH))
-    width = finite_number(f"{path}.body_width", entry.get("body_width", DEFAULT_BODY_WIDTH))
+    dims = (("body_length", DEFAULT_BODY_LENGTH), ("body_width", DEFAULT_BODY_WIDTH))
+    length, width = (
+        finite_number(f"{path}.{key}", entry.get(key, default), high=MAX_SPOT_EXTENT)
+        for key, default in dims
+    )
     table = dict(DEFAULT_CLEARANCE_TABLE)
     override = entry.get("clearance_table", {})
     _expect(override, dict, f"{path}.clearance_table", "an object")
@@ -548,7 +556,7 @@ def _parse_vehicle(entry, path: str) -> VehicleSpec:
                 f"{path}.clearance_table.{key}",
                 f"unknown entry, expected one of {tuple(DEFAULT_CLEARANCE_TABLE)}",
             )
-        table[key] = finite_number(f"{path}.clearance_table.{key}", value)
+        table[key] = finite_number(f"{path}.clearance_table.{key}", value, high=MAX_SPOT_EXTENT)
     try:
         return VehicleSpec(length, width, table)
     except GeometryError as exc:

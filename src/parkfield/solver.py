@@ -33,6 +33,9 @@ MONTE_CARLO = "monte_carlo"
 # Cap on the sample points of one footprint, over all its rectangles.
 MAX_FOOTPRINT_SAMPLES = 10**6
 
+# Largest rectangle weight; with lengths up to 1e9 m no score overflows.
+MAX_RECT_WEIGHT = 1e6
+
 # Share of monte-carlo samples placed on the rectangle boundary.  This
 # deliberately mimics the edge-heavy low-count sampling that grid mode
 # exists to fix; keep monte_carlo only for regression demos.
@@ -112,7 +115,7 @@ class SolverConfig:
                     f"rect_weights.{label}", f"unknown rectangle, expected one of {RECT_LABELS}"
                 )
             # Zero is allowed: it drops the rectangle from the objective.
-            finite_number(f"rect_weights.{label}", weight, 0.0)
+            finite_number(f"rect_weights.{label}", weight, 0.0, high=MAX_RECT_WEIGHT)
 
 
 def _is_int(value) -> bool:
@@ -144,38 +147,27 @@ def _rect_sample_shape(rect: Rect, plan: SamplingPlan) -> tuple:
     return (max(1, int(plan.density)),)
 
 
-def _grid_rect_samples(rect: Rect, nx: int, ny: int):
+def _grid_rect_samples(rect: Rect, nx: int, ny: int) -> np.ndarray:
+    """x row and y row of the cell centers of an ``nx`` by ``ny`` grid, row by row."""
     xs = rect.x_min + (rect.x_max - rect.x_min) * (np.arange(nx) + 0.5) / nx
     ys = rect.y_min + (rect.y_max - rect.y_min) * (np.arange(ny) + 0.5) / ny
-    gx, gy = np.meshgrid(xs, ys)
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    return np.array(np.meshgrid(xs, ys)).reshape(2, -1)
 
 
-def _mc_rect_samples(rect: Rect, count: int, seed: int, rect_index: int):
+def _mc_rect_samples(rect: Rect, count: int, seed: int, rect_index: int) -> np.ndarray:
+    """x row and y row of ``count`` draws: the edge share walked
+    counter-clockwise from ``(x_min, y_min)``, then the interior."""
     rng = np.random.default_rng([seed & 0xFFFFFFFF, rect_index])
-    n_edge = int(round(count * _MC_EDGE_FRACTION))
-    n_inner = count - n_edge
-    w = rect.x_max - rect.x_min
-    h = rect.y_max - rect.y_min
-    perimeter = 2.0 * (w + h)
-    pts = []
-    if perimeter > 0 and n_edge > 0:
-        u = rng.uniform(0.0, perimeter, n_edge)
-        for d in u:
-            if d < w:
-                pts.append((rect.x_min + d, rect.y_min))
-            elif d < w + h:
-                pts.append((rect.x_max, rect.y_min + (d - w)))
-            elif d < 2 * w + h:
-                pts.append((rect.x_max - (d - w - h), rect.y_max))
-            else:
-                pts.append((rect.x_min, rect.y_max - (d - 2 * w - h)))
-    else:
-        n_inner = count
-    xs = rng.uniform(rect.x_min, rect.x_max, n_inner)
-    ys = rng.uniform(rect.y_min, rect.y_max, n_inner)
-    pts.extend(zip(xs, ys))
-    return np.array(pts).reshape(-1, 2)
+    x0, x1, y0, y1 = rect.x_min, rect.x_max, rect.y_min, rect.y_max
+    w, h = x1 - x0, y1 - y0
+    n_edge = int(round(count * _MC_EDGE_FRACTION)) if w + h > 0 else 0
+    d = rng.uniform(0.0, 2.0 * (w + h), n_edge)
+    side = np.searchsorted([w, w + h, 2 * w + h], d, side="right")
+    ex = np.choose(side, [x0 + d, x1, x1 - (d - w - h), x0])
+    ey = np.choose(side, [y0, y0 + (d - w), y1, y1 - (d - 2 * w - h)])
+    xs = rng.uniform(x0, x1, count - n_edge)
+    ys = rng.uniform(y0, y1, count - n_edge)
+    return np.array([np.concatenate((ex, xs)), np.concatenate((ey, ys))])
 
 
 def _sample_layout(footprint: VehicleFootprint, plan: SamplingPlan):
@@ -224,7 +216,7 @@ class ObjectiveEvaluator:
         layouts = [_sample_layout(fp, plan) for fp in footprint]
         self._fields = fields
         known = {} if shared is None else shared._blocks
-        # Block key -> sample points, in union column order.
+        # Block key -> x row and y row of its samples, in union column order.
         self._blocks: dict = {}
         first: dict = {}  # block key -> its first union column
         size = 0
@@ -246,13 +238,12 @@ class ObjectiveEvaluator:
                         block = _mc_rect_samples(rect, shape[0], plan.seed, index)
                     self._blocks[key] = block
                     first[key] = size
-                    size += len(block)
-                count = len(self._blocks[key])
+                    size += block.shape[1]
+                count = self._blocks[key].shape[1]
                 cols.append(np.arange(first[key], first[key] + count))
                 weights.append(np.full(count, rect_weights.get(label, 1.0) * rect.area / count))
             columns.append((np.concatenate(cols), np.concatenate(weights)))
-        self._pts = np.concatenate(list(self._blocks.values()))
-        self._coords = np.ascontiguousarray(self._pts.T)  # x row, y row
+        self._coords = np.concatenate(list(self._blocks.values()), axis=1)
         # Per footprint: its union columns (None when it uses all of them in
         # order, so its sums run on the kernel's values as they are) and
         # its per-point quadrature weights.
@@ -279,8 +270,8 @@ class ObjectiveEvaluator:
         once per distinct (cos, sin) pair, cached by its bit patterns (so a
         ``-0.0`` heading never shares the rows of ``0.0``), and each
         heading's poses translate the rotated rows with one call per
-        coordinate into a reused point-major ``(n, 2)`` buffer, the layout
-        the kernel is exact in (see ``field``).  A posed point is still
+        coordinate into the x block and the y block of a reused buffer, which
+        go to the kernel as they are.  A posed point is still
         ``(cos*lx - sin*ly) + x`` and ``(sin*lx + cos*ly) + y``, the same
         IEEE operations in the same order as broadcasting every pose, so
         the scores are bit-identical to that.  The cache is cleared once
@@ -291,7 +282,7 @@ class ObjectiveEvaluator:
         order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
         poses = poses[order]
         sums = np.empty((len(self._columns), len(poses)))
-        m = len(self._pts)
+        m = self._coords.shape[1]
         step = max(1, _BLOCK_POINTS // m)
         # Posed points (2 per sample), then the weighted values (1 per sample).
         need = 3 * m * min(step, len(poses))
@@ -318,12 +309,12 @@ class ObjectiveEvaluator:
                 np.add(s * lx, c * ly, out=rot[1])
                 for j, i in enumerate(fresh):
                     rows[keys[i]] = rot[:, j]
-            xy = self._buf[: 2 * k * m].reshape(k, m, 2)
+            x, y = self._buf[: 2 * k * m].reshape(2, k, m)
             for first, end in zip(runs, runs[1:] + [k]):
                 rx, ry = rows[keys[first]]
-                np.add(rx, block[first:end, 0:1], out=xy[first:end, :, 0])
-                np.add(ry, block[first:end, 1:2], out=xy[first:end, :, 1])
-            values = self._fields.eval_many(xy.reshape(k * m, 2)).reshape(k, m)
+                np.add(rx, block[first:end, 0:1], out=x[first:end])
+                np.add(ry, block[first:end, 1:2], out=y[first:end])
+            values = self._fields.eval_many(x.reshape(-1), y.reshape(-1)).reshape(k, m)
             for row, (cols, weights) in zip(sums, self._columns):
                 width = m if cols is None else len(cols)
                 weighted = self._buf[2 * k * m : (2 * m + width) * k].reshape(k, width)
@@ -353,20 +344,15 @@ def objective(
     return float(evaluator.scores([pose.x_hat, pose.y_hat, pose.theta_hat])[0])
 
 
-def _rotated_extents(length: float, width: float, theta: float):
-    c, s = abs(math.cos(theta)), abs(math.sin(theta))
-    return length * c + width * s, length * s + width * c
-
-
 def check_feasible(footprint: VehicleFootprint, spot: ParkingSpot, headings) -> None:
     body = footprint.body
     length = body.x_max - body.x_min
     width = body.y_max - body.y_min
     best_over = None
     for heading in headings:
-        ext_x, ext_y = _rotated_extents(length, width, heading)
-        over_x = max(0.0, ext_x - spot.length)
-        over_y = max(0.0, ext_y - spot.width)
+        c, s = abs(math.cos(heading)), abs(math.sin(heading))
+        over_x = max(0.0, length * c + width * s - spot.length)
+        over_y = max(0.0, length * s + width * c - spot.width)
         if over_x <= 1e-9 and over_y <= 1e-9:
             return
         if best_over is None or over_x + over_y < best_over[0] + best_over[1]:
@@ -382,17 +368,6 @@ def check_feasible(footprint: VehicleFootprint, spot: ParkingSpot, headings) -> 
         f"body {length:.2f} m x {width:.2f} m does not fit "
         f"{spot.length:.2f} m x {spot.width:.2f} m ({', '.join(parts)})",
     )
-
-
-def _approach_distance(spot: ParkingSpot, x: float, y: float) -> float:
-    side = spot.approach_side
-    if side == "x_min":
-        return x
-    if side == "x_max":
-        return spot.length - x
-    if side == "y_min":
-        return y
-    return spot.width - y
 
 
 def _normalize_angles(angles: np.ndarray) -> np.ndarray:
@@ -411,7 +386,8 @@ def _tie_order(scores, poses, cfg: SolverConfig, spot: ParkingSpot) -> np.ndarra
     poses = np.asarray(poses, dtype=float).reshape(-1, 3)
     x, y, theta = poses.T
     deviation = np.min([np.abs(_normalize_angles(theta - h)) for h in cfg.headings], axis=0)
-    approach = -_approach_distance(spot, x, y)
+    sides = {"x_min": x, "x_max": spot.length - x, "y_min": y, "y_max": spot.width - y}
+    approach = -sides[spot.approach_side]
     return np.lexsort((_normalize_angles(theta), y, x, approach, deviation, scores))
 
 

@@ -232,8 +232,7 @@ def unblocked_scores(fields, evaluator, poses):
     poses = np.asarray(poses, dtype=float).reshape(-1, 3)
     cos = np.cos(poses[:, 2])
     sin = np.sin(poses[:, 2])
-    lx = evaluator._pts[:, 0]
-    ly = evaluator._pts[:, 1]
+    lx, ly = evaluator._coords
     gx = cos[:, None] * lx[None, :] - sin[:, None] * ly[None, :] + poses[:, 0:1]
     gy = sin[:, None] * lx[None, :] + cos[:, None] * ly[None, :] + poses[:, 1:2]
     values = point_major_gamma_many(

@@ -198,7 +198,7 @@ def _lipschitz_sampled_pairs():
     rng = np.random.default_rng(42)
     p = rng.uniform(-3, 8, size=(500, 2))
     q = rng.uniform(-3, 8, size=(500, 2))
-    gap = np.abs(fields.eval_many(p) - fields.eval_many(q))
+    gap = np.abs(fields.eval_many(*p.T) - fields.eval_many(*q.T))
     dist = np.linalg.norm(p - q, axis=1)
     assert np.all(gap <= dist + 1e-9)
 

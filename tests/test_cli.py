@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -233,6 +234,12 @@ MALFORMED_CONFIGS = [
     ({"solver": {"rect_weights": {"body": "heavy"}}}, 2, "config.solver.rect_weights.body"),
     ({"solver": {"rect_weights": {"bodyy": 1.0}}}, 2, "config.solver.rect_weights.bodyy"),
     ({"solver": {"rect_weights": {"trunk": -0.5}}}, 2, "config.solver.rect_weights.trunk"),
+    # Passed and printed "score": NaN on single_obstacle_baby.  The message
+    # is part of the path here, so the ids stay distinct.
+    ({"solver": {"rect_weights": {"trunk": 1e308, "body": 1e308}}}, 2,
+     "config.solver.rect_weights.trunk: must be a finite number >= 0 and <= 1e+06, got 1e+308"),
+    ({"solver": {"rect_weights": {"body": 2e6}}}, 2,
+     "config.solver.rect_weights.body: must be a finite number >= 0 and <= 1e+06, got 2000000.0"),
     ({"sampling": {"density": 1e13}}, 4, "footprint samples"),
     ({"sampling": {"mode": "mc", "density": 2e6}}, 4, "footprint samples"),
     ({"solver": {"coarse_pitch": 1e-9}}, 4, "lattice poses"),
@@ -279,6 +286,60 @@ def test_malformed_spot_exit_codes(tmp_path, capsys, verb, spot, path):
     assert f"{path}: " in err
     assert "over 1e+09 m" in err
     assert "Traceback" not in err
+
+
+def _pentagon(order):
+    return [
+        [2.5 + 2 * math.cos(math.pi / 2 + 0.4 * math.pi * k),
+         1.25 + 2 * math.sin(math.pi / 2 + 0.4 * math.pi * k)]
+        for k in order
+    ]
+
+
+MALFORMED_SCENARIOS = [
+    # Each passed validation, and the first three printed a NaN or Infinity
+    # score with exit 0 (the clearance row under --sampling mc --density 50).
+    ({"vehicle": {"clearance_table": {"adult_door": 1e300, "baby_door": 1e300}}},
+     "vehicle.clearance_table.adult_door", "<= 1e+09"),
+    # The first edge's length overflows.
+    ({"obstacles": [{"id": "o", "vertices": [[-1.7e308, -1e308], [1.7e308, -1e308], [0, 1.7e308]]}]},
+     "obstacles[0].vertices[0][0]", "<= 1e+09"),
+    ({"obstacles": [{"id": "o", "vertices": [[0, 0], [1, 0], [0, 2e9]]}]},
+     "obstacles[0].vertices[2][1]", "<= 1e+09"),
+    ({"vehicle": {"body_length": 2e9}}, "vehicle.body_length", "<= 1e+09"),
+    ({"vehicle": {"body_width": 1e300}}, "vehicle.body_width", "<= 1e+09"),
+    ({"vehicle": {"clearance_table": {"trunk_loaded": 5e9}}},
+     "vehicle.clearance_table.trunk_loaded", "<= 1e+09"),
+    # A pentagram's field is its inner pentagon's: its tips read as free.
+    ({"obstacles": [{"id": "star", "vertices": _pentagon((0, 2, 4, 1, 3))}]},
+     "obstacles[0].vertices", "not convex"),
+    ({"obstacles": [{"id": "line", "vertices": [[0, 0], [1, 1], [2, 2]]}]},
+     "obstacles[0].vertices", "zero area"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, path, message", MALFORMED_SCENARIOS, ids=[str(i) for i in range(len(MALFORMED_SCENARIOS))]
+)
+@pytest.mark.parametrize("verb", [["validate"], ["solve", "--sampling", "mc", "--density", "50"]])
+def test_malformed_scenario_exit_codes(tmp_path, capsys, verb, change, path, message):
+    doc = json.loads(scenario("single_obstacle_baby.json").read_text())
+    doc.setdefault("vehicle", {}).update(change.get("vehicle", {}))
+    doc["obstacles"] = change.get("obstacles", doc["obstacles"])
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert cli.main([verb[0], str(doc_path), *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_pentagon_obstacle_still_accepted(tmp_path, capsys):
+    doc = json.loads(scenario("single_obstacle_baby.json").read_text())
+    doc["obstacles"] = [{"id": "pentagon", "vertices": _pentagon(range(5))}]
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(doc_path)]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))

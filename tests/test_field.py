@@ -66,9 +66,9 @@ def test_gamma_matches_pairwise_maximum():
     ]
     fields = FieldSet(tuple(polys))
     pts = rng.uniform(-5, 5, size=(200, 2))
-    composite = fields.eval_many(pts)
+    composite = fields.eval_many(*pts.T)
     brute = np.max(
-        [FieldSet((p,)).eval_many(pts) for p in polys], axis=0
+        [FieldSet((p,)).eval_many(*pts.T) for p in polys], axis=0
     )
     assert np.array_equal(composite, brute)
 
@@ -108,6 +108,19 @@ KERNEL_SHAPES = {
 }
 
 
+def row_layouts(pts):
+    """The same points as ``(x, y)`` three ways: contiguous rows, strided
+    column views, and rows of a longer array sliced at an odd offset."""
+    n = len(pts)
+    wide = np.full((2, n + 3), np.nan)
+    wide[:, 1 : n + 1] = pts.T
+    return [
+        tuple(np.ascontiguousarray(pts.T)),
+        (pts[:, 0], pts[:, 1]),
+        (wide[0, 1 : n + 1], wide[1, 1 : n + 1]),
+    ]
+
+
 @pytest.mark.parametrize(
     "lines",
     [
@@ -121,6 +134,8 @@ KERNEL_SHAPES = {
         ("edge", "axis_edges", "axis_rect"),
         ("tilted_rect",),
         ("tilted_edge", "axis_rect"),
+        ("tilted_edge",),
+        ("axis_edges", "tilted_edge"),
     ],
 )
 def test_gamma_many_bitwise_equals_point_major_kernel(lines):
@@ -130,16 +145,18 @@ def test_gamma_many_bitwise_equals_point_major_kernel(lines):
     # a fresh instance evaluates each batch with a buffer made for it.
     rng = np.random.default_rng(11)
     # A last-bit rounding difference shows on about one random point in
-    # three, so each count is drawn many times.
-    for n in BLOCK_STRADDLING_COUNTS + BLOCK_STRADDLING_COUNTS[::-1]:
+    # three, so each count is drawn many times.  A one-line BLAS product
+    # rounds its last ``n % 4`` points its own way (935 and 8191 points).
+    for n in BLOCK_STRADDLING_COUNTS + (935,) + BLOCK_STRADDLING_COUNTS[::-1]:
         for _ in range(25):
             pts = rng.uniform(-3, 3, size=(n, 2))
             # Coordinates exactly zero, of both signs.
             pts[::7, 0] = 0.0
             pts[3::11, 1] = -0.0
             want = point_major_gamma_many(fields, pts)
-            assert np.array_equal(FieldSet(fields.polygons).eval_many(pts), want), n
-            assert np.array_equal(fields.eval_many(pts), want), n
+            for x, y in row_layouts(pts):
+                assert np.array_equal(FieldSet(fields.polygons).eval_many(x, y), want), n
+                assert np.array_equal(fields.eval_many(x, y), want), n
 
 
 def test_only_exactly_axis_aligned_polygons_skip_the_product():
@@ -173,7 +190,7 @@ def test_gamma_monotone_under_added_polygon(unit_square):
     base = FieldSet((unit_square,))
     extra = regular_polygon(2.0, 1.0, 0.8, 5)
     bigger = FieldSet((unit_square, extra))
-    assert np.all(bigger.eval_many(pts) >= base.eval_many(pts))
+    assert np.all(bigger.eval_many(*pts.T) >= base.eval_many(*pts.T))
 
 
 def test_field_monotone_decreasing_away_from_obstacle():
@@ -193,7 +210,7 @@ def test_field_monotone_decreasing_away_from_obstacle():
     direction = np.array([0.3, 1.0])
     direction = direction / np.linalg.norm(direction)
     radii = np.linspace(0.0, 0.55, 8)
-    values = fields.eval_many(start + radii[:, None] * direction[None, :])
+    values = fields.eval_many(*(start + radii[:, None] * direction[None, :]).T)
     assert np.all(np.diff(values) < 0)
 
 
@@ -201,7 +218,7 @@ def test_polygon_field_positive_exactly_inside():
     poly = regular_polygon(0.5, -0.2, 1.0, 5)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2, 2, size=(500, 2))
-    values = FieldSet((poly,)).eval_many(pts)
+    values = FieldSet((poly,)).eval_many(*pts.T)
     for (x, y), v in zip(pts, values):
         inside = point_in_polygon_raycast(poly.vertices, x, y)
         if v > 1e-9:

@@ -96,6 +96,52 @@ def test_non_convex_rejected():
         )
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e8])
+def test_non_convex_rejected_at_any_scale(scale):
+    # At 1e-7 the dart's cross products once fell inside a fixed 1e-12
+    # tolerance, so it passed as convex.
+    dart = [(0, 0), (2, 0), (0.2, 0.2), (0, 2)]
+    with pytest.raises(GeometryError, match="convex"):
+        Polygon(tuple(Point2(scale * x, scale * y) for x, y in dart), name="dart")
+
+
+def pentagon(scale=1.0, cx=0.0, cy=0.0, order=range(5)):
+    """A regular pentagon's vertices of radius ``scale`` in the given order."""
+    return tuple(
+        Point2(cx + scale * math.cos(math.pi / 2 + 0.4 * math.pi * k),
+               cy + scale * math.sin(math.pi / 2 + 0.4 * math.pi * k))
+        for k in order
+    )
+
+
+def test_pentagram_rejected():
+    # Every turn is a left turn, but the outline winds twice around; the
+    # field of its lines would be the inner pentagon's, free in the tips.
+    star = pentagon(order=(0, 2, 4, 1, 3))
+    with pytest.raises(GeometryError, match="convex"):
+        Polygon(star, name="star")
+    with pytest.warns(UserWarning, match="clockwise"), pytest.raises(GeometryError, match="convex"):
+        Polygon(star[::-1], name="star")
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_collinear_obstacle_rejected(scale):
+    for verts in ([(0, 0), (1, 1), (2, 2)], [(0, 0), (2, 0), (1, 0)], [(0, 0), (1, 0), (3, 0), (2, 0)]):
+        with pytest.raises(GeometryError, match="zero area"):
+            Polygon(tuple(Point2(scale * x, scale * y) for x, y in verts), name="line")
+
+
+@pytest.mark.parametrize("center", [0.0, 1e9, -1e9])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_convex_polygon_accepted_at_any_scale_and_place(center, scale):
+    # Far from the origin the shoelace products are ~1e18 while the area
+    # is ~1: a clockwise pentagon there was once read counter-clockwise.
+    ccw = pentagon(scale, center, center)
+    assert Polygon(ccw).vertices == ccw
+    with pytest.warns(UserWarning, match="clockwise"):
+        assert Polygon(ccw[::-1]).vertices == ccw
+
+
 def test_clockwise_obstacle_reversed_with_warning():
     with pytest.warns(UserWarning, match="clockwise"):
         poly = Polygon((Point2(0, 0), Point2(0, 1), Point2(1, 1), Point2(1, 0)))

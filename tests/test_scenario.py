@@ -302,8 +302,8 @@ def test_empty_spot_yields_four_edges():
 
 def test_spot_edges_negative_inside_positive_outside():
     fields = spot_field_set(_spot(), [])
-    inside = fields.eval_many(np.array([[2.5, 1.25], [0.5, 0.5]]))
-    outside = fields.eval_many(np.array([[-1.0, 1.25], [2.5, 3.5]]))
+    inside = fields.eval_many(*np.array([[2.5, 1.25], [0.5, 0.5]]).T)
+    outside = fields.eval_many(*np.array([[-1.0, 1.25], [2.5, 3.5]]).T)
     assert np.all(inside < 0)
     assert np.all(outside > 0)
 
@@ -331,8 +331,8 @@ def test_far_obstacle_excluded_and_dominated():
     ys = np.linspace(-reach, 2.5 + reach, 40)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    edge_vals = fields.eval_many(pts)
-    far_vals = FieldSet((far,)).eval_many(pts)
+    edge_vals = fields.eval_many(*pts.T)
+    far_vals = FieldSet((far,)).eval_many(*pts.T)
     assert np.all(far_vals < edge_vals)
 
 
@@ -374,9 +374,9 @@ def test_one_domination_lattice_decides_both_ways(monkeypatch):
     calls = []
     eval_many = FieldSet.eval_many
 
-    def counting_eval_many(self, pts):
+    def counting_eval_many(self, x, y):
         calls.append([p.name for p in self.polygons])
-        return eval_many(self, pts)
+        return eval_many(self, x, y)
 
     monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
     fields = spot_field_set(_spot(), obstacles, reach=0.1)

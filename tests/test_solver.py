@@ -169,8 +169,48 @@ def test_footprint_sample_cap(body_only_footprint):
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         scenario = load_scenario(path.read_text())
         footprint = build_footprint(scenario.context, scenario.vehicle)
-        pts = ObjectiveEvaluator(fields, footprint, reference)._pts
-        assert len(pts) <= 31350 < solver.MAX_FOOTPRINT_SAMPLES
+        coords = ObjectiveEvaluator(fields, footprint, reference)._coords
+        assert coords.shape[1] <= 31350 < solver.MAX_FOOTPRINT_SAMPLES
+
+
+def perimeter_walk_samples(rect, count, seed, rect_index):
+    """Reference for ``_mc_rect_samples``: the same draws placed one point
+    at a time, as ``(N, 2)`` points."""
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, rect_index])
+    n_edge = int(round(count * solver._MC_EDGE_FRACTION))
+    w = rect.x_max - rect.x_min
+    h = rect.y_max - rect.y_min
+    pts = []
+    if w + h > 0 and n_edge > 0:
+        for d in rng.uniform(0.0, 2.0 * (w + h), n_edge):
+            if d < w:
+                pts.append((rect.x_min + d, rect.y_min))
+            elif d < w + h:
+                pts.append((rect.x_max, rect.y_min + (d - w)))
+            elif d < 2 * w + h:
+                pts.append((rect.x_max - (d - w - h), rect.y_max))
+            else:
+                pts.append((rect.x_min, rect.y_max - (d - 2 * w - h)))
+    else:
+        n_edge = 0
+    xs = rng.uniform(rect.x_min, rect.x_max, count - n_edge)
+    ys = rng.uniform(rect.y_min, rect.y_max, count - n_edge)
+    pts.extend(zip(xs, ys))
+    return np.array(pts).reshape(-1, 2)
+
+
+def test_mc_samples_are_rows_of_the_perimeter_walk():
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        x0, y0 = rng.uniform(-3, 3, 2)
+        # Zero and tiny sides put draws on the walk's corners.
+        w, h = rng.choice([0.0, 1e-9, 0.4, 1.8], 2) if trial % 3 else (0.0, 0.0)
+        rect = Rect(x0, x0 + w, y0, y0 + h)
+        for count in (1, 3, 4, 301):
+            got = solver._mc_rect_samples(rect, count, trial, trial % 5)
+            want = perimeter_walk_samples(rect, count, trial, trial % 5).T
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +461,7 @@ def random_poses(rng, spot, count):
 
 def test_scores_bitwise_equal_unblocked_across_pose_blocks():
     spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
-    per_block = _BLOCK_POINTS // len(evaluator._pts)
+    per_block = _BLOCK_POINTS // evaluator._coords.shape[1]
     rng = np.random.default_rng(5)
     for count in (1, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
         poses = random_poses(rng, spot, count)
@@ -480,7 +520,7 @@ def test_union_scores_exact_per_footprint():
             own = ObjectiveEvaluator(local, fp, plan)
             assert np.array_equal(column, unblocked_scores(local, own, poses))
             shared = ObjectiveEvaluator(local, fp, plan, shared=union)
-            assert np.array_equal(shared._pts, own._pts)
+            assert np.array_equal(shared._coords, own._coords)
             assert np.array_equal(shared.scores(poses), column)
 
 
@@ -489,7 +529,7 @@ def test_scores_exact_with_monte_carlo_plan():
     # multiple of 4, where the kernel's BLAS products take their tail path.
     plan = SamplingPlan(MONTE_CARLO, 301.0, 7)
     spot, local, evaluator = golden_evaluator("mixed_obstacles.json", plan)
-    assert len(evaluator._pts) % 4
+    assert evaluator._coords.shape[1] % 4
     poses = solver._pose_lattice(spot, 0.25, (0.0, math.pi))
     assert_scores_exact(local, evaluator, poses)
     for count in (1, 3, 5, 37):
@@ -498,7 +538,7 @@ def test_scores_exact_with_monte_carlo_plan():
 
 def test_scores_memory_bounded_for_large_batches():
     spot, _, evaluator = golden_evaluator("mixed_obstacles.json")
-    assert len(evaluator._pts) == 936
+    assert evaluator._coords.shape[1] == 936
     # ~19M sample points: one unblocked float64 temporary alone is 150 MB.
     poses = random_poses(np.random.default_rng(6), spot, 20_000)
     tracemalloc.start()

@@ -44,7 +44,7 @@ from parkfield.strategy import (
     spot_margins,
 )
 
-from conftest import SCENARIO_DIR, load_golden, random_scenario
+from conftest import SCENARIO_DIR, bench_module, load_golden, random_scenario
 
 
 def standard_spot(spot_id="s"):
@@ -352,7 +352,7 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     spot = scenario.spots[0]
     config = SolverConfig()
     lattice = set(map(tuple, _pose_lattice(spot, config.coarse_pitch, config.headings).tolist()))
-    samples = len(ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._pts)
+    samples = ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._coords.shape[1]
     calls = []  # per scores call: [poses, kernel rows]
     scores = ObjectiveEvaluator.scores
     eval_many = FieldSet.eval_many
@@ -361,10 +361,10 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
         calls.append([list(map(tuple, np.asarray(poses).tolist())), 0])
         return scores(self, poses)
 
-    def counting_eval_many(self, pts):
+    def counting_eval_many(self, x, y):
         if calls:
-            calls[-1][1] += len(pts)
-        return eval_many(self, pts)
+            calls[-1][1] += len(x)
+        return eval_many(self, x, y)
 
     monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
     monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
@@ -374,3 +374,31 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     assert len(hits) == len(lattice) == len(set(hits))
     coarse = [rows for poses, rows in calls if lattice & set(poses)]
     assert coarse == [len(lattice) * samples]
+
+
+@pytest.mark.parametrize("name", ["empty_spot.json", "mixed_obstacles.json"])
+def test_benchmark_tracer_counts_kernel_points_from_the_x_row(name):
+    # The benchmark's tracer reads a kernel call's point count as
+    # ``len(args[1])`` of ``FieldSet.eval_many``, which is the x row.
+    import parkfield.cli  # noqa: F401, the tracer wraps ``cli.main`` too
+
+    tracing = bench_module("tracing")
+    scenario = load_golden(name)
+    footprint = build_footprint(scenario.context, scenario.vehicle)
+    (spot,) = scenario.spots
+    fields = spot_field_set(spot, list(scenario.obstacles), footprint.max_reach())
+    samples = ObjectiveEvaluator(fields, footprint, SamplingPlan())._coords.shape[1]
+    lines = sum(len(p.edges) for p in fields.polygons)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.operation(0, input=name):
+            rank_spots(scenario, explain=False)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    metrics, _, _ = tracing.layer_metrics(tracer.spans, 0.0)
+    poses = metrics["solver.poses_scored"]
+    assert poses > 0
+    assert metrics["solver.samples"] == samples
+    assert metrics["field.eval.point_lines"] == poses * samples * lines
