@@ -43,8 +43,12 @@ _SECTION_TYPES = {"sampling": SamplingPlan, "solver": SolverConfig}
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """Content of a UTF-8 text file; other bytes raise ``ScenarioError`` at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(path, f"not UTF-8 text: {exc}") from exc
 
 
 def _config_section(data: dict, name: str) -> dict:

@@ -34,6 +34,22 @@ of polygon:
 Minimum and maximum are exact, so their order is free: each polygon's
 minimum over its lines is taken pairwise into one row (the first polygon's
 straight into the output), then the maximum with the output.
+
+``FieldSet.eval_lattice`` evaluates the same field at every point of a
+sample row pair shifted by every pair of an x-shift list and a y-shift
+list: one heading of a pose lattice.  An axis x line's value at a shifted
+sample, ``(x_i + X) + c`` or ``c - (x_i + X)``, depends on the shift only
+through X, and a y line's only through Y.  So each x line is evaluated
+once per X and each y line once per Y, into side rows: per X, the maximum
+over the one-line polygons along x (the spot edges x = const) and, per
+upright box, the minimum over its x lines; per Y, the same for y.  Each
+point is then ``max(EX[j], EY[k], min(BX[j], BY[k]), ...)``, and the
+general polygons, a sub-set of their own, take the shifted points through
+``eval_many``.  Every line value, minimum and maximum is the operation
+``eval_many`` does, so the values are the same bits up to the sign of an
+exact zero.  The work runs in tiles of shifts whose values hold at most
+``_TILE_POINTS`` points, in scratch kept across calls: the x side rows of
+a tile's shifts are made once and serve every y tile after them.
 """
 
 from __future__ import annotations
@@ -52,6 +68,8 @@ MAX_FIELD_MAP_CELLS = 10**8
 # 18 poses of ~940-1250 samples at the default density) spans 2 to 3 pose
 # blocks of the objective.
 _BLOCK_POINTS = 8192
+# Points per lattice tile of ``FieldSet.eval_lattice``.
+_TILE_POINTS = 2 * _BLOCK_POINTS
 
 
 def _block_slices(n: int, limit: int):
@@ -87,9 +105,10 @@ class FieldSet:
     """Non-empty collection of field-generating polygons, compiled once.
 
     Building one compiles each polygon's lines: axis triples when every
-    line is axis-aligned, else its line normals and offsets.  It keeps one
-    scratch buffer across calls, so an instance must not be shared between
-    threads.
+    line is axis-aligned, else its line normals and offsets.  ``has_axis``
+    tells whether any polygon is an axis polygon, which ``eval_lattice``
+    needs.  It keeps scratch buffers across calls, so an instance must not
+    be shared between threads.
     """
 
     def __init__(self, polygons):
@@ -115,8 +134,32 @@ class FieldSet:
         self._rows = self._copy_rows + max(2 if has_axis else 0, general)
         # Grown on demand, never per call: a fresh buffer of this size is
         # often mmapped by the allocator, and its page faults cost more
-        # than the products it holds.
-        self._buf = np.empty(0)
+        # than the products it holds.  Held in a list that the general
+        # sub-set below shares: its kernel runs only inside this set's
+        # lattice entry, never during this set's own kernel.
+        self._buf = [np.empty(0)]
+        # The lattice form of the axis polygons: per coordinate, the line of
+        # each one-line polygon (a spot edge) along it; per upright box, its
+        # lines of each coordinate.  The other polygons form a sub-set of
+        # their own, which ``eval_many`` evaluates.
+        self._single = ([], [])
+        self._boxes = []
+        general = []
+        for poly, (axis, _, _) in zip(polygons, self._lines):
+            sides = axis and tuple(
+                tuple(line[1:] for line in axis if line[0] == coord) for coord in (0, 1)
+            )
+            if axis and len(axis) == 1:
+                self._single[axis[0][0]].append(axis[0][1:])
+            elif axis and all(sides):
+                self._boxes.append(sides)
+            else:
+                general.append(poly)
+        self.has_axis = len(general) < len(polygons)
+        self._general = FieldSet(general) if general and self.has_axis else None
+        if self._general is not None:
+            self._general._buf = self._buf
+        self._lattice_buf = np.empty(0)
 
     @property
     def polygons(self) -> tuple[Polygon, ...]:
@@ -129,17 +172,18 @@ class FieldSet:
         """
         out = np.empty(len(x))
         need = self._rows * min(len(x), _BLOCK_POINTS)
-        if len(self._buf) < need:
-            self._buf = np.empty(need)
+        if len(self._buf[0]) < need:
+            self._buf[0] = np.empty(need)
+        buf = self._buf[0]
         for lo, hi in _block_slices(len(x), _BLOCK_POINTS):
             n = hi - lo
             xy = (x[lo:hi], y[lo:hi])
             # Flat, so every (L, n) view of it is C-contiguous and matmul
             # writes into it through BLAS.
-            work = self._buf[self._copy_rows * n : self._rows * n].reshape(-1, n)
+            work = buf[self._copy_rows * n : self._rows * n].reshape(-1, n)
             if self._copy_rows:
                 # BLAS's operand is the transpose of this C-ordered copy.
-                pts = self._buf[: 2 * n].reshape(n, 2)
+                pts = buf[: 2 * n].reshape(n, 2)
                 pts[:, 0], pts[:, 1] = xy
             dst = out[lo:hi]
             # The first polygon's minimum goes straight into ``dst``; each
@@ -166,6 +210,102 @@ class FieldSet:
                 if k:
                     np.maximum(dst, acc, out=dst)
         return out
+
+    def eval_lattice(self, x: np.ndarray, y: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+        """Composite field at ``(x[i] + xs[j], y[i] + ys[k])`` for every j, k, i.
+
+        For a set with an axis polygon.  Yields ``(j, k, values)`` tile by
+        tile: ``values[a, b, i]`` is the field at
+        ``(x[i] + xs[j + a], y[i] + ys[k + b])``, in scratch that the next
+        tile overwrites.  A tile's values hold at most ``_TILE_POINTS``
+        points, or one ``(x, y)`` row pair if that is more.
+        """
+        n = len(x)
+        poses = max(1, _TILE_POINTS // n)
+        tx = min(len(xs), poses)
+        ty = min(len(ys), max(1, poses // tx))
+        # Side rows per shift: the shifted coordinate when the general
+        # polygons need the posed points, the one-line polygons' maximum,
+        # and each box's minimum.
+        depth = [
+            (self._general is not None) + bool(self._single[c]) + len(self._boxes)
+            for c in (0, 1)
+        ]
+        ends = np.cumsum([0, depth[0] * tx, depth[1] * ty, tx * ty, tx * ty]) * n
+        if len(self._lattice_buf) < ends[-1]:
+            self._lattice_buf = np.empty(ends[-1])
+        side_x, side_y, vals, work = (
+            self._lattice_buf[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])
+        )
+        side_x = side_x.reshape(depth[0], tx, n)
+        side_y = side_y.reshape(depth[1], ty, n)
+        for j0, j1 in _block_slices(len(xs), tx):
+            xr = side_x[:, : j1 - j0]
+            # A side's temporary rows are the tile's, which are free until
+            # the tile is composed.
+            self._side(0, x, xs[j0:j1], xr, vals, work)
+            for k0, k1 in _block_slices(len(ys), ty):
+                yr = side_y[:, : k1 - k0]
+                self._side(1, y, ys[k0:k1], yr, vals, work)
+                shape = (j1 - j0, k1 - k0, n)
+                size = shape[0] * shape[1] * n
+                out = vals[:size].reshape(shape)
+                self._compose(xr, yr, out, work[:size].reshape(shape))
+                yield j0, k0, out
+
+    def _side(self, coord, r, shifts, rows, vals, work):
+        """The side rows of coordinate ``coord`` at ``r + shifts[t]`` per
+        shift ``t``, with ``vals`` and ``work`` as scratch."""
+        shape = (len(shifts), len(r))
+        temp = [buf[: shape[0] * shape[1]].reshape(shape) for buf in (vals, work)]
+        k = int(self._general is not None)
+        p = rows[0] if k else temp[0]
+        np.add(r, shifts[:, None], out=p)
+        if self._single[coord]:
+            _fold(np.maximum, p, self._single[coord], rows[k], temp[1])
+            k += 1
+        for b, box in enumerate(self._boxes):
+            _fold(np.minimum, p, box[coord], rows[k + b], temp[1])
+
+    def _compose(self, xr, yr, out, work):
+        """``out[a, b]``: the field at the points of X side ``a`` and Y side
+        ``b``; ``work`` is scratch of the same shape."""
+        acc = None  # the running maximum: an operand, or ``out`` once written
+
+        def fold(term):
+            nonlocal acc
+            acc = term if acc is None else np.maximum(acc, term, out=out)
+
+        k = [int(self._general is not None)] * 2
+        if self._general is not None:
+            # The posed points, through the point-major kernel.
+            np.copyto(work, xr[0][:, None])
+            np.copyto(out, yr[0][None])
+            fold(self._general.eval_many(work.reshape(-1), out.reshape(-1)).reshape(out.shape))
+        if self._single[0]:
+            fold(xr[k[0]][:, None])
+            k[0] += 1
+        if self._single[1]:
+            fold(yr[k[1]][None])
+            k[1] += 1
+        for b in range(len(self._boxes)):
+            bx, by = xr[k[0] + b][:, None], yr[k[1] + b][None]
+            fold(np.minimum(bx, by, out=out if acc is None else work))
+        if acc is not out:
+            np.copyto(out, acc)
+
+
+def _fold(op, p, lines, out, temp):
+    """``op``, minimum or maximum, over the axis ``lines`` at the
+    coordinates ``p``, into ``out``."""
+    for j, (positive, c) in enumerate(lines):
+        line = out if j == 0 else temp
+        if positive:
+            np.add(p, c, out=line)
+        else:
+            np.subtract(c, p, out=line)
+        if j:
+            op(out, line, out=out)
 
 
 CompiledFieldSet = FieldSet  # the name the benchmark's tracer wraps; goes with ROADMAP item 2

@@ -41,6 +41,11 @@ MAX_RECT_WEIGHT = 1e6
 # exists to fix; keep monte_carlo only for regression demos.
 _MC_EDGE_FRACTION = 0.75
 
+# Fewest poses of one heading that ``scores`` checks for the lattice path:
+# distinct x plus distinct y are at least 2 sqrt(P), which is more than a
+# quarter of P below 64 poses.
+_LATTICE_MIN_RUN = 64
+
 
 @dataclass(frozen=True, slots=True)
 class Pose:
@@ -277,15 +282,105 @@ class ObjectiveEvaluator:
         the scores are bit-identical to that.  The cache is cleared once
         it holds a block's worth of headings, so it stays within about two
         blocks' points.
+
+        A heading's run of poses that is a lattice goes instead to the field
+        set's ``eval_lattice``, which evaluates each axis line once per
+        distinct x or y translation (keyed by bit pattern) in tiles of at
+        most two blocks' points.  A run is a lattice when the field set
+        has an axis polygon, its distinct x plus distinct y translations
+        are at most a quarter of its poses, and its poses fill at least
+        half of the x-by-y grid; a run of fewer than ``_LATTICE_MIN_RUN``
+        poses, as every refinement poll is, cannot be one and is not
+        examined.  Each grid cell's weighted sum is the per-pose path's, so
+        the scores keep their bits.
         """
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
         order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
         poses = poses[order]
         sums = np.empty((len(self._columns), len(poses)))
+        left = None
+        if len(poses) >= _LATTICE_MIN_RUN and self._fields.has_axis:
+            left = self._lattice_runs(poses, sums)
+        if left is None or left.all():
+            self._pose_blocks(poses, sums)
+        elif left.any():
+            part = np.empty((len(sums), np.count_nonzero(left)))
+            self._pose_blocks(poses[left], part)
+            sums[:, left] = part
+        out = np.empty_like(sums)
+        out[:, order] = sums
+        return out[0] if len(self._columns) == 1 else out
+
+    def _lattice_runs(self, poses, sums) -> np.ndarray:
+        """Score each heading's run of the sorted ``poses`` that is a lattice
+        into ``sums``; return the mask of the other poses."""
+        left = np.ones(len(poses), dtype=bool)
+        bits = poses[:, 2].view(np.int64)
+        cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(poses)]):
+            if self._lattice_run(poses[lo:hi], sums[:, lo:hi]):
+                left[lo:hi] = False
+        return left
+
+    def _lattice_run(self, poses, sums) -> bool:
+        """Score one heading's ``poses`` into ``sums`` through the field
+        set's lattice entry if their translations are a lattice: few
+        distinct x and y against the poses, and at least half of the
+        x-by-y grid posed.  Return whether they were."""
+        count = len(poses)
+        if count < _LATTICE_MIN_RUN:
+            return False
+        # Keyed by bit pattern, so a -0.0 translation never shares 0.0's rows.
+        xs, jx = np.unique(poses[:, 0].view(np.int64), return_inverse=True)
+        ys, ky = np.unique(poses[:, 1].view(np.int64), return_inverse=True)
+        if len(xs) + len(ys) > count // 4 or len(xs) * len(ys) > 2 * count:
+            return False
+        lx, ly = self._coords
+        m = len(lx)
+        # The rotation of ``_pose_blocks``, as one-element rows.
+        c = np.cos(poses[:1, 2])
+        s = np.sin(poses[:1, 2])
+        rx = c * lx - s * ly
+        ry = s * lx + c * ly
+        # Per footprint, the score of every (x, y) pair of the grid.
+        grid = np.empty((len(sums), len(xs), len(ys)))
+        for j, k, values in self._fields.eval_lattice(rx, ry, xs.view(float), ys.view(float)):
+            tx, ty, _ = values.shape
+            values = values.reshape(tx * ty, m)
+            for cell, column in zip(grid, self._columns):
+                cell[j : j + tx, k : k + ty] = self._weighted(values, *column).sum(axis=1).reshape(tx, ty)
+        sums[:] = grid[:, jx, ky]
+        return True
+
+    def _weighted(self, values, cols, weights):
+        """Per-sample weighted ``values`` of one footprint's columns, C-contiguous.
+
+        An evaluator of one footprint weights ``values`` in place; a union
+        one takes each footprint's columns into the scratch buffer.
+        """
+        if len(self._columns) == 1:
+            values *= weights
+            return values
+        width = values.shape[1] if cols is None else len(cols)
+        size = len(values) * width
+        if len(self._buf) < size:
+            self._buf = np.empty(size)
+        weighted = self._buf[:size].reshape(len(values), width)
+        if cols is None:
+            np.multiply(values, weights, out=weighted)
+        else:
+            # A C-contiguous copy: the row sums of a fancy-indexed
+            # (F-ordered) view round differently.  The columns are in
+            # range; mode "raise" would buffer the output.
+            np.take(values, cols, axis=1, out=weighted, mode="clip")
+            weighted *= weights
+        return weighted
+
+    def _pose_blocks(self, poses, sums):
+        """Score ``poses``, sorted by heading, into ``sums`` block by block."""
         m = self._coords.shape[1]
         step = max(1, _BLOCK_POINTS // m)
-        # Posed points (2 per sample), then the weighted values (1 per sample).
-        need = 3 * m * min(step, len(poses))
+        need = 2 * m * min(step, len(poses))
         if len(self._buf) < need:
             self._buf = np.empty(need)
         lx, ly = self._coords
@@ -309,27 +404,16 @@ class ObjectiveEvaluator:
                 np.add(s * lx, c * ly, out=rot[1])
                 for j, i in enumerate(fresh):
                     rows[keys[i]] = rot[:, j]
+            # Posed points, x block then y block; the kernel's values are
+            # a fresh array, so the weighted values may reuse the buffer.
             x, y = self._buf[: 2 * k * m].reshape(2, k, m)
             for first, end in zip(runs, runs[1:] + [k]):
                 rx, ry = rows[keys[first]]
                 np.add(rx, block[first:end, 0:1], out=x[first:end])
                 np.add(ry, block[first:end, 1:2], out=y[first:end])
             values = self._fields.eval_many(x.reshape(-1), y.reshape(-1)).reshape(k, m)
-            for row, (cols, weights) in zip(sums, self._columns):
-                width = m if cols is None else len(cols)
-                weighted = self._buf[2 * k * m : (2 * m + width) * k].reshape(k, width)
-                if cols is None:
-                    np.multiply(values, weights, out=weighted)
-                else:
-                    # A C-contiguous copy: the row sums of a fancy-indexed
-                    # (F-ordered) view round differently.  The columns are
-                    # in range; mode "raise" would buffer the output.
-                    np.take(values, cols, axis=1, out=weighted, mode="clip")
-                    weighted *= weights
-                weighted.sum(axis=1, out=row[lo:hi])
-        out = np.empty_like(sums)
-        out[:, order] = sums
-        return out[0] if len(self._columns) == 1 else out
+            for row, column in zip(sums, self._columns):
+                self._weighted(values, *column).sum(axis=1, out=row[lo:hi])
 
 
 def objective(

@@ -334,6 +334,25 @@ def test_malformed_scenario_exit_codes(tmp_path, capsys, verb, change, path, mes
     assert "Traceback" not in err
 
 
+UNREADABLE_SCENARIOS = [
+    # A UTF-16 byte-order mark: exited 1 with a UnicodeDecodeError traceback.
+    (b'\xff\xfe{"a":1}', "not UTF-8 text"),
+]
+SCENARIO_VERBS = [["validate"], ["solve"], ["oracle"], ["render", "--field", "-o"]]
+
+
+@pytest.mark.parametrize("content, message", UNREADABLE_SCENARIOS, ids=["utf16_bom"])
+@pytest.mark.parametrize("verb", SCENARIO_VERBS, ids=[v[0] for v in SCENARIO_VERBS])
+def test_unreadable_scenario_exit_codes(tmp_path, capsys, verb, content, message):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_bytes(content)
+    extra = [str(tmp_path / "x.svg")] if verb[0] == "render" else []
+    assert cli.main([verb[0], str(doc_path), *verb[1:], *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {doc_path}: {message}")
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_pentagon_obstacle_still_accepted(tmp_path, capsys):
     doc = json.loads(scenario("single_obstacle_baby.json").read_text())
     doc["obstacles"] = [{"id": "pentagon", "vertices": _pentagon(range(5))}]

@@ -3,7 +3,8 @@ parse error that names its path, never in another exception.
 
 The documents are mostly well formed, with any part replaced now and then
 by an arbitrary JSON value, so that the fuzz reaches the deep checks and
-not only the first one.  Only parsing is fuzzed.  ``solve`` is not: a
+not only the first one; a scenario file is also fuzzed as raw bytes.
+Only parsing is fuzzed.  ``solve`` is not: a
 fuzzed pitch or density can legally ask for minutes of work.
 """
 
@@ -184,6 +185,28 @@ def test_fuzzed_config_loads_or_names_its_path(fuzz_dir, config):
 def test_fuzzed_scenario_validates_or_exits_2(fuzz_dir, doc):
     path = fuzz_dir / "scenario.json"
     path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+
+
+
+def _splice(doc, junk, at):
+    """A scenario document's bytes with ``junk`` inserted at index ``at``."""
+    data = json.dumps(doc).encode()
+    at %= len(data) + 1
+    return data[:at] + junk + data[at:]
+
+
+@FUZZ
+@given(content=st.binary() | st.builds(_splice, scenarios, st.binary(min_size=1, max_size=4), st.integers(0)))
+@pytest.mark.filterwarnings("ignore:.*clockwise vertex order")
+def test_fuzzed_scenario_bytes_validate_or_exit_2(fuzz_dir, content):
+    path = fuzz_dir / "scenario.bin"
+    path.write_bytes(content)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["validate", str(path)])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from parkfield.errors import BudgetError, InfeasibleSpotError, ScenarioError
-from parkfield.field import _BLOCK_POINTS, FieldSet
-from parkfield.geometry import Point2, Polygon, SPOT_EDGE, transform_polygon
+from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet
+from parkfield.geometry import Point2, Polygon, RigidTransform, SPOT_EDGE, transform_polygon
 from parkfield.scenario import (
     RECT_LABELS,
     Rect,
@@ -536,19 +536,186 @@ def test_scores_exact_with_monte_carlo_plan():
         assert_scores_exact(local, evaluator, poses[::-1][:count])
 
 
-def test_scores_memory_bounded_for_large_batches():
+def test_scores_memory_bounded_for_large_batches(lattice_calls):
     spot, _, evaluator = golden_evaluator("mixed_obstacles.json")
     assert evaluator._coords.shape[1] == 936
     # ~19M sample points: one unblocked float64 temporary alone is 150 MB.
-    poses = random_poses(np.random.default_rng(6), spot, 20_000)
-    tracemalloc.start()
-    try:
-        scores = evaluator.scores(poses)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert scores.shape == (20_000,) and np.all(np.isfinite(scores))
-    assert peak < 32 * 2**20
+    # The lattice of a 12 m x 2.5 m spot at pitch 0.05 is 241 x 51 poses
+    # per heading, ~23M points, through the lattice path.
+    long_spot = make_spot(
+        "long", [Point2(0, 0), Point2(12, 0), Point2(12, 2.5), Point2(0, 2.5)], "x_min"
+    )
+    batches = [
+        random_poses(np.random.default_rng(6), spot, 20_000),
+        solver._pose_lattice(long_spot, 0.05, (0.0, math.pi)),
+    ]
+    for poses, lattice_points in zip(batches, (0, len(batches[1]) * 936)):
+        tracemalloc.start()
+        try:
+            scores = evaluator.scores(poses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (len(poses),) and np.all(np.isfinite(scores))
+        assert peak < 32 * 2**20
+        assert sum(call.points for call in lattice_calls) == lattice_points
+        lattice_calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# lattice path
+# ---------------------------------------------------------------------------
+
+
+class LatticeCall:
+    """One ``FieldSet.eval_lattice`` call: its arguments and its tiles."""
+
+    def __init__(self, x, xs, ys):
+        self.points = len(x) * len(xs) * len(ys)
+        self.xs, self.ys = xs.copy(), ys.copy()
+        self.tiles = []  # (j, k, tx, ty) per tile
+
+
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    calls = []
+    eval_lattice = FieldSet.eval_lattice
+
+    def recording(self, x, y, xs, ys):
+        call = LatticeCall(x, xs, ys)
+        calls.append(call)
+        for j, k, values in eval_lattice(self, x, y, xs, ys):
+            call.tiles.append((j, k) + values.shape[:2])
+            yield j, k, values
+
+    monkeypatch.setattr(FieldSet, "eval_lattice", recording)
+    return calls
+
+
+def lattice_field_set():
+    """Spot-frame field set of every kind the lattice path tells apart: the
+    four edges of a 5 m x 2.5 m spot (two lines of x only, two of y only),
+    an upright box, a general triangle and a line 1e-13 rad off the x axis
+    across the spot, each the largest term somewhere under the footprint."""
+    corners = [(0.0, 0.0), (5.0, 0.0), (5.0, 2.5), (0.0, 2.5)]
+    # Clockwise, so each edge's field is negative inside the spot.
+    edges = [one_sided_edge(corners[i], corners[i - 1]) for i in range(4)]
+    box = Polygon(tuple(Point2(x, y) for x, y in ((1.0, 0.6), (1.8, 0.6), (1.8, 1.3), (1.0, 1.3))))
+    triangle = Polygon((Point2(3.4, 0.3), Point2(4.4, 0.5), Point2(3.9, 1.2)))
+    # Positive above y = 2.
+    tilted = transform_polygon(
+        RigidTransform(-1e-13, 0.0, 0.0), one_sided_edge((-3.0, 2.0), (8.0, 2.0))
+    )
+    fields = FieldSet(edges + [box, triangle, tilted])
+    assert [axis is not None for axis, _, _ in fields._lines] == [True] * 5 + [False] * 2
+    assert (len(fields._single[0]), len(fields._single[1]), len(fields._boxes)) == (2, 2, 1)
+    return fields
+
+
+LATTICE_FOOTPRINT = VehicleFootprint(
+    Rect(-2.1, 2.1, -0.9, 0.9),
+    ((Rect(0.0, 2.1, 0.9, 1.5), "front_left_door"), (Rect(-2.6, -2.1, -0.9, 0.9), "trunk")),
+)
+
+
+def assert_lattice_exact(fields, evaluator, poses, calls, cells):
+    """``scores`` bit-identical to the unblocked oracle, on a fresh call and
+    on a repeat, with the samples of ``cells`` distinct (x, y) translations
+    through the lattice entry each time."""
+    want = unblocked_scores(fields, evaluator, poses)
+    m = evaluator._coords.shape[1]
+    for _ in range(2):
+        calls.clear()
+        assert np.array_equal(evaluator.scores(poses), want)
+        assert sum(call.points for call in calls) == cells * m
+
+
+def test_lattice_scores_exact_on_a_whole_pose_lattice(lattice_calls):
+    fields = lattice_field_set()
+    evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
+    poses = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi, -0.3))
+    assert_lattice_exact(fields, evaluator, poses, lattice_calls, len(poses))
+    assert [(len(c.xs), len(c.ys)) for c in lattice_calls] == [(21, 11)] * 3
+
+
+@pytest.mark.parametrize("nx, ny", [(51, 10), (5, 40)])
+def test_lattice_scores_exact_across_tiles(lattice_calls, nx, ny):
+    fields = lattice_field_set()
+    evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
+    m = evaluator._coords.shape[1]
+    gx, gy = np.meshgrid(np.linspace(0.0, 5.0, nx), np.linspace(0.0, 2.5, ny), indexing="ij")
+    poses = np.column_stack([gx.ravel(), gy.ravel(), np.full(nx * ny, 0.3)])
+    assert_lattice_exact(fields, evaluator, poses, lattice_calls, len(poses))
+    (call,) = lattice_calls
+    # Tiles cover the grid once, each within the tile budget, and span
+    # several x tiles and several y tiles (51 x 10), or y tiles of several
+    # rows (5 x 40).
+    covered = np.zeros((nx, ny), dtype=int)
+    for j, k, tx, ty in call.tiles:
+        covered[j : j + tx, k : k + ty] += 1
+        assert tx * ty * m <= max(_TILE_POINTS, m)
+    assert np.all(covered == 1)
+    assert len({t[1] for t in call.tiles}) > 1
+    if nx > ny:
+        assert len({t[0] for t in call.tiles}) > 1
+    else:
+        assert max(t[3] for t in call.tiles) > 1
+
+
+def test_lattice_scores_exact_with_repeated_translations(lattice_calls):
+    fields = lattice_field_set()
+    evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
+    xs = np.array([-0.0, 0.0, 0.25, 1.0, 1.7, 2.5, 3.0, 3.3, 4.0, 4.6, 5.0, 2.2])
+    ys = np.array([0.0, -0.0, 0.4, 0.9, 1.25, 1.9, 2.5, 2.1])
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    grid = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, math.pi)])
+    rng = np.random.default_rng(12)
+    # Every pose twice, shuffled, and a poll's worth at another heading
+    # that keeps the per-pose path.
+    poll = np.column_stack([grid[:9, :2], np.full(9, 0.1)])
+    poses = rng.permutation(np.concatenate([grid, grid, poll]))
+    assert_lattice_exact(fields, evaluator, poses, lattice_calls, len(grid))
+    # Each translation is its own row, -0.0 apart from 0.0.
+    (call,) = lattice_calls
+    for got, want in ((call.xs, xs), (call.ys, ys)):
+        assert sorted(got.view(np.int64).tolist()) == sorted(want.view(np.int64).tolist())
+
+
+def test_lattice_union_scores_exact_per_footprint(lattice_calls):
+    fields = lattice_field_set()
+    footprints = [LATTICE_FOOTPRINT] + [
+        LATTICE_FOOTPRINT.without(label) for label in LATTICE_FOOTPRINT.labels()
+    ]
+    poses = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi))
+    for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
+        union = ObjectiveEvaluator(fields, footprints, plan)
+        lattice_calls.clear()
+        columns = union.scores(poses)
+        assert sum(c.points for c in lattice_calls) == len(poses) * union._coords.shape[1]
+        for fp, column in zip(footprints, columns):
+            own = ObjectiveEvaluator(fields, fp, plan)
+            assert np.array_equal(column, unblocked_scores(fields, own, poses))
+            shared = ObjectiveEvaluator(fields, fp, plan, shared=union)
+            assert np.array_equal(shared.scores(poses), column)
+
+
+def test_lattice_path_skips_polls_and_general_only_sets(lattice_calls):
+    fields = lattice_field_set()
+    evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
+    # 63 poses of one heading: too few for the lattice check.
+    gx, gy = np.meshgrid(np.linspace(0.0, 5.0, 9), np.linspace(0.0, 2.5, 7), indexing="ij")
+    few = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    assert_lattice_exact(fields, evaluator, few, lattice_calls, 0)
+    # Scattered poses: as many distinct x and y as poses.
+    rng = np.random.default_rng(4)
+    scattered = random_poses(rng, standard_spot(), 400)
+    scattered[:, 2] = 0.0
+    assert_lattice_exact(fields, evaluator, scattered, lattice_calls, 0)
+    # A set of general polygons only has no axis lines to share.
+    general = FieldSet(fields.polygons[5:])
+    poses = solver._pose_lattice(standard_spot(), 0.25, (0.0,))
+    own = ObjectiveEvaluator(general, LATTICE_FOOTPRINT, SamplingPlan())
+    assert_lattice_exact(general, own, poses, lattice_calls, 0)
 
 
 def test_oracle_tie_break_matches_per_pose_key_loop():

@@ -344,8 +344,9 @@ def test_explain_equals_independent_resolves_with_monte_carlo_and_weights(monkey
 
 def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     # With explain on, the base solve and its 3 re-solves start from one
-    # coarse pass: every lattice pose's samples reach the field kernel
-    # once, not once per solve.
+    # coarse pass: every lattice pose's samples reach the field set's
+    # lattice entry once, not once per solve, and none reach the per-pose
+    # kernel.
     scenario = load_golden("single_obstacle_baby.json")
     footprint = build_footprint(scenario.context, scenario.vehicle)
     assert len(footprint.labels()) == 3 and len(scenario.spots) == 1
@@ -353,27 +354,34 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     config = SolverConfig()
     lattice = set(map(tuple, _pose_lattice(spot, config.coarse_pitch, config.headings).tolist()))
     samples = ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._coords.shape[1]
-    calls = []  # per scores call: [poses, kernel rows]
+    calls = []  # per scores call: [poses, lattice entry points, kernel points]
     scores = ObjectiveEvaluator.scores
     eval_many = FieldSet.eval_many
+    eval_lattice = FieldSet.eval_lattice
 
     def counting_scores(self, poses):
-        calls.append([list(map(tuple, np.asarray(poses).tolist())), 0])
+        calls.append([list(map(tuple, np.asarray(poses).tolist())), 0, 0])
         return scores(self, poses)
+
+    def counting_eval_lattice(self, x, y, xs, ys):
+        if calls:
+            calls[-1][1] += len(x) * len(xs) * len(ys)
+        return eval_lattice(self, x, y, xs, ys)
 
     def counting_eval_many(self, x, y):
         if calls:
-            calls[-1][1] += len(x)
+            calls[-1][2] += len(x)
         return eval_many(self, x, y)
 
     monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
+    monkeypatch.setattr(FieldSet, "eval_lattice", counting_eval_lattice)
     monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
     ranked = rank_spots(scenario, explain=True)
     assert "rear_right_door" in ranked.strategies[0].bias_drivers
-    hits = [pose for poses, _ in calls for pose in poses if pose in lattice]
+    hits = [pose for poses, _, _ in calls for pose in poses if pose in lattice]
     assert len(hits) == len(lattice) == len(set(hits))
-    coarse = [rows for poses, rows in calls if lattice & set(poses)]
-    assert coarse == [len(lattice) * samples]
+    coarse = [points for poses, *points in calls if lattice & set(poses)]
+    assert coarse == [[len(lattice) * samples, 0]]
 
 
 @pytest.mark.parametrize("name", ["empty_spot.json", "mixed_obstacles.json"])
@@ -400,5 +408,13 @@ def test_benchmark_tracer_counts_kernel_points_from_the_x_row(name):
     metrics, _, _ = tracing.layer_metrics(tracer.spans, 0.0)
     poses = metrics["solver.poses_scored"]
     assert poses > 0
-    assert metrics["solver.samples"] == samples
-    assert metrics["field.eval.point_lines"] == poses * samples * lines
+    # Every posed point of a general polygon passes the wrapped kernel,
+    # through the general-only sub-set on a lattice; on an axis-only set
+    # only the refinement polls do.
+    if name == "mixed_obstacles.json":
+        kernel_poses = poses
+    else:
+        kernel_poses = metrics["solver.refine.poses"]
+        assert 0 < kernel_poses < poses
+    assert metrics["solver.samples"] == kernel_poses * samples / poses
+    assert metrics["field.eval.point_lines"] == kernel_poses * samples * lines
