@@ -415,6 +415,25 @@ def test_single_spot_field_render_bytes_match_recorded(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_SVG_SHA256[name]
 
 
+# sha256 of ``render --field`` on ``three_spot_area``, whose three spots
+# combine by min before the obstacles by max, at the default resolution (8)
+# and at 50.
+AREA_SVG_SHA256 = {
+    "8": "27a20a8dd628f35127693a8a61b12b42a85ca420be58c2e0657be4968547fdac",
+    "50": "045992ebe6956aa144db5232c390062a3e10d71d295bd465e4577454eb0ceaae",
+}
+
+
+@pytest.mark.parametrize("resolution", sorted(AREA_SVG_SHA256))
+def test_multi_spot_field_render_bytes_match_recorded(resolution, tmp_path):
+    out = tmp_path / "field.svg"
+    args = ["render", str(SCENARIO_DIR / "three_spot_area.json"), "--field", "-o", str(out)]
+    if resolution != "8":
+        args += ["--resolution", resolution]
+    assert cli.main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == AREA_SVG_SHA256[resolution]
+
+
 def test_oracle_reports_infeasible_spots_like_solve(tmp_path, capsys):
     doc = json.loads((SCENARIO_DIR / "empty_spot.json").read_text())
     doc["spots"].append(
