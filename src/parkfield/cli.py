@@ -16,7 +16,6 @@ import time
 from dataclasses import asdict, fields as dataclass_fields
 
 from .errors import BudgetError, ParkfieldError, ScenarioError
-from .field import FieldMap
 from .render import CONTOUR_LEVELS, render_scene, scene_bounds
 # ``spot_field_set`` is bound here although only ``strategy`` calls it: the
 # benchmark's tracer self-test asserts ``cli.spot_field_set`` is wrapped.
@@ -189,9 +188,6 @@ def _cmd_render(args) -> int:
     footprint = None
     if args.field:
         fmap = area_field_map(scenario, scene_bounds(scenario), args.resolution)
-        # Round-trip through the documented text format; the renderer
-        # consumes exactly what the serialization carries.
-        fmap = FieldMap.from_text(fmap.to_text())
     else:
         ranked = rank_spots(scenario, plan, config, explain=False)
         if ranked.empty:

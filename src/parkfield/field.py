@@ -5,51 +5,42 @@ convex obstacle that is the penetration depth inside and non-positive
 outside; a 2-vertex spot edge carries one signed line, negative over the
 spot interior (zero on the edge) and positive beyond it.  The composite
 field is the maximum over all polygons.  A ``FieldSet`` compiles its
-polygons' lines once and evaluates them with its one kernel,
-``FieldSet.eval_many``; ``gamma`` is the scalar form.
+polygons once into one axis form, in which a line whose normal is exactly
+``(±1, 0)`` or ``(0, ±1)`` is ``x + c`` or ``c - x`` of one coordinate:
 
-The kernel takes a batch of points as an x row and a y row, and walks them
-in equal blocks of at most ``_BLOCK_POINTS``, as the objective walks its
-poses, so peak memory does not grow with the batch.  Its values are
-bit-identical to the point-major ``pts @ normals.T + offsets`` per polygon,
-for finite points and up to the sign of an exact zero.  There are two kinds
-of polygon:
+- per coordinate, the lines of the one-line polygons (in its own frame a
+  spot edge is one) along it, whose maximum is EX or EY;
+- per upright box, its lines of each coordinate, whose minima are BX, BY;
+- the general part, every other polygon, with one ``(L, 2) @ (2, n)`` BLAS
+  product per polygon and block.  Its operand is the F-ordered transpose
+  of a C-ordered ``(n, 2)`` copy of the block: BLAS may fuse one of the
+  two products into the add (OpenBLAS 0.3.31 with its Haswell kernels
+  rounds gemv as ``fma(a, x, b*y)`` and gemm as ``fma(b, y, a*x)``), and,
+  handed the rows themselves, gemv rounds a one-line polygon's ``n % 4``
+  tail points differently.  A set of general polygons only holds their
+  normals and offsets; any other set holds a general-only sub-set.
 
-- An axis polygon has only lines whose normal is exactly ``(±1, 0)`` or
-  ``(0, ±1)``; in its own frame a spot edge is one, and so is an upright
-  box.  Each line is ``x + c`` or ``c - x``, one ufunc pass over a row.
-  BLAS's ``±1*x + 0*y`` is exactly ``±x`` whether or not it fuses the
-  multiply-add, so adding ``c`` rounds the same.  Only the sign of an exact
-  zero can differ: ``-0.0 + -0.0`` is ``-0.0`` here but ``(-0.0 + 0.0) + -0.0``
-  is ``+0.0`` in BLAS, and no sum with a nonzero term can see that.
-- Every other polygon keeps one ``(L, 2) @ (2, n)`` BLAS product per block.
-  Its operand is the F-ordered transpose of a C-ordered ``(n, 2)`` copy of
-  the block, made once per block and only for a set holding such a polygon.
-  BLAS may fuse one of the two products into the add (OpenBLAS 0.3.31 with
-  its Haswell kernels rounds gemv as ``fma(a, x, b*y)`` and gemm as
-  ``fma(b, y, a*x)``), and numpy has no fused multiply-add to reproduce
-  either; handed the rows themselves, gemv rounds a one-line polygon's
-  ``n % 4`` tail points differently.
+The field is ``max(general, EX, EY, min(BX, BY) per box)``, and three
+entries fold it with one helper, ``_fold``.  ``FieldSet.eval_many`` takes
+the points ``(x[i], y[i])`` as an x row and a y row, in equal blocks of at
+most ``_BLOCK_POINTS`` so peak memory does not grow with the batch, and
+folds each term into the block's output as it is made.
+``FieldSet.eval_lattice`` takes a sample row pair shifted by every pair of
+an x-shift list and a y-shift list (one heading of a pose lattice): an x
+line's value at ``x_i + X`` depends on the shift only through X, so EX and
+each BX are made once per X into side rows, EY and each BY once per Y, and
+composed per point; the general part sees the shifted points.  It works in
+tiles of shifts whose values hold at most ``_TILE_POINTS`` points, in
+scratch kept across calls.  ``FieldSet.eval_grid`` is the lattice of the
+one sample ``(0, 0)``: a field map's nodes.
 
-Minimum and maximum are exact, so their order is free: each polygon's
-minimum over its lines is taken pairwise into one row (the first polygon's
-straight into the output), then the maximum with the output.
-
-``FieldSet.eval_lattice`` evaluates the same field at every point of a
-sample row pair shifted by every pair of an x-shift list and a y-shift
-list: one heading of a pose lattice.  An axis x line's value at a shifted
-sample, ``(x_i + X) + c`` or ``c - (x_i + X)``, depends on the shift only
-through X, and a y line's only through Y.  So each x line is evaluated
-once per X and each y line once per Y, into side rows: per X, the maximum
-over the one-line polygons along x (the spot edges x = const) and, per
-upright box, the minimum over its x lines; per Y, the same for y.  Each
-point is then ``max(EX[j], EY[k], min(BX[j], BY[k]), ...)``, and the
-general polygons, a sub-set of their own, take the shifted points through
-``eval_many``.  Every line value, minimum and maximum is the operation
-``eval_many`` does, so the values are the same bits up to the sign of an
-exact zero.  The work runs in tiles of shifts whose values hold at most
-``_TILE_POINTS`` points, in scratch kept across calls: the x side rows of
-a tile's shifts are made once and serve every y tile after them.
+The values are bit-identical to the point-major ``pts @ normals.T +
+offsets`` per polygon, for finite points and up to the sign of an exact
+zero.  BLAS's ``±1*x + 0*y`` is exactly ``±x`` whether or not it fuses
+the multiply-add, so adding ``c`` rounds the same; minimum and maximum are
+exact, so their order is free.  Only zeros can differ: ``-0.0 + -0.0`` is
+``-0.0`` here but ``(-0.0 + 0.0) + -0.0`` is ``+0.0`` in BLAS, and a grid
+node at ``0.0 + -0.0`` is ``+0.0``.
 """
 
 from __future__ import annotations
@@ -83,32 +74,32 @@ def _block_slices(n: int, limit: int):
         yield n * b // blocks, n * (b + 1) // blocks
 
 
-def _axis_lines(edges) -> tuple | None:
-    """``(coordinate, positive, offset)`` per line, or None if any line's
-    normal is not exactly ``(±1, 0)`` or ``(0, ±1)``.
+def _axis_sides(edges) -> tuple | None:
+    """Per coordinate, x then y, the ``(positive, offset)`` of each line
+    along it, or None if any line's normal is not exactly ``(±1, 0)`` or
+    ``(0, ±1)``.
 
     No tolerance: a normal one bit off an axis rounds differently from
     ``x + c``, so its polygon keeps the product.
     """
-    lines = []
+    sides = ([], [])
     for e in edges:
         if e.b == 0 and abs(e.a) == 1:
-            lines.append((0, e.a > 0, e.c))
+            sides[0].append((e.a > 0, e.c))
         elif e.a == 0 and abs(e.b) == 1:
-            lines.append((1, e.b > 0, e.c))
+            sides[1].append((e.b > 0, e.c))
         else:
             return None
-    return tuple(lines)
+    return sides
 
 
 class FieldSet:
-    """Non-empty collection of field-generating polygons, compiled once.
+    """Non-empty collection of field-generating polygons, compiled once
+    into the axis form.
 
-    Building one compiles each polygon's lines: axis triples when every
-    line is axis-aligned, else its line normals and offsets.  ``has_axis``
-    tells whether any polygon is an axis polygon, which ``eval_lattice``
-    needs.  It keeps scratch buffers across calls, so an instance must not
-    be shared between threads.
+    ``has_axis`` tells whether any polygon is outside the general part.  A
+    set keeps scratch buffers across calls, so an instance must not be
+    shared between threads.
     """
 
     def __init__(self, polygons):
@@ -116,47 +107,36 @@ class FieldSet:
         if not polygons:
             raise GeometryError("FieldSet needs at least one polygon")
         self._polygons = polygons
-        # Per polygon: its axis triples, or None and its (L, 2) line normals
-        # and (L, 1) offsets.
-        self._lines = []
-        for poly in polygons:
-            axis = _axis_lines(poly.edges)
-            normals = None if axis else np.array([[e.a, e.b] for e in poly.edges])
-            offsets = None if axis else np.array([[e.c] for e in poly.edges])
-            self._lines.append((axis, normals, offsets))
-        # Scratch rows per block point: the 2 rows of BLAS's point-major copy
-        # of the block when any polygon is general, then work rows shared by
-        # the polygons in turn: an axis polygon's running minimum and one
-        # line, or a general polygon's line values.
-        has_axis = any(axis is not None for axis, _, _ in self._lines)
-        general = max((len(n) for _, n, _ in self._lines if n is not None), default=0)
-        self._copy_rows = 2 if general else 0
-        self._rows = self._copy_rows + max(2 if has_axis else 0, general)
-        # Grown on demand, never per call: a fresh buffer of this size is
-        # often mmapped by the allocator, and its page faults cost more
-        # than the products it holds.  Held in a list that the general
-        # sub-set below shares: its kernel runs only inside this set's
-        # lattice entry, never during this set's own kernel.
-        self._buf = [np.empty(0)]
-        # The lattice form of the axis polygons: per coordinate, the line of
-        # each one-line polygon (a spot edge) along it; per upright box, its
-        # lines of each coordinate.  The other polygons form a sub-set of
-        # their own, which ``eval_many`` evaluates.
         self._single = ([], [])
         self._boxes = []
         general = []
-        for poly, (axis, _, _) in zip(polygons, self._lines):
-            sides = axis and tuple(
-                tuple(line[1:] for line in axis if line[0] == coord) for coord in (0, 1)
-            )
-            if axis and len(axis) == 1:
-                self._single[axis[0][0]].append(axis[0][1:])
-            elif axis and all(sides):
+        for poly in polygons:
+            sides = _axis_sides(poly.edges)
+            if sides and len(poly.edges) == 1:
+                coord = 0 if sides[0] else 1
+                self._single[coord].append(sides[coord][0])
+            elif sides and all(sides):
                 self._boxes.append(sides)
             else:
                 general.append(poly)
         self.has_axis = len(general) < len(polygons)
+        # A general-only set's (L, 2) line normals and (L, 1) offsets per
+        # polygon; any other set's general polygons form a sub-set.
+        self._lines = [] if self.has_axis else [
+            (np.array([[e.a, e.b] for e in p.edges]), np.array([[e.c] for e in p.edges]))
+            for p in polygons
+        ]
         self._general = FieldSet(general) if general and self.has_axis else None
+        # Scratch rows per block point: 2 for BLAS's point-major copy of the
+        # block, then one general polygon's line values; the axis form
+        # needs 2, a box's running minimum and one line.  Grown on demand,
+        # never per call: a fresh buffer of this size is often mmapped by
+        # the allocator, and its page faults cost more than the products it
+        # holds.  Held in a list that the general sub-set shares: it runs
+        # on this set's blocks, or in its lattice entry, never beside them.
+        part = self._general_part()
+        self._rows = 2 + (max(len(n) for n, _ in part._lines) if part else 0)
+        self._buf = [np.empty(0)]
         if self._general is not None:
             self._general._buf = self._buf
         self._lattice_buf = np.empty(0)
@@ -164,6 +144,12 @@ class FieldSet:
     @property
     def polygons(self) -> tuple[Polygon, ...]:
         return self._polygons
+
+    def _general_part(self):
+        """The set that evaluates the general polygons, or None: this set
+        when it holds nothing else, else its sub-set.  Not stored, so that
+        no set refers to itself."""
+        return self if self._lines else self._general
 
     def eval_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Composite field at the points ``(x[i], y[i])``.
@@ -175,50 +161,69 @@ class FieldSet:
         if len(self._buf[0]) < need:
             self._buf[0] = np.empty(need)
         buf = self._buf[0]
+        general = self._general_part()
         for lo, hi in _block_slices(len(x), _BLOCK_POINTS):
             n = hi - lo
-            xy = (x[lo:hi], y[lo:hi])
-            # Flat, so every (L, n) view of it is C-contiguous and matmul
-            # writes into it through BLAS.
-            work = buf[self._copy_rows * n : self._rows * n].reshape(-1, n)
-            if self._copy_rows:
-                # BLAS's operand is the transpose of this C-ordered copy.
-                pts = buf[: 2 * n].reshape(n, 2)
-                pts[:, 0], pts[:, 1] = xy
-            dst = out[lo:hi]
-            # The first polygon's minimum goes straight into ``dst``; each
-            # later one's into a work row, then the max into ``dst``.
-            for k, (axis, normals, offsets) in enumerate(self._lines):
-                if axis is not None:
-                    acc = dst if k == 0 else work[0]
-                    for j, (coord, positive, c) in enumerate(axis):
-                        line = acc if j == 0 else work[1]
-                        if positive:
-                            np.add(xy[coord], c, out=line)
-                        else:
-                            np.subtract(c, xy[coord], out=line)
-                        if j:
-                            np.minimum(acc, line, out=acc)
-                else:
-                    one = k == 0 and len(normals) == 1
-                    vals = dst[None] if one else work[: len(normals)]
-                    np.matmul(normals, pts.T, out=vals)
-                    vals += offsets
-                    acc = dst if k == 0 else vals[0]
-                    for j in range(1, len(normals)):
-                        np.minimum(vals[0] if j == 1 else acc, vals[j], out=acc)
-                if k:
-                    np.maximum(dst, acc, out=dst)
+            xy, dst = (x[lo:hi], y[lo:hi]), out[lo:hi]
+            # The paired case of the lattice fold: the maximum over the
+            # general part, EX, EY and min(BX, BY) per box, each term folded
+            # into ``dst`` (or written there first) as it is made.
+            filled = general is not None
+            if filled:
+                general._products(xy, dst, buf)
+            acc, temp = buf[: 2 * n].reshape(2, n)
+            for coord, lines in enumerate(self._single):
+                if lines:
+                    _fold(np.maximum, xy[coord], lines, dst, temp, filled)
+                    filled = True
+            for box in self._boxes:
+                row = acc if filled else dst
+                for coord in (0, 1):
+                    _fold(np.minimum, xy[coord], box[coord], row, temp, coord)
+                if filled:
+                    np.maximum(dst, row, out=dst)
+                filled = True
         return out
+
+    def _products(self, xy, dst, buf):
+        """The field of a general-only set at one block's points ``xy``,
+        into ``dst``: one BLAS product per polygon, ``buf`` as scratch."""
+        n = len(dst)
+        # Flat, so every (L, n) view of it is C-contiguous and matmul writes
+        # into it through BLAS; BLAS's operand is the transpose of the
+        # C-ordered copy ``pts``.
+        pts = buf[: 2 * n].reshape(n, 2)
+        pts[:, 0], pts[:, 1] = xy
+        work = buf[2 * n : self._rows * n].reshape(-1, n)
+        # The first polygon's minimum goes straight into ``dst``; each later
+        # one's into a work row, then the max into ``dst``.
+        for k, (normals, offsets) in enumerate(self._lines):
+            one = k == 0 and len(normals) == 1
+            vals = dst[None] if one else work[: len(normals)]
+            np.matmul(normals, pts.T, out=vals)
+            vals += offsets
+            acc = dst if k == 0 else vals[0]
+            for j in range(1, len(normals)):
+                np.minimum(vals[0] if j == 1 else acc, vals[j], out=acc)
+            if k:
+                np.maximum(dst, acc, out=dst)
+
+    def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Composite field at ``(xs[c], ys[r])`` as ``values[r, c]``: the
+        lattice of the one sample ``(0, 0)``."""
+        values = np.empty((len(ys), len(xs)))
+        zero = np.zeros(1)
+        for j, k, tile in self.eval_lattice(zero, zero, xs, ys):
+            values[k : k + tile.shape[1], j : j + tile.shape[0]] = tile[..., 0].T
+        return values
 
     def eval_lattice(self, x: np.ndarray, y: np.ndarray, xs: np.ndarray, ys: np.ndarray):
         """Composite field at ``(x[i] + xs[j], y[i] + ys[k])`` for every j, k, i.
 
-        For a set with an axis polygon.  Yields ``(j, k, values)`` tile by
-        tile: ``values[a, b, i]`` is the field at
-        ``(x[i] + xs[j + a], y[i] + ys[k + b])``, in scratch that the next
-        tile overwrites.  A tile's values hold at most ``_TILE_POINTS``
-        points, or one ``(x, y)`` row pair if that is more.
+        Yields ``(j, k, values)`` tile by tile: ``values[a, b, i]`` is the
+        field at ``(x[i] + xs[j + a], y[i] + ys[k + b])``, in scratch that
+        the next tile overwrites.  A tile's values hold at most
+        ``_TILE_POINTS`` points, or one ``(x, y)`` row pair if that is more.
         """
         n = len(x)
         poses = max(1, _TILE_POINTS // n)
@@ -227,10 +232,8 @@ class FieldSet:
         # Side rows per shift: the shifted coordinate when the general
         # polygons need the posed points, the one-line polygons' maximum,
         # and each box's minimum.
-        depth = [
-            (self._general is not None) + bool(self._single[c]) + len(self._boxes)
-            for c in (0, 1)
-        ]
+        general = self._general_part() is not None
+        depth = [general + bool(self._single[c]) + len(self._boxes) for c in (0, 1)]
         ends = np.cumsum([0, depth[0] * tx, depth[1] * ty, tx * ty, tx * ty]) * n
         if len(self._lattice_buf) < ends[-1]:
             self._lattice_buf = np.empty(ends[-1])
@@ -258,7 +261,7 @@ class FieldSet:
         shift ``t``, with ``vals`` and ``work`` as scratch."""
         shape = (len(shifts), len(r))
         temp = [buf[: shape[0] * shape[1]].reshape(shape) for buf in (vals, work)]
-        k = int(self._general is not None)
+        k = int(self._general_part() is not None)
         p = rows[0] if k else temp[0]
         np.add(r, shifts[:, None], out=p)
         if self._single[coord]:
@@ -276,12 +279,13 @@ class FieldSet:
             nonlocal acc
             acc = term if acc is None else np.maximum(acc, term, out=out)
 
-        k = [int(self._general is not None)] * 2
-        if self._general is not None:
-            # The posed points, through the point-major kernel.
+        general = self._general_part()
+        k = [int(general is not None)] * 2
+        if general is not None:
+            # The posed points, through the general-only kernel.
             np.copyto(work, xr[0][:, None])
             np.copyto(out, yr[0][None])
-            fold(self._general.eval_many(work.reshape(-1), out.reshape(-1)).reshape(out.shape))
+            fold(general.eval_many(work.reshape(-1), out.reshape(-1)).reshape(out.shape))
         if self._single[0]:
             fold(xr[k[0]][:, None])
             k[0] += 1
@@ -295,17 +299,19 @@ class FieldSet:
             np.copyto(out, acc)
 
 
-def _fold(op, p, lines, out, temp):
+def _fold(op, p, lines, out, temp, held=False):
     """``op``, minimum or maximum, over the axis ``lines`` at the
-    coordinates ``p``, into ``out``."""
-    for j, (positive, c) in enumerate(lines):
-        line = out if j == 0 else temp
+    coordinates ``p``, into ``out``; with ``held``, over the value that
+    ``out`` holds too."""
+    for positive, c in lines:
+        line = temp if held else out
         if positive:
             np.add(p, c, out=line)
         else:
             np.subtract(c, p, out=line)
-        if j:
+        if held:
             op(out, line, out=out)
+        held = True
 
 
 CompiledFieldSet = FieldSet  # the name the benchmark's tracer wraps; goes with ROADMAP item 2
@@ -341,27 +347,6 @@ class FieldMap:
             )
         object.__setattr__(self, "values", vals)
 
-    def to_text(self) -> str:
-        """Plain-text grid: one header line, then row-major values."""
-        header = (
-            f"{self.origin.x!r} {self.origin.y!r} {self.cell_size!r} "
-            f"{self.rows} {self.cols}"
-        )
-        lines = [header]
-        for row in self.values:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "FieldMap":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        ox, oy, cell, rows, cols = lines[0].split()
-        rows, cols = int(rows), int(cols)
-        values = np.array(
-            [[float(v) for v in ln.split()] for ln in lines[1 : 1 + rows]]
-        )
-        return FieldMap(Point2(float(ox), float(oy)), float(cell), rows, cols, values)
-
 
 def sample_field(
     fields: FieldSet,
@@ -386,8 +371,5 @@ def sample_field(
             f"field map of {rows:.0f}x{cols:.0f} nodes exceeds {MAX_FIELD_MAP_CELLS}"
         )
     cols, rows = int(cols), int(rows)
-    xs = x_min + cell * np.arange(cols)
-    ys = y_min + cell * np.arange(rows)
-    gx, gy = np.meshgrid(xs, ys)
-    values = fields.eval_many(gx.ravel(), gy.ravel()).reshape(rows, cols)
+    values = fields.eval_grid(x_min + cell * np.arange(cols), y_min + cell * np.arange(rows))
     return FieldMap(Point2(x_min, y_min), cell, rows, cols, values)

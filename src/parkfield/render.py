@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .field import FieldMap
 from .geometry import Point2
 from .scenario import Scenario, VehicleFootprint
@@ -77,10 +79,11 @@ def _chain(segments):
             continue
         used[start] = True
         a, b = segments[start]
-        chain = [a, b]
-        for grow_end in (True, False):
+        # Grown from ``b`` forwards, then from ``a`` backwards.
+        ends = ([b], [a])
+        for chain in ends:
             while True:
-                tip = chain[-1] if grow_end else chain[0]
+                tip = chain[-1]
                 nxt = None
                 for idx in adjacency.get(key(tip), []):
                     if not used[idx]:
@@ -90,12 +93,8 @@ def _chain(segments):
                     break
                 used[nxt] = True
                 sa, sb = segments[nxt]
-                other = sb if key(sa) == key(tip) else sa
-                if grow_end:
-                    chain.append(other)
-                else:
-                    chain.insert(0, other)
-        polylines.append(chain)
+                chain.append(sb if key(sa) == key(tip) else sa)
+        polylines.append(ends[1][::-1] + ends[0])
     return polylines
 
 
@@ -104,21 +103,24 @@ def contour_polylines(fmap: FieldMap, level: float):
     values = fmap.values
     cell = fmap.cell_size
     ox, oy = fmap.origin.x, fmap.origin.y
+    # Each cell's case from its corners' sides of the level; only the cells
+    # the level crosses, in row-major order, reach ``_cell_segments``.
+    up = (values >= level).astype(np.uint8)
+    case = up[:-1, :-1] | up[:-1, 1:] << 1 | up[1:, 1:] << 2 | up[1:, :-1] << 3
     segments = []
-    for r in range(fmap.rows - 1):
+    for r, c in np.argwhere((case != 0) & (case != 15)).tolist():
         y0 = oy + r * cell
         y1 = y0 + cell
-        for c in range(fmap.cols - 1):
-            x0 = ox + c * cell
-            x1 = x0 + cell
-            corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-            vals = (
-                float(values[r, c]),
-                float(values[r, c + 1]),
-                float(values[r + 1, c + 1]),
-                float(values[r + 1, c]),
-            )
-            segments.extend(_cell_segments(corners, vals, level))
+        x0 = ox + c * cell
+        x1 = x0 + cell
+        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+        vals = (
+            float(values[r, c]),
+            float(values[r, c + 1]),
+            float(values[r + 1, c + 1]),
+            float(values[r + 1, c]),
+        )
+        segments.extend(_cell_segments(corners, vals, level))
     return _chain(segments)
 
 

@@ -386,11 +386,10 @@ def _domination_test(spot_edges: list[Polygon], region: tuple[float, float, floa
     xs = np.linspace(x_min, x_max, int(nx))
     ys = np.linspace(y_min, y_max, int(ny))
     h = max(xs[1] - xs[0], ys[1] - ys[0])
-    gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
-    edge_vals = FieldSet(spot_edges).eval_many(gx, gy)
+    edge_vals = FieldSet(spot_edges).eval_grid(xs, ys)
 
     def dominated(obstacle: Polygon) -> bool:
-        obst_vals = FieldSet((obstacle,)).eval_many(gx, gy)
+        obst_vals = FieldSet((obstacle,)).eval_grid(xs, ys)
         return bool(np.all(obst_vals - edge_vals < -math.sqrt(2.0) * h))
 
     return dominated

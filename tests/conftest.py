@@ -209,6 +209,14 @@ def point_major_gamma_many(fields, pts):
     return values
 
 
+def on_axis_path(fields) -> list:
+    """Per polygon of ``fields``: does it stay out of the set's general
+    part, which takes the BLAS product?"""
+    general = fields._general_part()
+    product = {id(p) for p in general.polygons} if general else set()
+    return [id(p) not in product for p in fields.polygons]
+
+
 def scalar_tie_key(score, x, y, theta, cfg, spot):
     """The README's total order of scored poses, as one tuple per pose.
 

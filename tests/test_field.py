@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parkfield.errors import BudgetError, GeometryError
-from parkfield.field import _BLOCK_POINTS, FieldMap, FieldSet, gamma, sample_field
+from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample_field
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
 from parkfield.scenario import build_footprint, make_spot, spot_field_set
 from parkfield.solver import _local_field_set
@@ -14,6 +16,7 @@ from conftest import (
     SCENARIO_DIR,
     load_golden,
     node_xy,
+    on_axis_path,
     point_in_polygon_raycast,
     point_major_gamma_many,
     polygon_field,
@@ -162,7 +165,7 @@ def test_gamma_many_bitwise_equals_point_major_kernel(lines):
 def test_only_exactly_axis_aligned_polygons_skip_the_product():
     polys = [p for shapes in KERNEL_SHAPES.values() for p in shapes]
     fields = FieldSet(polys)
-    on_axis = [axis is not None for axis, _, _ in fields._lines]
+    on_axis = on_axis_path(fields)
     assert on_axis == [all(exactly_axis(e) for e in p.edges) for p in polys]
     assert sum(on_axis) == 5  # the axis rectangle and the four axis edges
 
@@ -177,11 +180,79 @@ def test_golden_spot_frames_send_axis_lines_down_the_axis_path():
         for spot in scenario.spots:
             fields = spot_field_set(spot, list(scenario.obstacles), reach)
             local = _local_field_set(fields, spot)
-            for poly, (axis, _, _) in zip(local.polygons, local._lines):
-                assert (axis is not None) == all(exactly_axis(e) for e in poly.edges)
-                taken[poly.kind][axis is None] += len(poly.edges)
+            for poly, axis in zip(local.polygons, on_axis_path(local)):
+                assert axis == all(exactly_axis(e) for e in poly.edges)
+                taken[poly.kind][not axis] += len(poly.edges)
     # Every spot edge, and every obstacle line but a triangle's three.
     assert taken == {SPOT_EDGE: [44, 0], OBSTACLE: [40, 3]}
+
+
+# An axis-only, a general-only and two mixed sets.
+ENTRY_SETS = [
+    ("axis_edges", "axis_rect"),
+    ("hexagon", "tilted_rect"),
+    ("axis_rect", "hexagon", "edge"),
+    ("axis_edges", "tilted_edge"),
+]
+
+
+def kernel_set(lines):
+    return FieldSet(tuple(p for name in lines for p in KERNEL_SHAPES[name]))
+
+
+def signed_zero_shifts(rng, n):
+    """``n`` shifts in [-3, 3], with -0.0 and 0.0 among them."""
+    shifts = rng.uniform(-3, 3, n)
+    shifts[:2] = (-0.0, 0.0)[:n]
+    return rng.permutation(shifts)
+
+
+@pytest.mark.parametrize("lines", ENTRY_SETS)
+def test_lattice_entry_equals_the_point_kernel(lines):
+    fields = kernel_set(lines)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1, 1, (2, 37))
+    # 37 x 40 x 30 points span several tiles of ``_TILE_POINTS``.
+    for nx, ny in ((1, 1), (3, 2), (40, 30)):
+        xs, ys = signed_zero_shifts(rng, nx), signed_zero_shifts(rng, ny)
+        px = np.broadcast_to(x + xs[:, None, None], (nx, ny, len(x)))
+        py = np.broadcast_to(y + ys[None, :, None], (nx, ny, len(x)))
+        want = fields.eval_many(px.ravel(), py.ravel()).reshape(px.shape)
+        covered = np.zeros((nx, ny), dtype=int)
+        for j, k, values in fields.eval_lattice(x, y, xs, ys):
+            a, b = values.shape[:2]
+            assert np.array_equal(values, want[j : j + a, k : k + b])
+            covered[j : j + a, k : k + b] += 1
+        assert np.all(covered == 1)
+
+
+@pytest.mark.parametrize("lines", ENTRY_SETS)
+def test_grid_entry_equals_the_point_kernel_on_a_meshgrid(lines):
+    fields = kernel_set(lines)
+    rng = np.random.default_rng(6)
+    straddling = ((2, 2), (3, 5), (130, 127), (_TILE_POINTS + 1, 2), (2, _TILE_POINTS + 3))
+    for nx, ny in straddling:
+        xs, ys = signed_zero_shifts(rng, nx), signed_zero_shifts(rng, ny)
+        gx, gy = np.meshgrid(xs, ys)
+        want = fields.eval_many(gx.ravel(), gy.ravel()).reshape(ny, nx)
+        assert np.array_equal(fields.eval_grid(xs, ys), want), (nx, ny)
+
+
+@pytest.mark.parametrize("lines", ENTRY_SETS[:3])
+def test_field_sets_take_part_in_no_reference_cycle(lines):
+    # Without the cycle collector a set that refers to itself, directly or
+    # through its general part, outlives its last reference.
+    gc.disable()
+    try:
+        fields = kernel_set(lines)
+        xs = np.linspace(-2.0, 2.0, 50)
+        fields.eval_many(xs, xs)
+        fields.eval_grid(xs, xs)
+        dead = weakref.ref(fields)
+        del fields
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):
@@ -303,15 +374,3 @@ def test_sample_field_budget():
 def test_sample_field_rejects_degenerate_bounds(unit_square):
     with pytest.raises(GeometryError):
         sample_field(FieldSet((unit_square,)), (1.0, 0.0, 1.0, 2.0), 4.0)
-
-
-def test_fieldmap_text_round_trip(unit_square):
-    fields = FieldSet((unit_square,))
-    fmap = sample_field(fields, (-1.0, -1.0, 2.0, 2.0), 3.0)
-    text = fmap.to_text()
-    back = FieldMap.from_text(text)
-    assert back.rows == fmap.rows and back.cols == fmap.cols
-    assert back.cell_size == fmap.cell_size
-    assert (back.origin.x, back.origin.y) == (fmap.origin.x, fmap.origin.y)
-    assert np.array_equal(back.values, fmap.values)
-    assert back.to_text() == text

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parkfield import render
 from parkfield.field import FieldMap, sample_field
 from parkfield.geometry import Point2
 from parkfield.render import contour_polylines, render_scene, scene_bounds
@@ -66,6 +67,32 @@ def test_multi_spot_field_is_negative_in_every_spot():
         col = round((cx - fmap.origin.x) / fmap.cell_size)
         assert fmap.values[row, col] < 0, spot.id
     assert render_scene(scenario, fmap=fmap).count("<polyline") >= 1
+
+
+def test_contours_visit_only_the_cells_a_level_crosses(monkeypatch):
+    # At resolution 50 the area's 7 levels cross 8408 of its ~1.7M
+    # (cell, level) pairs; a per-cell Python loop would visit all of them.
+    scenario = load_golden("three_spot_area.json")
+    fmap = area_field_map(scenario, scene_bounds(scenario), 50.0)
+    segments = []
+    cell_segments = render._cell_segments
+
+    def counting(corners, values, level):
+        segments.append(cell_segments(corners, values, level))
+        return segments[-1]
+
+    monkeypatch.setattr(render, "_cell_segments", counting)
+    render_scene(scenario, fmap=fmap)
+    assert len(segments) == 8408
+    assert all(segments)
+
+
+def test_chain_grows_a_polyline_from_both_ends_in_curve_order():
+    # The first segment lies mid-curve: the polyline runs on from its end,
+    # then back from its start, and reads in curve order.
+    pts = [(float(i), float(i * i)) for i in range(6)]
+    order = (2, 1, 3, 0, 4)
+    assert render._chain([(pts[i], pts[i + 1]) for i in order]) == [pts]
 
 
 def test_pose_render_draws_footprint():

@@ -372,13 +372,13 @@ def test_one_domination_lattice_decides_both_ways(monkeypatch):
         _square(-50.0, 1.0, 1.0, "far_left"),
     ]
     calls = []
-    eval_many = FieldSet.eval_many
+    eval_grid = FieldSet.eval_grid
 
-    def counting_eval_many(self, x, y):
+    def counting_eval_grid(self, xs, ys):
         calls.append([p.name for p in self.polygons])
-        return eval_many(self, x, y)
+        return eval_grid(self, xs, ys)
 
-    monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
+    monkeypatch.setattr(FieldSet, "eval_grid", counting_eval_grid)
     fields = spot_field_set(_spot(), obstacles, reach=0.1)
     assert [p.name for p in fields.polygons][4:] == ["beside", "overlap"]
     # The spot edges are evaluated on the lattice once, then each obstacle

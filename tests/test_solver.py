@@ -37,6 +37,7 @@ from conftest import (
     bench_module,
     centroid,
     load_golden,
+    on_axis_path,
     random_scenario,
     scalar_tie_key,
     to_local,
@@ -607,7 +608,7 @@ def lattice_field_set():
         RigidTransform(-1e-13, 0.0, 0.0), one_sided_edge((-3.0, 2.0), (8.0, 2.0))
     )
     fields = FieldSet(edges + [box, triangle, tilted])
-    assert [axis is not None for axis, _, _ in fields._lines] == [True] * 5 + [False] * 2
+    assert on_axis_path(fields) == [True] * 5 + [False] * 2
     assert (len(fields._single[0]), len(fields._single[1]), len(fields._boxes)) == (2, 2, 1)
     return fields
 
