@@ -9,11 +9,21 @@ check only).  Exit codes: 0 ok, 2 parse, 3 infeasible, 4 budget, 5 io.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import sys
 import time
 from dataclasses import asdict, fields as dataclass_fields
+
+# The interpreter's own sha256, taken as ``random`` takes its sha512:
+# ``hashlib`` loads OpenSSL's libcrypto, over 3 MB of every process.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import BudgetError, ParkfieldError, ScenarioError
 from .render import CONTOUR_LEVELS, render_scene, scene_bounds
@@ -104,7 +114,7 @@ def _config_echo(plan: SamplingPlan, config: SolverConfig, explain: bool) -> dic
 
 
 def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(text.encode("utf-8")).hexdigest()
 
 
 def _strategy_dict(strategy) -> dict:
@@ -226,6 +236,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parkfield",

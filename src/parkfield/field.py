@@ -54,13 +54,20 @@ from .geometry import Point2, Polygon
 
 MAX_FIELD_MAP_CELLS = 10**8
 
-# Points per kernel block: a 6-line polygon's line values take 384 KB, so
-# a block's temporaries stay in cache.  One compass-refinement poll (up to
-# 18 poses of ~940-1250 samples at the default density) spans 2 to 3 pose
-# blocks of the objective.
-_BLOCK_POINTS = 8192
-# Points per lattice tile of ``FieldSet.eval_lattice``.
-_TILE_POINTS = 2 * _BLOCK_POINTS
+# Points per kernel block.  Sized for a 2 MB per-core L2 cache: a block's
+# working set is its x, y and output rows plus the set's scratch rows, 2
+# per point for the axis form and 2 plus the longest general polygon's
+# line count otherwise, kept across calls; for a parking scene's polygons
+# (up to 6 lines) that is 40 to 88 bytes per point, 0.6 to 1.4 MB.  A
+# compass-refinement round (up to 18 poses of ~940-1250 samples at the
+# default density per live start) spans one to four pose blocks of the
+# objective.
+_BLOCK_POINTS = 16384
+# Points per lattice tile of ``FieldSet.eval_lattice``.  A tile's values
+# and its work rows take 16 bytes per point, 1 MB; its side rows hold one
+# row per x shift and per y shift only, so a tile larger than a block
+# mostly saves per-tile calls.
+_TILE_POINTS = 65536
 
 
 def _block_slices(n: int, limit: int):

@@ -348,15 +348,30 @@ def build_footprint(context: CabinContext, vehicle: VehicleSpec) -> VehicleFootp
     return VehicleFootprint(body, tuple(rects))
 
 
-def _spot_edge_polygons(spot: ParkingSpot) -> list[Polygon]:
+def _spot_edge_polygons(spot: ParkingSpot, local: bool = False) -> list[Polygon]:
+    """The spot's 4 edges, in the global frame or, with ``local``, in the
+    spot frame, built from its length and width.
+
+    Local edges are exact: rotating the global ones into the spot frame
+    rounds, and a line one bit off an axis takes the field kernel's BLAS
+    product instead of its axis path.
+    """
     # Corners are CCW, so traversing them backwards puts the left-hand
     # normal of each edge on the outside: the edge field is negative
     # (free) over the spot interior and positive (obstructing) beyond
     # the boundary, which keeps the footprint from escaping the spot.
+    corners = spot.corners
+    if local:
+        corners = (
+            Point2(0.0, 0.0),
+            Point2(spot.length, 0.0),
+            Point2(spot.length, spot.width),
+            Point2(0.0, spot.width),
+        )
     polys = []
     for i in range(4):
-        p = spot.corners[(i + 1) % 4]
-        q = spot.corners[i]
+        p = corners[(i + 1) % 4]
+        q = corners[i]
         polys.append(Polygon((p, q), kind=SPOT_EDGE, name=f"{spot.id}/edge{i}"))
     return polys
 

@@ -6,7 +6,7 @@ are fixed per sampling plan, so the estimate is a deterministic quadrature
 and the same rule scores every pose.  Minimization is a two-stage
 derivative-free search (the field is piecewise linear): an exhaustive
 coarse grid over the spot box and the discrete headings, then compass
-refinement from the best cells.
+refinement from the best cells, all of them in lockstep.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .field import _BLOCK_POINTS, FieldSet, _block_slices
 from .geometry import TAU, normalize_angle, transform_polygon
-from .scenario import RECT_LABELS, ParkingSpot, Rect, VehicleFootprint
+from .scenario import RECT_LABELS, ParkingSpot, Rect, VehicleFootprint, _spot_edge_polygons
 
 GRID = "grid"
 MONTE_CARLO = "monte_carlo"
@@ -286,13 +286,14 @@ class ObjectiveEvaluator:
         A heading's run of poses that is a lattice goes instead to the field
         set's ``eval_lattice``, which evaluates each axis line once per
         distinct x or y translation (keyed by bit pattern) in tiles of at
-        most two blocks' points.  A run is a lattice when the field set
+        most ``_TILE_POINTS`` points.  A run is a lattice when the field set
         has an axis polygon, its distinct x plus distinct y translations
         are at most a quarter of its poses, and its poses fill at least
         half of the x-by-y grid; a run of fewer than ``_LATTICE_MIN_RUN``
-        poses, as every refinement poll is, cannot be one and is not
-        examined.  Each grid cell's weighted sum is the per-pose path's, so
-        the scores keep their bits.
+        poses cannot be one and is not examined.  A refinement round holds
+        at most 8 poses of one heading per start, so at the default 3
+        starts it never takes this path.  Each grid cell's weighted sum is
+        the per-pose path's, so the scores keep their bits.
         """
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
         order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
@@ -476,7 +477,12 @@ def _tie_order(scores, poses, cfg: SolverConfig, spot: ParkingSpot) -> np.ndarra
 
 
 def _local_field_set(fields: FieldSet, spot: ParkingSpot) -> FieldSet:
-    return FieldSet(transform_polygon(spot.spot_frame, p) for p in fields.polygons)
+    """``fields`` moved into the spot frame: the spot's own edges, if it
+    holds them, built there exactly, and every other polygon rotated."""
+    exact = dict(zip(_spot_edge_polygons(spot), _spot_edge_polygons(spot, local=True)))
+    return FieldSet(
+        exact[p] if p in exact else transform_polygon(spot.spot_frame, p) for p in fields.polygons
+    )
 
 
 def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> np.ndarray:
@@ -542,17 +548,33 @@ class ScoredLattice:
         return evaluator, poses, columns[self._footprints.index(footprint)]
 
 
-def _poll_directions(step_p: float, step_a: float):
-    """Axis moves, then position diagonals, then position-angle couplings."""
-    signs = (1.0, -1.0)
-    return (
-        [(sx * step_p, 0.0, 0.0) for sx in signs]
-        + [(0.0, sy * step_p, 0.0) for sy in signs]
-        + [(0.0, 0.0, sa * step_a) for sa in signs]
-        + [(sx * step_p, sy * step_p, 0.0) for sx in signs for sy in signs]
-        + [(sx * step_p, 0.0, sa * step_a) for sx in signs for sa in signs]
-        + [(0.0, sy * step_p, sa * step_a) for sy in signs for sa in signs]
-    )
+# Signs of a poll's (x, y, theta) moves: axis moves, then position
+# diagonals, then position-angle couplings.
+_POLL_SIGNS = np.array(
+    [(s, 0, 0) for s in (1, -1)]
+    + [(0, s, 0) for s in (1, -1)]
+    + [(0, 0, s) for s in (1, -1)]
+    + [(sx, sy, 0) for sx in (1, -1) for sy in (1, -1)]
+    + [(sx, 0, sa) for sx in (1, -1) for sa in (1, -1)]
+    + [(0, sy, sa) for sy in (1, -1) for sa in (1, -1)],
+    dtype=float,
+)
+
+
+def _poll_directions(step_p: float, step_a: float) -> np.ndarray:
+    """The ``(18, 3)`` moves of one poll at position step ``step_p`` and
+    angle step ``step_a``."""
+    return _POLL_SIGNS * (step_p, step_p, step_a)
+
+
+def _step_pairs(cfg: SolverConfig) -> list:
+    """``(step_p, step_a)`` of a pass's polls in order: the initial steps
+    halved down to their floors, reached together at the last pair."""
+    pairs = [(cfg.step_init_pos, cfg.step_init_ang)]
+    while not (pairs[-1][0] <= cfg.step_min_pos and pairs[-1][1] <= cfg.step_min_ang):
+        step_p, step_a = pairs[-1]
+        pairs.append((max(step_p / 2.0, cfg.step_min_pos), max(step_a / 2.0, cfg.step_min_ang)))
+    return pairs
 
 
 def _memo_scores(evaluator, memo: dict, probes: list) -> list:
@@ -568,51 +590,84 @@ def _memo_scores(evaluator, memo: dict, probes: list) -> list:
     return [memo[p] for p in probes]
 
 
-def _compass_refine(evaluator, memo, start, score, theta_center, cfg, spot, budget):
-    """Pattern search with shrinking steps around one coarse-stage start.
+def _compass_refine(evaluator, memo, starts, scores, cfg, spot):
+    """Pattern search with shrinking steps around each coarse-stage start,
+    all starts in lockstep.
 
-    Polls axis, diagonal and position-angle-coupled moves; after the steps
-    bottom out it restarts at the initial step sizes until a whole pass
-    brings no improvement, which rides coupled valleys the plain compass
-    stalls in.  Probes are scored through the solve's ``memo``; the budget
-    counts every probe polled, memo hits included.
+    A start polls axis, diagonal and position-angle-coupled moves around
+    its centre; after its steps bottom out it restarts at the initial step
+    sizes until a whole pass brings no improvement, which rides coupled
+    valleys the plain compass stalls in.  Each round scores the moved
+    probes of every live start's poll in one ``_memo_scores`` call through
+    the solve's ``memo``.  A pose's score does not depend on its batch, so
+    each start keeps the path it would take alone; its budget counts every
+    probe it polled, memo hits included.
+
+    Returns ``(x, y, theta, score, probes, converged)`` per start.
     """
-    x, y, theta = start
-    best = score
-    evals = 0
-    theta_lo = theta_center - cfg.theta_range
-    theta_hi = theta_center + cfg.theta_range
-    improved_in_pass = True
-    while improved_in_pass:
-        improved_in_pass = False
-        step_p = cfg.step_init_pos
-        step_a = cfg.step_init_ang
-        while True:
-            probes = []
-            for dx, dy, da in _poll_directions(step_p, step_a):
-                px = min(max(x + dx, 0.0), spot.length)
-                py = min(max(y + dy, 0.0), spot.width)
-                pt = min(max(theta + da, theta_lo), theta_hi)
-                if (px, py, pt) != (x, y, theta):
-                    probes.append((px, py, pt))
-            if probes:
-                scores = _memo_scores(evaluator, memo, probes)
-                evals += len(probes)
-                idx = int(np.argmin(scores))
-                if scores[idx] < best:
-                    x, y, theta = probes[idx]
-                    best = float(scores[idx])
-                    improved_in_pass = True
-                    if evals >= budget:
-                        return (x, y, theta, best, evals, False)
-                    continue
-            if step_p <= cfg.step_min_pos and step_a <= cfg.step_min_ang:
-                break
-            step_p = max(step_p / 2.0, cfg.step_min_pos)
-            step_a = max(step_a / 2.0, cfg.step_min_ang)
-            if evals >= budget:
-                return (x, y, theta, best, evals, False)
-    return (x, y, theta, best, evals, True)
+    pairs = _step_pairs(cfg)
+    moves = np.array([_poll_directions(*pair) for pair in pairs])
+    center = np.array(starts, dtype=float)
+    count = len(center)
+    # The box each start's probes are clamped to: the spot, and its own
+    # heading range.
+    low = np.zeros_like(center)
+    high = np.empty_like(center)
+    low[:, 2] = center[:, 2] - cfg.theta_range
+    high[:, 0], high[:, 1] = spot.length, spot.width
+    high[:, 2] = center[:, 2] + cfg.theta_range
+    best = [float(s) for s in scores]
+    step = [0] * count  # index into ``pairs``
+    evals = [0] * count
+    improved = [False] * count  # in the current pass
+    stop = [None] * count  # True once converged, False at the budget
+
+    def shrink(s):
+        """Past a poll of start ``s`` that brought no improvement."""
+        if step[s] < len(pairs) - 1:
+            step[s] += 1
+            if evals[s] >= cfg.max_refine_evals:
+                stop[s] = False
+        elif improved[s]:
+            improved[s] = False
+            step[s] = 0
+        else:
+            stop[s] = True
+
+    live = list(range(count))
+    while live:
+        at = center[live, None]
+        probes = at + moves[[step[s] for s in live]]
+        # Python's ``min(max(p, low), high)``: a tie keeps ``p``, so a zero
+        # keeps its sign, which ``np.clip`` does not promise.
+        lo, hi = low[live, None], high[live, None]
+        probes = np.where(lo > probes, lo, probes)
+        probes = np.where(hi < probes, hi, probes)
+        moved = (probes != at).any(axis=2)
+        stalled = [s for s, any_moved in zip(live, moved.any(axis=1).tolist()) if not any_moved]
+        if stalled:
+            for s in stalled:
+                shrink(s)
+            live = [s for s in live if stop[s] is None]
+            continue
+        polls = [list(map(tuple, p[m].tolist())) for p, m in zip(probes, moved)]
+        got = np.array(_memo_scores(evaluator, memo, [p for poll in polls for p in poll]))
+        end = 0
+        for s, poll in zip(live, polls):
+            got_s = got[end : end + len(poll)]
+            end += len(poll)
+            evals[s] += len(poll)
+            i = int(np.argmin(got_s))
+            if got_s[i] < best[s]:
+                center[s] = poll[i]
+                best[s] = float(got_s[i])
+                improved[s] = True
+                if evals[s] >= cfg.max_refine_evals:
+                    stop[s] = False
+            else:
+                shrink(s)
+        live = [s for s in live if stop[s] is None]
+    return [(*center[s].tolist(), best[s], evals[s], stop[s]) for s in range(count)]
 
 
 def _diverse_starts(order, coarse, count: int, separation: float):
@@ -659,23 +714,10 @@ def minimize(
     order = _tie_order(grid_scores, grid, config, spot)
     starts = _diverse_starts(order.tolist(), grid, config.starts, 2.0 * config.coarse_pitch)
 
-    candidates = []
-    converged = True
-    for i in starts:
-        x, y, theta = grid[i]
-        rx, ry, rt, rscore, revals, rconv = _compass_refine(
-            evaluator,
-            memo,
-            (float(x), float(y), float(theta)),
-            float(grid_scores[i]),
-            float(theta),
-            config,
-            spot,
-            config.max_refine_evals,
-        )
-        evaluations += revals
-        converged = converged and rconv
-        candidates.append((rscore, rx, ry, rt))
+    refined = _compass_refine(evaluator, memo, grid[starts], grid_scores[starts], config, spot)
+    evaluations += sum(r[4] for r in refined)
+    converged = all(r[5] for r in refined)
+    candidates = [(score, x, y, theta) for x, y, theta, score, _, _ in refined]
 
     table = np.array(candidates)
     best = candidates[_tie_order(table[:, 0], table[:, 1:], config, spot)[0]]

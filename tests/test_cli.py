@@ -458,3 +458,29 @@ def test_public_api_is_the_documented_surface():
     assert len(parkfield.__all__) <= 20
     for name in parkfield.__all__:
         assert hasattr(parkfield, name), name
+
+
+def test_scenario_digest_is_sha256_without_loading_openssl():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        recorded = (BENCH_DIR / "expected" / path.name.replace(".json", ".report")).read_text()
+        want = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert cli._digest(text) == want
+        assert f'"scenario_digest": "{want}"' in recorded
+    # hashlib's OpenSSL backend costs every process several MB; the CLI
+    # must not load it.
+    probe = "import sys, parkfield.cli; print(sorted(m for m in sys.modules if 'hashlib' in m))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_main_builds_its_parser_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    path = str(SCENARIO_DIR / "empty_spot.json")
+    for _ in range(2):
+        assert cli.main(["validate", path]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve"])
+        assert exc.value.code == 2
+    assert "the following arguments are required: scenario" in capsys.readouterr().err

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample_field
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
-from parkfield.scenario import build_footprint, make_spot, spot_field_set
+from parkfield.scenario import build_footprint, load_scenario, make_spot, spot_field_set
 from parkfield.solver import _local_field_set
 
 from conftest import (
     SCENARIO_DIR,
+    bench_module,
     load_golden,
     node_xy,
     on_axis_path,
@@ -185,6 +186,33 @@ def test_golden_spot_frames_send_axis_lines_down_the_axis_path():
                 taken[poly.kind][not axis] += len(poly.edges)
     # Every spot edge, and every obstacle line but a triangle's three.
     assert taken == {SPOT_EDGE: [44, 0], OBSTACLE: [40, 3]}
+
+
+def test_lot_spot_frames_build_every_spot_edge_on_an_axis():
+    # The lots' spots are rotated and off the origin: rotated into the spot
+    # frame, most of their edges would come out a bit off an axis.
+    generate_lot = bench_module("lot").generate_lot
+    spots = 0
+    for seed in range(16):
+        scenario = load_scenario(generate_lot(seed))
+        reach = build_footprint(scenario.context, scenario.vehicle).max_reach()
+        for spot in scenario.spots:
+            local = _local_field_set(spot_field_set(spot, list(scenario.obstacles), reach), spot)
+            edges = [
+                (poly, axis)
+                for poly, axis in zip(local.polygons, on_axis_path(local))
+                if poly.kind == SPOT_EDGE
+            ]
+            assert all(axis for _, axis in edges)
+            # x = 0, x = l_x, y = 0 and y = l_y, each negative inside.
+            assert [(e.a, e.b, e.c) for poly, _ in edges for e in poly.edges] == [
+                (0.0, -1.0, 0.0),
+                (1.0, 0.0, -spot.length),
+                (0.0, 1.0, -spot.width),
+                (-1.0, 0.0, 0.0),
+            ]
+            spots += 1
+    assert spots == 32
 
 
 # An axis-only, a general-only and two mixed sets.

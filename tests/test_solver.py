@@ -619,6 +619,12 @@ LATTICE_FOOTPRINT = VehicleFootprint(
 )
 
 
+# Poses of LATTICE_FOOTPRINT's default samples that one lattice tile holds.
+TILE_POSES = _TILE_POINTS // sum(
+    math.prod(shape) for _, _, shape, _ in solver._sample_layout(LATTICE_FOOTPRINT, SamplingPlan())
+)
+
+
 def assert_lattice_exact(fields, evaluator, poses, calls, cells):
     """``scores`` bit-identical to the unblocked oracle, on a fresh call and
     on a repeat, with the samples of ``cells`` distinct (x, y) translations
@@ -639,7 +645,7 @@ def test_lattice_scores_exact_on_a_whole_pose_lattice(lattice_calls):
     assert [(len(c.xs), len(c.ys)) for c in lattice_calls] == [(21, 11)] * 3
 
 
-@pytest.mark.parametrize("nx, ny", [(51, 10), (5, 40)])
+@pytest.mark.parametrize("nx, ny", [(TILE_POSES + 1, 10), (5, 40)])
 def test_lattice_scores_exact_across_tiles(lattice_calls, nx, ny):
     fields = lattice_field_set()
     evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
@@ -649,8 +655,8 @@ def test_lattice_scores_exact_across_tiles(lattice_calls, nx, ny):
     assert_lattice_exact(fields, evaluator, poses, lattice_calls, len(poses))
     (call,) = lattice_calls
     # Tiles cover the grid once, each within the tile budget, and span
-    # several x tiles and several y tiles (51 x 10), or y tiles of several
-    # rows (5 x 40).
+    # several x tiles and several y tiles (one x more than a tile holds, by
+    # 10 y), or y tiles of several rows (5 x 40).
     covered = np.zeros((nx, ny), dtype=int)
     for j, k, tx, ty in call.tiles:
         covered[j : j + tx, k : k + ty] += 1
@@ -863,3 +869,109 @@ def test_memo_leaves_every_solve_result_unchanged(
     assert with_memo == without
     if max_refine_evals == 30:
         assert not any(result.converged for result in with_memo)
+
+
+# ---------------------------------------------------------------------------
+# lockstep refinement
+# ---------------------------------------------------------------------------
+
+
+def per_start_poll_directions(step_p, step_a):
+    """Axis moves, then position diagonals, then position-angle couplings."""
+    signs = (1.0, -1.0)
+    return (
+        [(sx * step_p, 0.0, 0.0) for sx in signs]
+        + [(0.0, sy * step_p, 0.0) for sy in signs]
+        + [(0.0, 0.0, sa * step_a) for sa in signs]
+        + [(sx * step_p, sy * step_p, 0.0) for sx in signs for sy in signs]
+        + [(sx * step_p, 0.0, sa * step_a) for sx in signs for sa in signs]
+        + [(0.0, sy * step_p, sa * step_a) for sy in signs for sa in signs]
+    )
+
+
+def per_start_refine(evaluator, memo, start, score, theta_center, cfg, spot, budget):
+    """The compass loop of one start, run to its end on its own, with one
+    ``_memo_scores`` call per poll: the reference for lockstep refinement."""
+    x, y, theta = start
+    best = score
+    evals = 0
+    theta_lo = theta_center - cfg.theta_range
+    theta_hi = theta_center + cfg.theta_range
+    improved_in_pass = True
+    while improved_in_pass:
+        improved_in_pass = False
+        step_p = cfg.step_init_pos
+        step_a = cfg.step_init_ang
+        while True:
+            probes = []
+            for dx, dy, da in per_start_poll_directions(step_p, step_a):
+                px = min(max(x + dx, 0.0), spot.length)
+                py = min(max(y + dy, 0.0), spot.width)
+                pt = min(max(theta + da, theta_lo), theta_hi)
+                if (px, py, pt) != (x, y, theta):
+                    probes.append((px, py, pt))
+            if probes:
+                scores = solver._memo_scores(evaluator, memo, probes)
+                evals += len(probes)
+                idx = int(np.argmin(scores))
+                if scores[idx] < best:
+                    x, y, theta = probes[idx]
+                    best = float(scores[idx])
+                    improved_in_pass = True
+                    if evals >= budget:
+                        return (x, y, theta, best, evals, False)
+                    continue
+            if step_p <= cfg.step_min_pos and step_a <= cfg.step_min_ang:
+                break
+            step_p = max(step_p / 2.0, cfg.step_min_pos)
+            step_a = max(step_a / 2.0, cfg.step_min_ang)
+            if evals >= budget:
+                return (x, y, theta, best, evals, False)
+    return (x, y, theta, best, evals, True)
+
+
+def per_start_compass_refine(evaluator, memo, starts, scores, cfg, spot):
+    return [
+        per_start_refine(evaluator, memo, tuple(start), score, start[2], cfg, spot, cfg.max_refine_evals)
+        for start, score in zip(np.asarray(starts).tolist(), np.asarray(scores).tolist())
+    ]
+
+
+@pytest.mark.parametrize("max_refine_evals", [4000, 30])
+def test_lockstep_refinement_equals_the_per_start_loop(
+    monkeypatch, scored_poses, max_refine_evals
+):
+    rng = random.Random(47)
+    plan = SamplingPlan(GRID, 25.0)
+    config = SolverConfig(max_refine_evals=max_refine_evals)
+    cases = [random_scenario(rng) for _ in range(20)]
+    lattice = sum(len(solver._pose_lattice(spot, 0.25, config.headings)) for spot, _, _ in cases)
+    calls = []  # poses each ``_memo_scores`` call sent to the evaluator
+    memo_scores = solver._memo_scores
+
+    def counting(evaluator, memo, probes):
+        before = len(memo)
+        scores = memo_scores(evaluator, memo, probes)
+        calls.append(len(memo) - before)
+        return scores
+
+    monkeypatch.setattr(solver, "_memo_scores", counting)
+
+    def solve_all():
+        scored_poses.clear()
+        calls.clear()
+        results = [minimize(f, fp, spot, plan, config) for spot, f, fp in cases]
+        scored = [set(poses) for poses in scored_poses.values()]
+        # Every pose past the coarse lattice reached the evaluator through
+        # ``_memo_scores``.
+        assert sum(map(len, scored_poses.values())) == lattice + sum(calls)
+        return results, scored, len(calls)
+
+    lockstep, lockstep_scored, rounds = solve_all()
+    monkeypatch.setattr(solver, "_compass_refine", per_start_compass_refine)
+    per_start, per_start_scored, polls = solve_all()
+    assert lockstep == per_start
+    assert lockstep_scored == per_start_scored
+    assert 0 < rounds < polls
+    if max_refine_evals == 30:
+        assert not any(result.converged for result in lockstep)
