@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 
@@ -11,6 +12,7 @@ from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
 from parkfield.scenario import build_footprint, load_scenario, make_spot, spot_field_set
 from parkfield.solver import _local_field_set
+from parkfield.strategy import rank_spots
 
 from conftest import (
     SCENARIO_DIR,
@@ -213,6 +215,21 @@ def test_lot_spot_frames_build_every_spot_edge_on_an_axis():
             ]
             spots += 1
     assert spots == 32
+
+
+# sha256 over the reprs of ``strategies``, ``infeasible`` and ``solve_stats``
+# of ``rank_spots`` on ``bench/lot.py`` lots 0-63, explain off.  A repr
+# prints each float's shortest round trip, so any changed bit shows.
+LOT_OUTPUTS_SHA256 = "5bace8bbcbee213b8264a5f1d63a50ba2d758fe244ee39e760fa3b85313f6e85"
+
+
+def test_lot_rankings_keep_their_bits():
+    generate_lot = bench_module("lot").generate_lot
+    digest = hashlib.sha256()
+    for seed in range(64):
+        ranked = rank_spots(load_scenario(generate_lot(seed)), explain=False)
+        digest.update(repr((ranked.strategies, ranked.infeasible, ranked.solve_stats)).encode())
+    assert digest.hexdigest() == LOT_OUTPUTS_SHA256
 
 
 # An axis-only, a general-only and two mixed sets.
