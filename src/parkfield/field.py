@@ -29,10 +29,11 @@ folds each term into the block's output as it is made.
 an x-shift list and a y-shift list (one heading of a pose lattice): an x
 line's value at ``x_i + X`` depends on the shift only through X, so EX and
 each BX are made once per X into side rows, EY and each BY once per Y, and
-composed per point; the general part sees the shifted points.  It works in
-tiles of shifts whose values hold at most ``_TILE_POINTS`` points, in
-scratch kept across calls.  ``FieldSet.eval_grid`` is the lattice of the
-one sample ``(0, 0)``: a field map's nodes.
+composed per point; the general part sees the shifted points and writes
+its values over the tile's y row.  It works in tiles of shifts whose
+values hold at most ``_TILE_POINTS`` points, in scratch of the call.
+``FieldSet.eval_grid`` is the lattice of the one sample ``(0, 0)``: a
+field map's nodes, which ``FieldMap.fold`` takes band by band.
 
 The values are bit-identical to the point-major ``pts @ normals.T +
 offsets`` per polygon, for finite points and up to the sign of an exact
@@ -41,10 +42,34 @@ the multiply-add, so adding ``c`` rounds the same; minimum and maximum are
 exact, so their order is free.  Only zeros can differ: ``-0.0 + -0.0`` is
 ``-0.0`` here but ``(-0.0 + 0.0) + -0.0`` is ``+0.0`` in BLAS, and a grid
 node at ``0.0 + -0.0`` is ``+0.0``.
+
+A mixed set, with general polygons and an axis form, skips the general
+polygons that a block cannot reach.  Before a block's (or a lattice
+tile's) products it takes two bounds over the block's bounding box: a
+floor under the axis form (``FieldSet._reaching``), and per general
+polygon the smallest over its lines of the line's maximum over the box.
+A polygon whose bound is below the floor by more than a slack is left out
+of the block, and a block that leaves out all of them skips the
+point-major copy too.  This is exact.  The skipped polygon is strictly
+below the axis form at every point, and a maximum is exact, so it can
+never be the value, nor tie with it.  The slack, ``_SKIP_SLACK`` times
+the box's coordinate magnitudes plus the set's largest offset, covers
+every rounding of the points, the products and the bounds.  It is sized
+by the operands, not by the result, because ``a*x + c`` cancels to a
+small value far from the origin while its rounding stays at the scale of
+``x``.  The kept polygons keep their fold order, general part first.
+``np.maximum`` keeps its first argument on a tie, so which of two equal
+terms comes first can decide the sign of a zero; a skipped polygon never
+ties, so the order of the rest decides as before.  The boxes come from
+data the callers already hold: ``eval_lattice`` takes the sample rows'
+extremes plus each tile's shift range, and the objective passes each
+heading's cached row extremes plus its translations.  Rounding is
+monotone, so the computed points lie inside these boxes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +93,14 @@ _BLOCK_POINTS = 16384
 # row per x shift and per y shift only, so a tile larger than a block
 # mostly saves per-tile calls.
 _TILE_POINTS = 65536
+# A mixed set skips a general polygon in a block only when the polygon's
+# bound is below the axis form's floor by this share of the box's
+# coordinate magnitudes plus the set's largest line offset.  Every
+# rounding between the true bounds and the computed values (the posed
+# points, BLAS's fused or unfused products, the offsets, the bounds
+# themselves) is at most a few units of 2**-53 of that sum, so 2**-44
+# leaves a factor of over 30.
+_SKIP_SLACK = 2.0**-44
 
 
 def _block_slices(n: int, limit: int):
@@ -104,9 +137,10 @@ class FieldSet:
     """Non-empty collection of field-generating polygons, compiled once
     into the axis form.
 
-    ``has_axis`` tells whether any polygon is outside the general part.  A
-    set keeps scratch buffers across calls, so an instance must not be
-    shared between threads.
+    ``has_axis`` tells whether any polygon is outside the general part, and
+    ``mixed`` whether there are general polygons too, which a block may
+    then skip.  A set keeps scratch buffers across calls, so an instance
+    must not be shared between threads.
     """
 
     def __init__(self, polygons):
@@ -134,6 +168,21 @@ class FieldSet:
             for p in polygons
         ]
         self._general = FieldSet(general) if general and self.has_axis else None
+        self.mixed = self._general is not None
+        if self.mixed:
+            # What ``_reaching`` bounds over a box, as floats: per coordinate
+            # the largest offset of the one-line polygons' positive and
+            # negative lines; per box the smallest of each sign per
+            # coordinate; each general polygon's lines as (a, b, c, |a|,
+            # |b|); and the largest offset magnitude of any line.
+            self._ends = [_extreme(max, lines, -math.inf) for lines in self._single]
+            self._box_ends = [
+                _extreme(min, bx, math.inf) + _extreme(min, by, math.inf) for bx, by in self._boxes
+            ]
+            self._reach = [
+                tuple((e.a, e.b, e.c, abs(e.a), abs(e.b)) for e in p.edges) for p in general
+            ]
+            self._scale = max(abs(e.c) for p in polygons for e in p.edges)
         # Scratch rows per block point: 2 for BLAS's point-major copy of the
         # block, then one general polygon's line values; the axis form
         # needs 2, a box's running minimum and one line.  Grown on demand,
@@ -146,7 +195,6 @@ class FieldSet:
         self._buf = [np.empty(0)]
         if self._general is not None:
             self._general._buf = self._buf
-        self._lattice_buf = np.empty(0)
 
     @property
     def polygons(self) -> tuple[Polygon, ...]:
@@ -158,43 +206,91 @@ class FieldSet:
         no set refers to itself."""
         return self if self._lines else self._general
 
-    def eval_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Composite field at the points ``(x[i], y[i])``.
-
-        ``x`` and ``y`` are equal-length 1-D arrays of any stride.
-        """
-        out = np.empty(len(x))
-        need = self._rows * min(len(x), _BLOCK_POINTS)
+    def _scratch(self, n: int) -> np.ndarray:
+        """The block scratch, grown to hold a block of ``n`` points or a
+        whole block."""
+        need = self._rows * min(n, _BLOCK_POINTS)
         if len(self._buf[0]) < need:
             self._buf[0] = np.empty(need)
-        buf = self._buf[0]
+        return self._buf[0]
+
+    def _reaching(self, x0, x1, y0, y1) -> list:
+        """The ``(normals, offsets)`` of the general polygons that may reach
+        the axis form somewhere in the box ``[x0, x1] x [y0, y1]``.
+
+        The floor is a lower bound of the axis form over the box: over
+        ``[x0, x1]`` the convex ``max(x + cp, cn - x)`` of the one-line
+        polygons is at least ``x0 + cp``, ``cn - x1`` and the mean of
+        ``cp`` and ``cn``, and a box's concave minimum is its smallest line
+        at an end.  A polygon's
+        bound is the smallest over its lines of the line's maximum over the
+        box.  A polygon is skipped only when its bound is below the floor
+        by more than a slack of ``_SKIP_SLACK`` times the box's and the
+        set's magnitudes, so that no rounding of the points, the lines or
+        these bounds can lift its value to the axis form's.  A NaN or
+        infinite box makes the slack NaN or infinite, and skips nothing.
+        """
+        floor = -math.inf
+        for (pos, neg), lo, hi in zip(self._ends, (x0, y0), (x1, y1)):
+            floor = max(floor, lo + pos, neg - hi, (pos + neg) / 2)
+        for px, nx, py, ny in self._box_ends:
+            floor = max(floor, min(x0 + px, nx - x1, y0 + py, ny - y1))
+        floor -= (abs(x0) + abs(x1) + abs(y0) + abs(y1) + self._scale) * _SKIP_SLACK
+        cx, cy, hx, hy = (x0 + x1) / 2, (y0 + y1) / 2, (x1 - x0) / 2, (y1 - y0) / 2
+        return [
+            lines
+            for lines, edges in zip(self._general._lines, self._reach)
+            if not min(a * cx + b * cy + c + aa * hx + bb * hy for a, b, c, aa, bb in edges)
+            < floor
+        ]
+
+    def eval_many(
+        self, x: np.ndarray, y: np.ndarray, *, box=None, out=None, lines=None
+    ) -> np.ndarray:
+        """Composite field at the points ``(x[i], y[i])``, into ``out`` if given.
+
+        ``x`` and ``y`` are equal-length 1-D arrays of any stride.  A mixed
+        set skips in each block the general polygons that cannot reach its
+        axis form over ``box``, an ``(x0, x1, y0, y1)`` that bounds every
+        point, or else over the block's own bounding box.  A general-only
+        set evaluates only the ``lines`` pairs of its polygons, if given,
+        and may write over ``y``: each block copies its points first.
+        """
+        if out is None:
+            out = np.empty(len(x))
+        buf = self._scratch(len(x))
         general = self._general_part()
         for lo, hi in _block_slices(len(x), _BLOCK_POINTS):
             n = hi - lo
             xy, dst = (x[lo:hi], y[lo:hi]), out[lo:hi]
             # The paired case of the lattice fold: the maximum over the
-            # general part, EX, EY and min(BX, BY) per box, each term folded
-            # into ``dst`` (or written there first) as it is made.
-            filled = general is not None
+            # kept general polygons, EX, EY and min(BX, BY) per box, each
+            # term folded into ``dst`` (or written there first) as it is
+            # made.
+            kept = self._lines if lines is None else lines
+            if self.mixed:
+                kept = self._reaching(*(box or _bounds(*xy)))
+            filled = bool(kept)
             if filled:
-                general._products(xy, dst, buf)
+                general._products(xy, dst, buf, kept)
             acc, temp = buf[: 2 * n].reshape(2, n)
-            for coord, lines in enumerate(self._single):
-                if lines:
-                    _fold(np.maximum, xy[coord], lines, dst, temp, filled)
+            for coord, single in enumerate(self._single):
+                if single:
+                    _fold(np.maximum, xy[coord], single, dst, temp, filled)
                     filled = True
-            for box in self._boxes:
+            for sides in self._boxes:
                 row = acc if filled else dst
                 for coord in (0, 1):
-                    _fold(np.minimum, xy[coord], box[coord], row, temp, coord)
+                    _fold(np.minimum, xy[coord], sides[coord], row, temp, coord)
                 if filled:
                     np.maximum(dst, row, out=dst)
                 filled = True
         return out
 
-    def _products(self, xy, dst, buf):
-        """The field of a general-only set at one block's points ``xy``,
-        into ``dst``: one BLAS product per polygon, ``buf`` as scratch."""
+    def _products(self, xy, dst, buf, lines):
+        """The field of the ``lines`` pairs of a general-only set at one
+        block's points ``xy``, into ``dst``: one BLAS product per polygon,
+        ``buf`` as scratch."""
         n = len(dst)
         # Flat, so every (L, n) view of it is C-contiguous and matmul writes
         # into it through BLAS; BLAS's operand is the transpose of the
@@ -204,7 +300,7 @@ class FieldSet:
         work = buf[2 * n : self._rows * n].reshape(-1, n)
         # The first polygon's minimum goes straight into ``dst``; each later
         # one's into a work row, then the max into ``dst``.
-        for k, (normals, offsets) in enumerate(self._lines):
+        for k, (normals, offsets) in enumerate(lines):
             one = k == 0 and len(normals) == 1
             vals = dst[None] if one else work[: len(normals)]
             np.matmul(normals, pts.T, out=vals)
@@ -236,19 +332,21 @@ class FieldSet:
         poses = max(1, _TILE_POINTS // n)
         tx = min(len(xs), poses)
         ty = min(len(ys), max(1, poses // tx))
-        # Side rows per shift: the shifted coordinate when the general
-        # polygons need the posed points, the one-line polygons' maximum,
-        # and each box's minimum.
-        general = self._general_part() is not None
-        depth = [general + bool(self._single[c]) + len(self._boxes) for c in (0, 1)]
+        # Side rows per shift: the one-line polygons' maximum and each box's
+        # minimum.
+        depth = [bool(self._single[c]) + len(self._boxes) for c in (0, 1)]
         ends = np.cumsum([0, depth[0] * tx, depth[1] * ty, tx * ty, tx * ty]) * n
-        if len(self._lattice_buf) < ends[-1]:
-            self._lattice_buf = np.empty(ends[-1])
-        side_x, side_y, vals, work = (
-            self._lattice_buf[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])
-        )
+        # Scratch of this call only: a solve's lattice pass comes before its
+        # refinement, whose blocks then reuse the memory.
+        buf = np.empty(ends[-1])
+        side_x, side_y, vals, work = (buf[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
         side_x = side_x.reshape(depth[0], tx, n)
         side_y = side_y.reshape(depth[1], ty, n)
+        general = self._general_part()
+        # A mixed set bounds a tile by the sample rows' extremes plus the
+        # tile's shift range: rounding is monotone, so every posed point
+        # ``x[i] + xs[j]`` of the tile lies in that box.
+        rows = _bounds(x, y) if self.mixed else None
         for j0, j1 in _block_slices(len(xs), tx):
             xr = side_x[:, : j1 - j0]
             # A side's temporary rows are the tile's, which are free until
@@ -259,51 +357,74 @@ class FieldSet:
                 self._side(1, y, ys[k0:k1], yr, vals, work)
                 shape = (j1 - j0, k1 - k0, n)
                 size = shape[0] * shape[1] * n
-                out = vals[:size].reshape(shape)
-                self._compose(xr, yr, out, work[:size].reshape(shape))
+                out, temp = (a[:size].reshape(shape) for a in (vals, work))
+                lines = self._lines
+                if rows:
+                    shifts = _bounds(xs[j0:j1], ys[k0:k1])
+                    lines = self._reaching(*(r + s for r, s in zip(rows, shifts)))
+                if lines:
+                    # The posed points, through the general-only kernel,
+                    # which writes its values over their y.
+                    np.add(x, xs[j0:j1, None, None], out=temp)
+                    np.add(y, ys[k0:k1, None], out=out)
+                    flat = out.reshape(-1)
+                    general.eval_many(temp.reshape(-1), flat, out=flat, lines=lines)
+                self._compose(xr, yr, out, temp, bool(lines))
                 yield j0, k0, out
 
     def _side(self, coord, r, shifts, rows, vals, work):
         """The side rows of coordinate ``coord`` at ``r + shifts[t]`` per
         shift ``t``, with ``vals`` and ``work`` as scratch."""
+        if not len(rows):
+            return
         shape = (len(shifts), len(r))
-        temp = [buf[: shape[0] * shape[1]].reshape(shape) for buf in (vals, work)]
-        k = int(self._general_part() is not None)
-        p = rows[0] if k else temp[0]
+        p, temp = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (vals, work))
         np.add(r, shifts[:, None], out=p)
+        k = 0
         if self._single[coord]:
-            _fold(np.maximum, p, self._single[coord], rows[k], temp[1])
-            k += 1
+            _fold(np.maximum, p, self._single[coord], rows[0], temp)
+            k = 1
         for b, box in enumerate(self._boxes):
-            _fold(np.minimum, p, box[coord], rows[k + b], temp[1])
+            _fold(np.minimum, p, box[coord], rows[k + b], temp)
 
-    def _compose(self, xr, yr, out, work):
+    def _compose(self, xr, yr, out, work, general):
         """``out[a, b]``: the field at the points of X side ``a`` and Y side
-        ``b``; ``work`` is scratch of the same shape."""
-        acc = None  # the running maximum: an operand, or ``out`` once written
+        ``b``, folded over the general part's values that ``out`` holds if
+        ``general``; ``work`` is scratch of the same shape."""
+        # The running maximum: an operand, or ``out`` once written.
+        acc = out if general else None
 
         def fold(term):
             nonlocal acc
             acc = term if acc is None else np.maximum(acc, term, out=out)
 
-        general = self._general_part()
-        k = [int(general is not None)] * 2
-        if general is not None:
-            # The posed points, through the general-only kernel.
-            np.copyto(work, xr[0][:, None])
-            np.copyto(out, yr[0][None])
-            fold(general.eval_many(work.reshape(-1), out.reshape(-1)).reshape(out.shape))
+        k = [0, 0]
         if self._single[0]:
-            fold(xr[k[0]][:, None])
-            k[0] += 1
+            fold(xr[0][:, None])
+            k[0] = 1
         if self._single[1]:
-            fold(yr[k[1]][None])
-            k[1] += 1
+            fold(yr[0][None])
+            k[1] = 1
         for b in range(len(self._boxes)):
             bx, by = xr[k[0] + b][:, None], yr[k[1] + b][None]
             fold(np.minimum(bx, by, out=out if acc is None else work))
         if acc is not out:
             np.copyto(out, acc)
+
+
+def _extreme(pick, lines, none) -> tuple:
+    """``pick``, max or min, of the offsets of the positive ``lines`` and
+    of the negative ones, ``none`` for a sign without lines."""
+    return tuple(
+        pick((c for positive, c in lines if positive == sign), default=none)
+        for sign in (True, False)
+    )
+
+
+def _bounds(x, y) -> tuple:
+    """``(x0, x1, y0, y1)``: the extremes of the rows ``x`` and ``y``, NaN
+    if either holds a NaN."""
+    return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
 
 def _fold(op, p, lines, out, temp, held=False):
@@ -353,6 +474,17 @@ class FieldMap:
                 f"values shape {vals.shape} != ({self.rows}, {self.cols})"
             )
         object.__setattr__(self, "values", vals)
+
+    def fold(self, fields: FieldSet, op) -> None:
+        """``values = op(values, field of fields at the nodes)``, in place,
+        for ``op`` ``np.minimum`` or ``np.maximum``: band of rows by band,
+        so at most one band of ``_TILE_POINTS`` nodes is held beside the map.
+        """
+        xs = self.origin.x + self.cell_size * np.arange(self.cols)
+        ys = self.origin.y + self.cell_size * np.arange(self.rows)
+        for lo, hi in _block_slices(self.rows, max(1, _TILE_POINTS // self.cols)):
+            band = self.values[lo:hi]
+            op(band, fields.eval_grid(xs, ys[lo:hi]), out=band)
 
 
 def sample_field(

@@ -416,15 +416,16 @@ def area_field_map(scenario: Scenario, bounds: tuple, resolution: float) -> Fiel
     A spot's edge field is negative only inside that spot, so the spots
     combine by min, then the obstacles by max: max(obstacles, min over spots
     of each spot's edge field).  Both are exact, so a one-spot area samples
-    the values of one ``FieldSet`` of its edges and every obstacle.
+    the values of one ``FieldSet`` of its edges and every obstacle.  The
+    first spot is sampled whole and every later field set folded into it
+    band by band, so the map's peak is one grid and one band.
     """
-    spots = [FieldSet(_spot_edge_polygons(spot)) for spot in scenario.spots]
-    fmap = sample_field(spots[0], bounds, resolution)
-    for fields in spots[1:]:
-        np.minimum(fmap.values, sample_field(fields, bounds, resolution).values, out=fmap.values)
+    first, *others = scenario.spots
+    fmap = sample_field(FieldSet(_spot_edge_polygons(first)), bounds, resolution)
+    for spot in others:
+        fmap.fold(FieldSet(_spot_edge_polygons(spot)), np.minimum)
     if scenario.obstacles:
-        obstacles = sample_field(FieldSet(scenario.obstacles), bounds, resolution)
-        np.maximum(fmap.values, obstacles.values, out=fmap.values)
+        fmap.fold(FieldSet(scenario.obstacles), np.maximum)
     return fmap
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import math
@@ -298,6 +299,190 @@ def test_field_sets_take_part_in_no_reference_cycle(lines):
         assert dead() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The dominance skip: a mixed set skips, per block or lattice tile, the
+# general polygons that cannot reach its axis form over the block's box.
+# ---------------------------------------------------------------------------
+
+
+def fold_rank(poly):
+    """A polygon's place in a set's fold: general, one-line along x,
+    one-line along y, upright box."""
+    if not all(exactly_axis(e) for e in poly.edges):
+        return 0
+    if len(poly.edges) == 1:
+        return 1 if poly.edges[0].b == 0 else 2
+    return 3
+
+
+def one_polygon_fold(polys, x, y):
+    """Reference: each polygon's own one-polygon set at the points, folded
+    by ``np.maximum`` in the set's order, general polygons first."""
+    values = [FieldSet((p,)).eval_many(x, y) for p in sorted(polys, key=fold_rank)]
+    return functools.reduce(np.maximum, values)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def skip_scene(rng, origin):
+    """A random mixed scene moved by ``origin``: a 5 x 2.5 spot's edges, an
+    upright box beside it, and general polygons in it, beside it and one
+    tilted line below it."""
+    ox, oy = origin
+
+    def at(x, y):
+        return (ox + x, oy + y)
+
+    polys = [
+        spot_edge(at(5, 0), at(0, 0)),
+        spot_edge(at(5, 2.5), at(5, 0)),
+        spot_edge(at(0, 2.5), at(5, 2.5)),
+        spot_edge(at(0, 0), at(0, 2.5)),
+        axis_rect(*at(6.5, 0.4), *at(8.0, 2.1)),
+        spot_edge(at(-3, -2), at(9, -2.3)),
+    ]
+    for lo, hi in (((0.6, 0.6), (4.4, 1.9)), ((-7, -3), (-1, 5)), ((7, -3), (12, 5))):
+        cx, cy = rng.uniform(lo, hi)
+        polys.append(regular_polygon(ox + cx, oy + cy, rng.uniform(0.3, 0.6), int(rng.integers(3, 7))))
+    return [polys[i] for i in rng.permutation(len(polys))]
+
+
+def ordered_coords(rng, lo, hi, n, signed_zeros):
+    """``n`` sorted coordinates in [lo, hi], with -0.0 and 0.0 among them."""
+    coords = rng.uniform(lo, hi, n)
+    if signed_zeros and n >= 2:
+        coords[:2] = (-0.0, 0.0)
+    return np.sort(coords)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Per ``FieldSet._products`` call, the ids of the normals it multiplies."""
+    calls = []
+    original = FieldSet._products
+
+    def recording(self, xy, dst, buf, lines):
+        calls.append({id(normals) for normals, _ in lines})
+        return original(self, xy, dst, buf, lines)
+
+    monkeypatch.setattr(FieldSet, "_products", recording)
+    return calls
+
+
+def assert_some_polygon_pruned_and_kept(products, fields):
+    ids = [id(normals) for normals, _ in fields._general_part()._lines]
+    assert any(
+        any(i in call for call in products) and any(i not in call for call in products) for i in ids
+    )
+
+
+# Far from the origin a line's value cancels ``a*x + c`` over 1e9: the slack
+# must follow the coordinates and offsets, not the result.
+SKIP_ORIGINS = [(0.0, 0.0), (1e6, -2e6), (-3e8, 7e8), (1e9, 1e9)]
+
+
+@pytest.mark.parametrize("origin", SKIP_ORIGINS)
+def test_skipped_polygons_keep_every_bit_of_eval_many(origin, products):
+    rng = np.random.default_rng(21)
+    polys = skip_scene(rng, origin)
+    fields = FieldSet(polys)
+    assert fields.mixed
+    for n in BLOCK_STRADDLING_COUNTS:
+        # Sorted by x, so each block is a strip of the scene.
+        x = origin[0] + ordered_coords(rng, -14, 19, n, origin[0] == 0)
+        y = origin[1] + rng.uniform(-9, 11, n)
+        y[3::11] = -0.0 if origin[1] == 0 else y[3::11]
+        want = one_polygon_fold(polys, x, y)
+        assert_same_bits(fields.eval_many(x, y), want)
+        if n:
+            box = (x.min(), x.max(), y.min(), y.max())
+            assert_same_bits(fields.eval_many(x, y, box=box), want)
+    assert_some_polygon_pruned_and_kept(products, fields)
+
+
+@pytest.mark.parametrize("origin", SKIP_ORIGINS)
+def test_skipped_polygons_keep_every_bit_of_the_lattice_and_grid(origin, products):
+    rng = np.random.default_rng(22)
+    polys = skip_scene(rng, origin)
+    fields = FieldSet(polys)
+    zeros = origin == (0.0, 0.0)
+    # One sample and one shift, a few of each, and 37 samples by 80 x 60
+    # shifts over several tiles.
+    for m, nx, ny in ((1, 1, 1), (1, 3, 2), (37, 80, 60)):
+        x, y = rng.uniform(-2.5, 2.5, m), rng.uniform(-1.2, 1.2, m)
+        if zeros:
+            x[:1], y[-1:] = 0.0, -0.0
+        xs = origin[0] + ordered_coords(rng, -8, 14, nx, zeros)
+        ys = origin[1] + ordered_coords(rng, -6, 8, ny, zeros)
+        px = np.broadcast_to(x + xs[:, None, None], (nx, ny, m))
+        py = np.broadcast_to(y + ys[None, :, None], (nx, ny, m))
+        want = one_polygon_fold(polys, px.ravel(), py.ravel()).reshape(px.shape)
+        for j, k, values in fields.eval_lattice(x, y, xs, ys):
+            a, b = values.shape[:2]
+            assert_same_bits(values, want[j : j + a, k : k + b])
+    straddling = ((2, 2), (3, 5), (130, 127), (_TILE_POINTS + 1, 2), (2, _TILE_POINTS + 3))
+    for nx, ny in straddling:
+        xs = origin[0] + ordered_coords(rng, -14, 19, nx, zeros)
+        ys = origin[1] + ordered_coords(rng, -9, 11, ny, zeros)
+        gx, gy = np.meshgrid(xs, ys)
+        want = one_polygon_fold(polys, gx.ravel(), gy.ravel()).reshape(ny, nx)
+        assert_same_bits(fields.eval_grid(xs, ys), want)
+    assert_some_polygon_pruned_and_kept(products, fields)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e9])
+def test_skip_slack_covers_near_ties_far_from_the_origin(scale):
+    # Points on a segment of the axis line x = P.x, whose top end lies on a
+    # general line at a random angle: there the two values are zero up to
+    # rounding, about scale * 2**-53, and the general line's bound over the
+    # segment, which the top end attains, rounds apart from its BLAS value.
+    # A skip without slack, or with one sized by the values, drops the
+    # general line at some of these ends where its value is the larger.
+    rng = np.random.default_rng(int(scale))
+    for _ in range(300):
+        px, py = rng.uniform(scale, 2 * scale, 2) * rng.choice([-1.0, 1.0], 2)
+        t = rng.uniform(0, math.pi)
+        dx, dy = 3 * math.cos(t), 3 * math.sin(t)
+        h = rng.uniform(0.5, 2.0)
+        polys = [
+            spot_edge((px + dx, py + h + dy), (px - dx, py + h - dy)),
+            spot_edge((px, py - 1), (px, py + 1)),
+        ]
+        fields = FieldSet(polys)
+        assert fields.mixed
+        shifts = np.linspace(-h, h, 5)
+        x, y = np.full(5, px), py + shifts
+        want = one_polygon_fold(polys, x, y)
+        assert_same_bits(fields.eval_many(x, y), want)
+        # One point a block: BLAS rounds a one-point product its own way.
+        for point in range(5):
+            one = x[point:][:1], y[point:][:1]
+            assert_same_bits(fields.eval_many(*one), one_polygon_fold(polys, *one))
+        # The same points as the lattice of one sample, x shift and 5 y shifts.
+        (tile,) = [v.ravel() for _, _, v in fields.eval_lattice(np.zeros(1), np.full(1, py), x[:1], shifts)]
+        assert_same_bits(tile, want)
+
+
+def test_the_skip_cuts_the_lot_product_work(monkeypatch):
+    # Points x lines that the general part multiplies in ``rank_spots`` on
+    # ``bench/lot.py`` lots 0-15, explain off: 753,323,616 without the skip.
+    work = [0]
+    original = FieldSet._products
+
+    def counting(self, xy, dst, buf, lines):
+        work[0] += len(dst) * sum(len(normals) for normals, _ in lines)
+        return original(self, xy, dst, buf, lines)
+
+    monkeypatch.setattr(FieldSet, "_products", counting)
+    generate_lot = bench_module("lot").generate_lot
+    for seed in range(16):
+        rank_spots(load_scenario(generate_lot(seed)), explain=False)
+    assert 0 < work[0] <= 452_000_000
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):

@@ -368,10 +368,10 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
             calls[-1][1] += len(x) * len(xs) * len(ys)
         return eval_lattice(self, x, y, xs, ys)
 
-    def counting_eval_many(self, x, y):
+    def counting_eval_many(self, x, y, **kwargs):
         if calls:
             calls[-1][2] += len(x)
-        return eval_many(self, x, y)
+        return eval_many(self, x, y, **kwargs)
 
     monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
     monkeypatch.setattr(FieldSet, "eval_lattice", counting_eval_lattice)
