@@ -91,7 +91,9 @@ _BLOCK_POINTS = 16384
 # Points per lattice tile of ``FieldSet.eval_lattice``.  A tile's values
 # and its work rows take 16 bytes per point, 1 MB; its side rows hold one
 # row per x shift and per y shift only, so a tile larger than a block
-# mostly saves per-tile calls.
+# mostly saves per-tile calls.  A set with general polygons takes tiles of
+# half as many points: their block scratch, up to 1 MB, works beside the
+# tile.
 _TILE_POINTS = 65536
 # A mixed set skips a general polygon in a block only when the polygon's
 # bound is below the axis form's floor by this share of the box's
@@ -329,7 +331,8 @@ class FieldSet:
         ``_TILE_POINTS`` points, or one ``(x, y)`` row pair if that is more.
         """
         n = len(x)
-        poses = max(1, _TILE_POINTS // n)
+        general = self._general_part()
+        poses = max(1, (_TILE_POINTS if general is None else _TILE_POINTS // 2) // n)
         tx = min(len(xs), poses)
         ty = min(len(ys), max(1, poses // tx))
         # Side rows per shift: the one-line polygons' maximum and each box's
@@ -342,26 +345,26 @@ class FieldSet:
         side_x, side_y, vals, work = (buf[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
         side_x = side_x.reshape(depth[0], tx, n)
         side_y = side_y.reshape(depth[1], ty, n)
-        general = self._general_part()
         # A mixed set bounds a tile by the sample rows' extremes plus the
-        # tile's shift range: rounding is monotone, so every posed point
+        # tile's shift extremes: rounding is monotone, so every posed point
         # ``x[i] + xs[j]`` of the tile lies in that box.
-        rows = _bounds(x, y) if self.mixed else None
-        for j0, j1 in _block_slices(len(xs), tx):
+        x_tiles, y_tiles = list(_block_slices(len(xs), tx)), list(_block_slices(len(ys), ty))
+        if self.mixed:
+            x_ends, y_ends = _tile_ends(x, xs, x_tiles), _tile_ends(y, ys, y_tiles)
+        for jt, (j0, j1) in enumerate(x_tiles):
             xr = side_x[:, : j1 - j0]
             # A side's temporary rows are the tile's, which are free until
             # the tile is composed.
             self._side(0, x, xs[j0:j1], xr, vals, work)
-            for k0, k1 in _block_slices(len(ys), ty):
+            for kt, (k0, k1) in enumerate(y_tiles):
                 yr = side_y[:, : k1 - k0]
                 self._side(1, y, ys[k0:k1], yr, vals, work)
                 shape = (j1 - j0, k1 - k0, n)
                 size = shape[0] * shape[1] * n
-                out, temp = (a[:size].reshape(shape) for a in (vals, work))
+                out, temp = vals[:size].reshape(shape), work[:size].reshape(shape)
                 lines = self._lines
-                if rows:
-                    shifts = _bounds(xs[j0:j1], ys[k0:k1])
-                    lines = self._reaching(*(r + s for r, s in zip(rows, shifts)))
+                if self.mixed:
+                    lines = self._reaching(*x_ends[jt], *y_ends[kt])
                 if lines:
                     # The posed points, through the general-only kernel,
                     # which writes its values over their y.
@@ -419,6 +422,15 @@ def _extreme(pick, lines, none) -> tuple:
         pick((c for positive, c in lines if positive == sign), default=none)
         for sign in (True, False)
     )
+
+
+def _tile_ends(r, shifts, tiles) -> list:
+    """Per tile ``(lo, hi)`` of ``shifts``, the least and the greatest
+    ``r[i] + shifts[j]`` over its j, NaN if any is NaN."""
+    starts = [lo for lo, _ in tiles]
+    low = np.minimum.reduceat(shifts, starts) + r.min()
+    high = np.maximum.reduceat(shifts, starts) + r.max()
+    return list(zip(low.tolist(), high.tolist()))
 
 
 def _bounds(x, y) -> tuple:
