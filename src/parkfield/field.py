@@ -31,7 +31,8 @@ line's value at ``x_i + X`` depends on the shift only through X, so EX and
 each BX are made once per X into side rows, EY and each BY once per Y, and
 composed per point; the general part sees the shifted points and writes
 its values over the tile's y row.  It works in tiles of shifts whose
-values hold at most ``_TILE_POINTS`` points, in scratch of the call.
+values hold at most ``_TILE_POINTS`` points (half that beside a general
+part), in scratch of the call.
 ``FieldSet.eval_grid`` is the lattice of the one sample ``(0, 0)``: a
 field map's nodes, which ``FieldMap.fold`` takes band by band.
 
@@ -195,7 +196,7 @@ class FieldSet:
         part = self._general_part()
         self._rows = 2 + (max(len(n) for n, _ in part._lines) if part else 0)
         self._buf = [np.empty(0)]
-        if self._general is not None:
+        if self.mixed:
             self._general._buf = self._buf
 
     @property
@@ -328,7 +329,8 @@ class FieldSet:
         Yields ``(j, k, values)`` tile by tile: ``values[a, b, i]`` is the
         field at ``(x[i] + xs[j + a], y[i] + ys[k + b])``, in scratch that
         the next tile overwrites.  A tile's values hold at most
-        ``_TILE_POINTS`` points, or one ``(x, y)`` row pair if that is more.
+        ``_TILE_POINTS`` points, half that for a set with general polygons,
+        or one ``(x, y)`` row pair if that is more.
         """
         n = len(x)
         general = self._general_part()

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from parkfield import render
 from parkfield.field import FieldMap, sample_field
 from parkfield.geometry import Point2
 from parkfield.render import contour_polylines, render_scene, scene_bounds
-from parkfield.scenario import area_field_map, build_footprint
+from parkfield.scenario import _spot_edge_polygons, area_field_map, build_footprint
 from parkfield.solver import Pose
 
 from conftest import load_golden, regular_polygon
@@ -67,6 +70,31 @@ def test_multi_spot_field_is_negative_in_every_spot():
         col = round((cx - fmap.origin.x) / fmap.cell_size)
         assert fmap.values[row, col] < 0, spot.id
     assert render_scene(scenario, fmap=fmap).count("<polyline") >= 1
+
+
+def test_area_field_map_folds_band_by_band_into_one_grid():
+    # The first spot is sampled whole; the other spots, then the obstacles,
+    # fold into it band by band, with the bits of combining whole grids.
+    scenario = load_golden("three_spot_area.json")
+    bounds = scene_bounds(scenario)
+    tracemalloc.start()
+    try:
+        fmap = area_field_map(scenario, bounds, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two whole grids would be 2x the map.
+    assert peak < 1.5 * fmap.values.nbytes
+    grids = [
+        sample_field(FieldSet(_spot_edge_polygons(spot)), bounds, 100.0).values
+        for spot in scenario.spots
+    ]
+    want = np.maximum(
+        functools.reduce(np.minimum, grids),
+        sample_field(FieldSet(scenario.obstacles), bounds, 100.0).values,
+    )
+    assert np.array_equal(fmap.values, want)
+    assert np.array_equal(np.signbit(fmap.values), np.signbit(want))
 
 
 def test_contours_visit_only_the_cells_a_level_crosses(monkeypatch):
