@@ -258,8 +258,8 @@ def test_lattice_entry_equals_the_point_kernel(lines):
     fields = kernel_set(lines)
     rng = np.random.default_rng(5)
     x, y = rng.uniform(-1, 1, (2, 37))
-    # 37 x 40 x 30 points span several tiles of ``_TILE_POINTS``.
-    for nx, ny in ((1, 1), (3, 2), (40, 30)):
+    # 37 x 80 x 30 points span several tiles of ``_TILE_POINTS``.
+    for nx, ny in ((1, 1), (3, 2), (80, 30)):
         xs, ys = signed_zero_shifts(rng, nx), signed_zero_shifts(rng, ny)
         px = np.broadcast_to(x + xs[:, None, None], (nx, ny, len(x)))
         py = np.broadcast_to(y + ys[None, :, None], (nx, ny, len(x)))
