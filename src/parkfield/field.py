@@ -225,13 +225,13 @@ class FieldSet:
         ``[x0, x1]`` the convex ``max(x + cp, cn - x)`` of the one-line
         polygons is at least ``x0 + cp``, ``cn - x1`` and the mean of
         ``cp`` and ``cn``, and a box's concave minimum is its smallest line
-        at an end.  A polygon's
-        bound is the smallest over its lines of the line's maximum over the
-        box.  A polygon is skipped only when its bound is below the floor
-        by more than a slack of ``_SKIP_SLACK`` times the box's and the
-        set's magnitudes, so that no rounding of the points, the lines or
-        these bounds can lift its value to the axis form's.  A NaN or
-        infinite box makes the slack NaN or infinite, and skips nothing.
+        at an end.  A polygon's bound is the smallest over its lines of the
+        line's maximum over the box.  A polygon is skipped only when its
+        bound is below the floor by more than a slack of ``_SKIP_SLACK``
+        times the box's and the set's magnitudes, so that no rounding of
+        the points, the lines or these bounds can lift its value to the
+        axis form's.  A NaN or infinite box makes the slack NaN or
+        infinite, and skips nothing.
         """
         floor = -math.inf
         for (pos, neg), lo, hi in zip(self._ends, (x0, y0), (x1, y1)):
@@ -385,10 +385,9 @@ class FieldSet:
         shape = (len(shifts), len(r))
         p, temp = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (vals, work))
         np.add(r, shifts[:, None], out=p)
-        k = 0
-        if self._single[coord]:
+        k = bool(self._single[coord])
+        if k:
             _fold(np.maximum, p, self._single[coord], rows[0], temp)
-            k = 1
         for b, box in enumerate(self._boxes):
             _fold(np.minimum, p, box[coord], rows[k + b], temp)
 
@@ -403,15 +402,13 @@ class FieldSet:
             nonlocal acc
             acc = term if acc is None else np.maximum(acc, term, out=out)
 
-        k = [0, 0]
-        if self._single[0]:
+        kx, ky = bool(self._single[0]), bool(self._single[1])
+        if kx:
             fold(xr[0][:, None])
-            k[0] = 1
-        if self._single[1]:
+        if ky:
             fold(yr[0][None])
-            k[1] = 1
         for b in range(len(self._boxes)):
-            bx, by = xr[k[0] + b][:, None], yr[k[1] + b][None]
+            bx, by = xr[kx + b][:, None], yr[ky + b][None]
             fold(np.minimum(bx, by, out=out if acc is None else work))
         if acc is not out:
             np.copyto(out, acc)
