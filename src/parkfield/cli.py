@@ -87,6 +87,9 @@ def _load_config(path: str | None, args) -> tuple[SamplingPlan, SolverConfig, bo
             raise ScenarioError("config", f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ScenarioError("config", "config file must hold a JSON object")
+        unknown = set(data) - {*_SECTION_TYPES, "explain"}
+        if unknown:
+            raise ScenarioError(f"config.{sorted(unknown)[0]}", "unknown top-level key")
 
     sampling = _config_section(data, "sampling")
     if getattr(args, "sampling", None):
@@ -231,9 +234,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampling", choices=sorted(_SAMPLING_ALIASES), default=None)
     parser.add_argument("--density", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--format", choices=("report", "json-lines"), default="report"
-    )
 
 
 @functools.cache  # one parser per process: building it costs more than a parse
@@ -265,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution", type=float, default=0.05, help="pose lattice pitch, metres"
     )
     p_oracle.set_defaults(func=_cmd_solve)
+    for p_report in (p_solve, p_oracle):
+        p_report.add_argument("--format", choices=("report", "json-lines"), default="report")
 
     p_validate = sub.add_parser("validate", help="schema-check a scenario file")
     p_validate.add_argument("scenario", help="scenario file path")

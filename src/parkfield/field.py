@@ -17,8 +17,8 @@ polygons once into one axis form, in which a line whose normal is exactly
   two products into the add (OpenBLAS 0.3.31 with its Haswell kernels
   rounds gemv as ``fma(a, x, b*y)`` and gemm as ``fma(b, y, a*x)``), and,
   handed the rows themselves, gemv rounds a one-line polygon's ``n % 4``
-  tail points differently.  A set of general polygons only holds their
-  normals and offsets; any other set holds a general-only sub-set.
+  tail points differently.  A set holds the normals and offsets of its
+  general polygons itself, none if it has none.
 
 The field is ``max(general, EX, EY, min(BX, BY) per box)``, and three
 entries fold it with one helper, ``_fold``.  ``FieldSet.eval_many`` takes
@@ -29,10 +29,11 @@ folds each term into the block's output as it is made.
 an x-shift list and a y-shift list (one heading of a pose lattice): an x
 line's value at ``x_i + X`` depends on the shift only through X, so EX and
 each BX are made once per X into side rows, EY and each BY once per Y, and
-composed per point; the general part sees the shifted points and writes
-its values over the tile's y row.  It works in tiles of shifts whose
-values hold at most ``_TILE_POINTS`` points (half that beside a general
-part), in scratch of the call.
+composed per point; the general part sees the shifted points, through
+``eval_many``'s ``lines`` entry, and writes its values over the tile's y
+row.  It works in tiles of shifts whose values hold at most
+``_TILE_POINTS`` points (half that beside a general part), in scratch of
+the call.
 ``FieldSet.eval_grid`` is the lattice of the one sample ``(0, 0)``: a
 field map's nodes, which ``FieldMap.fold`` takes band by band.
 
@@ -138,12 +139,11 @@ def _axis_sides(edges) -> tuple | None:
 
 class FieldSet:
     """Non-empty collection of field-generating polygons, compiled once
-    into the axis form.
+    into the axis form and the general part.
 
-    ``has_axis`` tells whether any polygon is outside the general part, and
-    ``mixed`` whether there are general polygons too, which a block may
-    then skip.  A set keeps scratch buffers across calls, so an instance
-    must not be shared between threads.
+    ``mixed`` tells whether the set has both general polygons and others,
+    so that a block may skip the general ones.  A set keeps scratch buffers
+    across calls, so an instance must not be shared between threads.
     """
 
     def __init__(self, polygons):
@@ -163,15 +163,12 @@ class FieldSet:
                 self._boxes.append(sides)
             else:
                 general.append(poly)
-        self.has_axis = len(general) < len(polygons)
-        # A general-only set's (L, 2) line normals and (L, 1) offsets per
-        # polygon; any other set's general polygons form a sub-set.
-        self._lines = [] if self.has_axis else [
+        # The (L, 2) line normals and (L, 1) offsets per general polygon.
+        self._lines = [
             (np.array([[e.a, e.b] for e in p.edges]), np.array([[e.c] for e in p.edges]))
-            for p in polygons
+            for p in general
         ]
-        self._general = FieldSet(general) if general and self.has_axis else None
-        self.mixed = self._general is not None
+        self.mixed = 0 < len(general) < len(polygons)
         if self.mixed:
             # What ``_reaching`` bounds over a box, as floats: per coordinate
             # the largest offset of the one-line polygons' positive and
@@ -191,31 +188,21 @@ class FieldSet:
         # needs 2, a box's running minimum and one line.  Grown on demand,
         # never per call: a fresh buffer of this size is often mmapped by
         # the allocator, and its page faults cost more than the products it
-        # holds.  Held in a list that the general sub-set shares: it runs
-        # on this set's blocks, or in its lattice entry, never beside them.
-        part = self._general_part()
-        self._rows = 2 + (max(len(n) for n, _ in part._lines) if part else 0)
-        self._buf = [np.empty(0)]
-        if self.mixed:
-            self._general._buf = self._buf
+        # holds.
+        self._rows = 2 + max((len(n) for n, _ in self._lines), default=0)
+        self._buf = np.empty(0)
 
     @property
     def polygons(self) -> tuple[Polygon, ...]:
         return self._polygons
 
-    def _general_part(self):
-        """The set that evaluates the general polygons, or None: this set
-        when it holds nothing else, else its sub-set.  Not stored, so that
-        no set refers to itself."""
-        return self if self._lines else self._general
-
     def _scratch(self, n: int) -> np.ndarray:
         """The block scratch, grown to hold a block of ``n`` points or a
         whole block."""
         need = self._rows * min(n, _BLOCK_POINTS)
-        if len(self._buf[0]) < need:
-            self._buf[0] = np.empty(need)
-        return self._buf[0]
+        if len(self._buf) < need:
+            self._buf = np.empty(need)
+        return self._buf
 
     def _reaching(self, x0, x1, y0, y1) -> list:
         """The ``(normals, offsets)`` of the general polygons that may reach
@@ -242,7 +229,7 @@ class FieldSet:
         cx, cy, hx, hy = (x0 + x1) / 2, (y0 + y1) / 2, (x1 - x0) / 2, (y1 - y0) / 2
         return [
             lines
-            for lines, edges in zip(self._general._lines, self._reach)
+            for lines, edges in zip(self._lines, self._reach)
             if not min(a * cx + b * cy + c + aa * hx + bb * hy for a, b, c, aa, bb in edges)
             < floor
         ]
@@ -255,27 +242,28 @@ class FieldSet:
         ``x`` and ``y`` are equal-length 1-D arrays of any stride.  A mixed
         set skips in each block the general polygons that cannot reach its
         axis form over ``box``, an ``(x0, x1, y0, y1)`` that bounds every
-        point, or else over the block's own bounding box.  A general-only
-        set evaluates only the ``lines`` pairs of its polygons, if given,
-        and may write over ``y``: each block copies its points first.
+        point, or else over the block's own bounding box.  Given ``lines``,
+        a non-empty list of pairs of ``_lines``, the call evaluates only
+        those general polygons, with no axis form, and may write over
+        ``y``: each block copies its points first.
         """
         if out is None:
             out = np.empty(len(x))
         buf = self._scratch(len(x))
-        general = self._general_part()
         for lo, hi in _block_slices(len(x), _BLOCK_POINTS):
             n = hi - lo
             xy, dst = (x[lo:hi], y[lo:hi]), out[lo:hi]
+            if lines is not None:
+                self._products(xy, dst, buf, lines)
+                continue
             # The paired case of the lattice fold: the maximum over the
             # kept general polygons, EX, EY and min(BX, BY) per box, each
             # term folded into ``dst`` (or written there first) as it is
             # made.
-            kept = self._lines if lines is None else lines
-            if self.mixed:
-                kept = self._reaching(*(box or _bounds(*xy)))
+            kept = self._reaching(*(box or _bounds(*xy))) if self.mixed else self._lines
             filled = bool(kept)
             if filled:
-                general._products(xy, dst, buf, kept)
+                self._products(xy, dst, buf, kept)
             acc, temp = buf[: 2 * n].reshape(2, n)
             for coord, single in enumerate(self._single):
                 if single:
@@ -291,9 +279,9 @@ class FieldSet:
         return out
 
     def _products(self, xy, dst, buf, lines):
-        """The field of the ``lines`` pairs of a general-only set at one
-        block's points ``xy``, into ``dst``: one BLAS product per polygon,
-        ``buf`` as scratch."""
+        """The field of the general polygons ``lines`` at one block's
+        points ``xy``, into ``dst``: one BLAS product per polygon, ``buf``
+        as scratch."""
         n = len(dst)
         # Flat, so every (L, n) view of it is C-contiguous and matmul writes
         # into it through BLAS; BLAS's operand is the transpose of the
@@ -333,8 +321,7 @@ class FieldSet:
         or one ``(x, y)`` row pair if that is more.
         """
         n = len(x)
-        general = self._general_part()
-        poses = max(1, (_TILE_POINTS if general is None else _TILE_POINTS // 2) // n)
+        poses = max(1, (_TILE_POINTS // 2 if self._lines else _TILE_POINTS) // n)
         tx = min(len(xs), poses)
         ty = min(len(ys), max(1, poses // tx))
         # Side rows per shift: the one-line polygons' maximum and each box's
@@ -364,16 +351,14 @@ class FieldSet:
                 shape = (j1 - j0, k1 - k0, n)
                 size = shape[0] * shape[1] * n
                 out, temp = vals[:size].reshape(shape), work[:size].reshape(shape)
-                lines = self._lines
-                if self.mixed:
-                    lines = self._reaching(*x_ends[jt], *y_ends[kt])
+                lines = self._reaching(*x_ends[jt], *y_ends[kt]) if self.mixed else self._lines
                 if lines:
-                    # The posed points, through the general-only kernel,
+                    # The posed points, through the general polygons' entry,
                     # which writes its values over their y.
                     np.add(x, xs[j0:j1, None, None], out=temp)
                     np.add(y, ys[k0:k1, None], out=out)
                     flat = out.reshape(-1)
-                    general.eval_many(temp.reshape(-1), flat, out=flat, lines=lines)
+                    self.eval_many(temp.reshape(-1), flat, out=flat, lines=lines)
                 self._compose(xr, yr, out, temp, bool(lines))
                 yield j0, k0, out
 

@@ -286,21 +286,21 @@ class ObjectiveEvaluator:
         A heading's run of poses that is a lattice goes instead to the field
         set's ``eval_lattice``, which evaluates each axis line once per
         distinct x or y translation (keyed by bit pattern) in tiles of at
-        most ``_TILE_POINTS`` points.  A run is a lattice when the field set
-        has an axis polygon, its distinct x plus distinct y translations
-        are at most a quarter of its poses, and its poses fill at least
-        half of the x-by-y grid; a run of fewer than ``_LATTICE_MIN_RUN``
-        poses cannot be one and is not examined.  A refinement round holds
-        at most 8 poses of one heading per start, so at the default 3
-        starts it never takes this path.  Each grid cell's weighted sum is
-        the per-pose path's, so the scores keep their bits.
+        most ``_TILE_POINTS`` points.  A run is a lattice when its distinct
+        x plus distinct y translations are at most a quarter of its poses,
+        and its poses fill at least half of the x-by-y grid; a run of fewer
+        than ``_LATTICE_MIN_RUN`` poses cannot be one and is not examined.
+        A refinement round holds at most 8 poses of one heading per start,
+        so at the default 3 starts it never takes this path.  Each grid
+        cell's weighted sum is the per-pose path's, so the scores keep
+        their bits.
         """
         poses = np.asarray(poses, dtype=float).reshape(-1, 3)
         order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
         poses = poses[order]
         sums = np.empty((len(self._columns), len(poses)))
         left = None
-        if len(poses) >= _LATTICE_MIN_RUN and self._fields.has_axis:
+        if len(poses) >= _LATTICE_MIN_RUN:
             left = self._lattice_runs(poses, sums)
         if left is None or left.all():
             self._pose_blocks(poses, sums)

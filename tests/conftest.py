@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from parkfield.field import _axis_sides
 from parkfield.geometry import (
     EdgeLine,
     Point2,
@@ -211,10 +212,12 @@ def point_major_gamma_many(fields, pts):
 
 def on_axis_path(fields) -> list:
     """Per polygon of ``fields``: does it stay out of the set's general
-    part, which takes the BLAS product?"""
-    general = fields._general_part()
-    product = {id(p) for p in general.polygons} if general else set()
-    return [id(p) not in product for p in fields.polygons]
+    part, which takes the BLAS product?  A one-line polygon of an axis line
+    and an upright box do."""
+    sides = [_axis_sides(p.edges) for p in fields.polygons]
+    axis = [bool(s) and (len(p.edges) == 1 or all(s)) for p, s in zip(fields.polygons, sides)]
+    assert axis.count(False) == len(fields._lines)
+    return axis
 
 
 def scalar_tie_key(score, x, y, theta, cfg, spot):

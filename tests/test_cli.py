@@ -177,6 +177,18 @@ def test_render_unwritable_output_is_io_error(tmp_path):
     assert proc.returncode == 5
 
 
+def test_render_has_no_format_flag(tmp_path):
+    # ``render`` writes SVG only; it took ``--format`` and never read it.
+    out = tmp_path / "x.svg"
+    proc = run_cli(
+        "render", scenario("empty_spot.json"), "--field", "-o", out, "--format", "report"
+    )
+    assert proc.returncode == 2
+    assert "--format" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_sampling_flags_override(tmp_path):
     proc = run_cli(
         "solve",
@@ -248,6 +260,8 @@ MALFORMED_CONFIGS = [
     ({"sampling": {"density": "dense"}}, 2, "config.sampling.density"),
     ({"sampling": {"mode": ["grid"]}}, 2, "config.sampling.mode"),
     ({"explain": "no"}, 2, "config.explain"),
+    # Exited 0 and solved on the default solver options.
+    ({"solvr": {"starts": 0}}, 2, "config.solvr"),
 ]
 
 

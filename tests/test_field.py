@@ -284,10 +284,28 @@ def test_grid_entry_equals_the_point_kernel_on_a_meshgrid(lines):
         assert np.array_equal(fields.eval_grid(xs, ys), want), (nx, ny)
 
 
+@pytest.mark.parametrize("lines", ENTRY_SETS[2:])
+def test_lines_entry_equals_the_general_polygons_alone(lines):
+    # ``eval_many(..., lines=...)`` is how a lattice tile runs the general
+    # part: those polygons only, no axis form, and ``y`` may be the output.
+    fields = kernel_set(lines)
+    assert fields.mixed
+    general = [p for p, axis in zip(fields.polygons, on_axis_path(fields)) if not axis]
+    rng = np.random.default_rng(8)
+    for n in BLOCK_STRADDLING_COUNTS + (935,):
+        pts = rng.uniform(-3, 3, size=(n, 2))
+        pts[::7, 0] = 0.0
+        pts[3::11, 1] = -0.0
+        want = point_major_gamma_many(FieldSet(general), pts)
+        x, y = np.ascontiguousarray(pts.T)
+        assert_same_bits(fields.eval_many(x, y, lines=fields._lines), want)
+        assert_same_bits(fields.eval_many(x, y, out=y, lines=fields._lines), want)
+
+
 @pytest.mark.parametrize("lines", ENTRY_SETS[:3])
 def test_field_sets_take_part_in_no_reference_cycle(lines):
     # Without the cycle collector a set that refers to itself, directly or
-    # through its general part, outlives its last reference.
+    # through one of its attributes, outlives its last reference.
     gc.disable()
     try:
         fields = kernel_set(lines)
@@ -375,7 +393,7 @@ def products(monkeypatch):
 
 
 def assert_some_polygon_pruned_and_kept(products, fields):
-    ids = [id(normals) for normals, _ in fields._general_part()._lines]
+    ids = [id(normals) for normals, _ in fields._lines]
     assert any(
         any(i in call for call in products) and any(i not in call for call in products) for i in ids
     )

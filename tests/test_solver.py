@@ -718,11 +718,12 @@ def test_lattice_path_skips_polls_and_general_only_sets(lattice_calls):
     scattered = random_poses(rng, standard_spot(), 400)
     scattered[:, 2] = 0.0
     assert_lattice_exact(fields, evaluator, scattered, lattice_calls, 0)
-    # A set of general polygons only has no axis lines to share.
+    # A set of general polygons only takes the lattice entry too, which
+    # runs its products on each tile's posed points.
     general = FieldSet(fields.polygons[5:])
     poses = solver._pose_lattice(standard_spot(), 0.25, (0.0,))
     own = ObjectiveEvaluator(general, LATTICE_FOOTPRINT, SamplingPlan())
-    assert_lattice_exact(general, own, poses, lattice_calls, 0)
+    assert_lattice_exact(general, own, poses, lattice_calls, len(poses))
 
 
 def test_oracle_tie_break_matches_per_pose_key_loop():
