@@ -25,7 +25,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .errors import BudgetError, ParkfieldError, ScenarioError
+from .errors import BudgetError, ParkfieldError, ScenarioError, finite_number
 from .render import CONTOUR_LEVELS, render_scene, scene_bounds
 # ``spot_field_set`` is bound here although only ``strategy`` calls it: the
 # benchmark's tracer self-test asserts ``cli.spot_field_set`` is wrapped.
@@ -193,6 +193,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    # Checked in both modes, although only ``--field`` reads it.
+    finite_number("resolution", args.resolution, 0.0, False)
     text = _read_text(args.scenario)
     scenario = load_scenario(text)
     plan, config, _explain = _load_config(args.config, args)

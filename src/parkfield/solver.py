@@ -41,11 +41,6 @@ MAX_RECT_WEIGHT = 1e6
 # exists to fix; keep monte_carlo only for regression demos.
 _MC_EDGE_FRACTION = 0.75
 
-# Fewest poses of one heading that ``scores`` checks for the lattice path:
-# distinct x plus distinct y are at least 2 sqrt(P), which is more than a
-# quarter of P below 64 poses.
-_LATTICE_MIN_RUN = 64
-
 
 @dataclass(frozen=True, slots=True)
 class Pose:
@@ -262,7 +257,7 @@ class ObjectiveEvaluator:
         self._rows: dict = {}
         self._buf = np.empty(0)
 
-    def scores(self, poses: np.ndarray) -> np.ndarray:
+    def scores(self, poses: np.ndarray, axes: tuple | None = None) -> np.ndarray:
         """Objective at each pose row (x, y, theta).
 
         Shape ``(P,)`` for one footprint, ``(F, P)`` for F footprints.
@@ -283,75 +278,43 @@ class ObjectiveEvaluator:
         it holds a block's worth of headings, so it stays within about two
         blocks' points.
 
-        A heading's run of poses that is a lattice goes instead to the field
-        set's ``eval_lattice``, which evaluates each axis line once per
-        distinct x or y translation (keyed by bit pattern) in tiles of at
-        most ``_TILE_POINTS`` points.  A run is a lattice when its distinct
-        x plus distinct y translations are at most a quarter of its poses,
-        and its poses fill at least half of the x-by-y grid; a run of fewer
-        than ``_LATTICE_MIN_RUN`` poses cannot be one and is not examined.
-        A refinement round holds at most 8 poses of one heading per start,
-        so at the default 3 starts it never takes this path.  Each grid
-        cell's weighted sum is the per-pose path's, so the scores keep
-        their bits.
+        ``axes`` is ``(xs, ys, headings)`` when ``poses`` are the rows of
+        ``_pose_lattice`` over them, and then the rows are not read: each
+        heading goes to the field set's ``eval_lattice``, which evaluates
+        each axis line once per x or y translation in tiles of at most
+        ``_TILE_POINTS`` points.  Each lattice node's weighted sum is the
+        per-pose path's, so the scores keep their bits.
         """
-        poses = np.asarray(poses, dtype=float).reshape(-1, 3)
-        order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
-        poses = poses[order]
-        sums = np.empty((len(self._columns), len(poses)))
-        left = None
-        if len(poses) >= _LATTICE_MIN_RUN:
-            left = self._lattice_runs(poses, sums)
-        if left is None or left.all():
-            self._pose_blocks(poses, sums)
-        elif left.any():
-            part = np.empty((len(sums), np.count_nonzero(left)))
-            self._pose_blocks(poses[left], part)
-            sums[:, left] = part
-        out = np.empty_like(sums)
-        out[:, order] = sums
+        if axes is None:
+            poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+            order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
+            sums = np.empty((len(self._columns), len(poses)))
+            self._pose_blocks(poses[order], sums)
+            out = np.empty_like(sums)
+            out[:, order] = sums
+        else:
+            xs, ys, headings = axes
+            grid = np.empty((len(self._columns), len(xs), len(ys), len(headings)))
+            for h in range(len(headings)):
+                self._lattice(headings[h : h + 1], xs, ys, grid[..., h])
+            out = grid.reshape(len(grid), -1)
         return out[0] if len(self._columns) == 1 else out
 
-    def _lattice_runs(self, poses, sums) -> np.ndarray:
-        """Score each heading's run of the sorted ``poses`` that is a lattice
-        into ``sums``; return the mask of the other poses."""
-        left = np.ones(len(poses), dtype=bool)
-        bits = poses[:, 2].view(np.int64)
-        cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
-        for lo, hi in zip([0] + cuts, cuts + [len(poses)]):
-            if self._lattice_run(poses[lo:hi], sums[:, lo:hi]):
-                left[lo:hi] = False
-        return left
-
-    def _lattice_run(self, poses, sums) -> bool:
-        """Score one heading's ``poses`` into ``sums`` through the field
-        set's lattice entry if their translations are a lattice: few
-        distinct x and y against the poses, and at least half of the
-        x-by-y grid posed.  Return whether they were."""
-        count = len(poses)
-        if count < _LATTICE_MIN_RUN:
-            return False
-        # Keyed by bit pattern, so a -0.0 translation never shares 0.0's rows.
-        xs, jx = np.unique(poses[:, 0].view(np.int64), return_inverse=True)
-        ys, ky = np.unique(poses[:, 1].view(np.int64), return_inverse=True)
-        if len(xs) + len(ys) > count // 4 or len(xs) * len(ys) > 2 * count:
-            return False
+    def _lattice(self, theta, xs, ys, grid):
+        """Score the (x, y) nodes of the one-element heading ``theta`` into
+        ``grid``, per footprint.  The lattice entry's scratch dies with the
+        call, before the next heading's is allocated."""
         lx, ly = self._coords
-        m = len(lx)
         # The rotation of ``_pose_blocks``, as one-element rows.
-        c = np.cos(poses[:1, 2])
-        s = np.sin(poses[:1, 2])
+        c = np.cos(theta)
+        s = np.sin(theta)
         rx = c * lx - s * ly
         ry = s * lx + c * ly
-        # Per footprint, the score of every (x, y) pair of the grid.
-        grid = np.empty((len(sums), len(xs), len(ys)))
-        for j, k, values in self._fields.eval_lattice(rx, ry, xs.view(float), ys.view(float)):
-            tx, ty, _ = values.shape
+        for j, k, values in self._fields.eval_lattice(rx, ry, xs, ys):
+            tx, ty, m = values.shape
             values = values.reshape(tx * ty, m)
             for cell, column in zip(grid, self._columns):
                 cell[j : j + tx, k : k + ty] = self._weighted(values, *column).sum(axis=1).reshape(tx, ty)
-        sums[:] = grid[:, jx, ky]
-        return True
 
     def _weighted(self, values, cols, weights):
         """Per-sample weighted ``values`` of one footprint's columns, C-contiguous.
@@ -500,12 +463,14 @@ def _local_field_set(fields: FieldSet, spot: ParkingSpot) -> FieldSet:
     )
 
 
-def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> np.ndarray:
-    """(x, y, theta) rows of a ``pitch`` lattice over the spot box and headings.
+def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> tuple:
+    """``(poses, (xs, ys, headings))`` of a ``pitch`` lattice over the spot
+    box and headings: the axes as arrays, and an (x, y, theta) row per node
+    of their ``ij`` meshgrid.
 
-    Each axis spans its extent inclusively in equal steps of at most
-    ``pitch``; more than ``MAX_LATTICE_POSES`` poses raise ``BudgetError``
-    before anything is allocated.
+    Each position axis spans its extent inclusively in equal steps of at
+    most ``pitch``; more than ``MAX_LATTICE_POSES`` poses raise
+    ``BudgetError`` before anything is allocated.
     """
     cells = [extent / pitch for extent in (spot.length, spot.width)]
     if max(cells) > MAX_LATTICE_POSES:
@@ -517,8 +482,9 @@ def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> np.ndarray:
     total = len(xs) * len(ys) * len(headings)
     if total > MAX_LATTICE_POSES:
         raise BudgetError(f"{total} lattice poses exceed {MAX_LATTICE_POSES}")
-    gx, gy, gt = np.meshgrid(xs, ys, np.array(headings), indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
+    headings = np.array(headings, dtype=float)
+    gx, gy, gt = np.meshgrid(xs, ys, headings, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()]), (xs, ys, headings)
 
 
 class ScoredLattice:
@@ -527,10 +493,10 @@ class ScoredLattice:
     ``minimize`` starts from the lattice at the coarse pitch, and the
     explained solves of a spot (the footprint and each of its one-rectangle
     ablations) share one: the spot-local field set is compiled once, the
-    union of the footprints' sample blocks passes the field kernel once per
-    lattice pose, and each footprint reads its own score column.  Scoring
-    waits for the first ``column`` call, so it runs inside the first solve
-    that needs it.
+    union of the footprints' sample blocks is scored once per lattice pose
+    through the axes the lattice declares, and each footprint reads its own
+    score column.  Scoring waits for the first ``column`` call, so it runs
+    inside the first solve that needs it.
     """
 
     def __init__(self, fields, footprints, spot, plan, config, pitch=None):
@@ -550,10 +516,10 @@ class ScoredLattice:
         """
         plan, weights = self._plan, self._config.rect_weights
         if self._scored is None:
-            poses = _pose_lattice(self._spot, self._pitch, self._config.headings)
+            poses, axes = _pose_lattice(self._spot, self._pitch, self._config.headings)
             local = _local_field_set(self._fields, self._spot)
             shared = ObjectiveEvaluator(local, self._footprints, plan, weights)
-            columns = shared.scores(poses).reshape(len(self._footprints), -1)
+            columns = shared.scores(poses, axes).reshape(len(self._footprints), -1)
             self._scored = (local, shared, poses, columns)
         local, shared, poses, columns = self._scored
         if self._footprints == (footprint,):

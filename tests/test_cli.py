@@ -386,11 +386,15 @@ def test_solve_report_bytes_match_recorded(name, capsys):
     assert got == want
 
 
-@pytest.mark.parametrize("verb", ["render", "oracle"])
+@pytest.mark.parametrize("verb", ["render", "oracle", "render-pose"])
 @pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf"])
 def test_bad_resolution_exit_codes(tmp_path, verb, resolution):
-    extra = ["--field", "-o", tmp_path / "x.svg"] if verb == "render" else []
-    proc = run_cli(verb, scenario("empty_spot.json"), *extra, "--resolution", resolution)
+    args = {
+        "render": ["render", "--field", "-o", tmp_path / "x.svg"],
+        "render-pose": ["render", "--pose", "-o", tmp_path / "x.svg"],
+        "oracle": ["oracle"],
+    }[verb]
+    proc = run_cli(*args, scenario("empty_spot.json"), "--resolution", resolution)
     assert proc.returncode == 2
     assert "resolution" in proc.stderr
     assert "Traceback" not in proc.stderr

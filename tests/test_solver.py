@@ -474,18 +474,18 @@ def test_scores_bitwise_equal_unblocked_across_pose_blocks():
         assert_scores_exact(local, evaluator, poses)
 
 
-def assert_scores_exact(local, evaluator, poses):
+def assert_scores_exact(local, evaluator, poses, axes=None):
     """``scores`` bit-identical to the unblocked oracle, on a fresh call and
     on a repeat that reads the evaluator's cached rotations."""
     want = unblocked_scores(local, evaluator, poses)
-    assert np.array_equal(evaluator.scores(poses), want)
-    assert np.array_equal(evaluator.scores(poses), want)
+    assert np.array_equal(evaluator.scores(poses, axes), want)
+    assert np.array_equal(evaluator.scores(poses, axes), want)
 
 
 def test_scores_exact_on_a_whole_coarse_lattice():
     spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
     # Every heading repeats hundreds of times, interleaved pose by pose.
-    lattice = solver._pose_lattice(spot, 0.25, (0.0, math.pi, -0.3))
+    lattice, _ = solver._pose_lattice(spot, 0.25, (0.0, math.pi, -0.3))
     assert_scores_exact(local, evaluator, lattice)
 
 
@@ -511,7 +511,7 @@ def test_union_scores_exact_per_footprint():
     spot, local, footprint = golden_local("loaded_family_context.json")
     footprints = [footprint] + [footprint.without(lb) for lb in footprint.labels()]
     rng = np.random.default_rng(9)
-    poses = solver._pose_lattice(spot, 0.5, (0.0, math.pi))
+    poses, _ = solver._pose_lattice(spot, 0.5, (0.0, math.pi))
     poses = np.concatenate([poses, random_poses(rng, spot, 40)])
     for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
         union = ObjectiveEvaluator(local, footprints, plan)
@@ -531,8 +531,8 @@ def test_scores_exact_with_monte_carlo_plan():
     plan = SamplingPlan(MONTE_CARLO, 301.0, 7)
     spot, local, evaluator = golden_evaluator("mixed_obstacles.json", plan)
     assert evaluator._coords.shape[1] % 4
-    poses = solver._pose_lattice(spot, 0.25, (0.0, math.pi))
-    assert_scores_exact(local, evaluator, poses)
+    poses, axes = solver._pose_lattice(spot, 0.25, (0.0, math.pi))
+    assert_scores_exact(local, evaluator, poses, axes)
     for count in (1, 3, 5, 37):
         assert_scores_exact(local, evaluator, poses[::-1][:count])
 
@@ -546,14 +546,15 @@ def test_scores_memory_bounded_for_large_batches(lattice_calls):
     long_spot = make_spot(
         "long", [Point2(0, 0), Point2(12, 0), Point2(12, 2.5), Point2(0, 2.5)], "x_min"
     )
+    lattice, axes = solver._pose_lattice(long_spot, 0.05, (0.0, math.pi))
     batches = [
-        random_poses(np.random.default_rng(6), spot, 20_000),
-        solver._pose_lattice(long_spot, 0.05, (0.0, math.pi)),
+        (random_poses(np.random.default_rng(6), spot, 20_000), None, 0),
+        (lattice, axes, len(lattice) * 936),
     ]
-    for poses, lattice_points in zip(batches, (0, len(batches[1]) * 936)):
+    for poses, axes, lattice_points in batches:
         tracemalloc.start()
         try:
-            scores = evaluator.scores(poses)
+            scores = evaluator.scores(poses, axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -625,24 +626,39 @@ TILE_POSES = _TILE_POINTS // sum(
 )
 
 
-def assert_lattice_exact(fields, evaluator, poses, calls, cells):
-    """``scores`` bit-identical to the unblocked oracle, on a fresh call and
-    on a repeat, with the samples of ``cells`` distinct (x, y) translations
-    through the lattice entry each time."""
+def grid_poses(xs, ys, headings):
+    """``_pose_lattice``'s rows and axes over the given axes."""
+    axes = tuple(np.array(axis, dtype=float) for axis in (xs, ys, headings))
+    gx, gy, gt = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()]), axes
+
+
+def assert_lattice_exact(fields, evaluator, poses, axes, calls):
+    """``scores`` through the declared ``axes`` bit-identical to the
+    unblocked oracle, on a fresh call and on a repeat, with the samples of
+    every pose through the lattice entry each time."""
     want = unblocked_scores(fields, evaluator, poses)
     m = evaluator._coords.shape[1]
     for _ in range(2):
         calls.clear()
-        assert np.array_equal(evaluator.scores(poses), want)
-        assert sum(call.points for call in calls) == cells * m
+        assert np.array_equal(evaluator.scores(poses, axes), want)
+        assert sum(call.points for call in calls) == len(poses) * m
 
 
 def test_lattice_scores_exact_on_a_whole_pose_lattice(lattice_calls):
     fields = lattice_field_set()
     evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
-    poses = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi, -0.3))
-    assert_lattice_exact(fields, evaluator, poses, lattice_calls, len(poses))
+    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi, -0.3))
+    assert_lattice_exact(fields, evaluator, poses, axes, lattice_calls)
     assert [(len(c.xs), len(c.ys)) for c in lattice_calls] == [(21, 11)] * 3
+    # A set of general polygons only takes the lattice entry too, which
+    # runs its products on each tile's posed points; a repeated heading is
+    # scored once per copy.
+    general = FieldSet(fields.polygons[5:])
+    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, 0.0))
+    own = ObjectiveEvaluator(general, LATTICE_FOOTPRINT, SamplingPlan())
+    assert_lattice_exact(general, own, poses, axes, lattice_calls)
+    assert len(lattice_calls) == 2
 
 
 @pytest.mark.parametrize("nx, ny", [(TILE_POSES + 1, 10), (5, 40)])
@@ -650,9 +666,8 @@ def test_lattice_scores_exact_across_tiles(lattice_calls, nx, ny):
     fields = lattice_field_set()
     evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
     m = evaluator._coords.shape[1]
-    gx, gy = np.meshgrid(np.linspace(0.0, 5.0, nx), np.linspace(0.0, 2.5, ny), indexing="ij")
-    poses = np.column_stack([gx.ravel(), gy.ravel(), np.full(nx * ny, 0.3)])
-    assert_lattice_exact(fields, evaluator, poses, lattice_calls, len(poses))
+    poses, axes = grid_poses(np.linspace(0.0, 5.0, nx), np.linspace(0.0, 2.5, ny), [0.3])
+    assert_lattice_exact(fields, evaluator, poses, axes, lattice_calls)
     (call,) = lattice_calls
     # Tiles cover the grid once, each within the tile budget, and span
     # several x tiles and several y tiles (one x more than a tile holds, by
@@ -672,20 +687,15 @@ def test_lattice_scores_exact_across_tiles(lattice_calls, nx, ny):
 def test_lattice_scores_exact_with_repeated_translations(lattice_calls):
     fields = lattice_field_set()
     evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
+    # Unsorted translations, with -0.0 beside 0.0.
     xs = np.array([-0.0, 0.0, 0.25, 1.0, 1.7, 2.5, 3.0, 3.3, 4.0, 4.6, 5.0, 2.2])
     ys = np.array([0.0, -0.0, 0.4, 0.9, 1.25, 1.9, 2.5, 2.1])
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, math.pi)])
-    rng = np.random.default_rng(12)
-    # Every pose twice, shuffled, and a poll's worth at another heading
-    # that keeps the per-pose path.
-    poll = np.column_stack([grid[:9, :2], np.full(9, 0.1)])
-    poses = rng.permutation(np.concatenate([grid, grid, poll]))
-    assert_lattice_exact(fields, evaluator, poses, lattice_calls, len(grid))
+    poses, axes = grid_poses(xs, ys, [math.pi])
+    assert_lattice_exact(fields, evaluator, poses, axes, lattice_calls)
     # Each translation is its own row, -0.0 apart from 0.0.
     (call,) = lattice_calls
     for got, want in ((call.xs, xs), (call.ys, ys)):
-        assert sorted(got.view(np.int64).tolist()) == sorted(want.view(np.int64).tolist())
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_lattice_union_scores_exact_per_footprint(lattice_calls):
@@ -693,37 +703,17 @@ def test_lattice_union_scores_exact_per_footprint(lattice_calls):
     footprints = [LATTICE_FOOTPRINT] + [
         LATTICE_FOOTPRINT.without(label) for label in LATTICE_FOOTPRINT.labels()
     ]
-    poses = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi))
+    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi))
     for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
         union = ObjectiveEvaluator(fields, footprints, plan)
         lattice_calls.clear()
-        columns = union.scores(poses)
+        columns = union.scores(poses, axes)
         assert sum(c.points for c in lattice_calls) == len(poses) * union._coords.shape[1]
         for fp, column in zip(footprints, columns):
             own = ObjectiveEvaluator(fields, fp, plan)
             assert np.array_equal(column, unblocked_scores(fields, own, poses))
             shared = ObjectiveEvaluator(fields, fp, plan, shared=union)
-            assert np.array_equal(shared.scores(poses), column)
-
-
-def test_lattice_path_skips_polls_and_general_only_sets(lattice_calls):
-    fields = lattice_field_set()
-    evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
-    # 63 poses of one heading: too few for the lattice check.
-    gx, gy = np.meshgrid(np.linspace(0.0, 5.0, 9), np.linspace(0.0, 2.5, 7), indexing="ij")
-    few = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    assert_lattice_exact(fields, evaluator, few, lattice_calls, 0)
-    # Scattered poses: as many distinct x and y as poses.
-    rng = np.random.default_rng(4)
-    scattered = random_poses(rng, standard_spot(), 400)
-    scattered[:, 2] = 0.0
-    assert_lattice_exact(fields, evaluator, scattered, lattice_calls, 0)
-    # A set of general polygons only takes the lattice entry too, which
-    # runs its products on each tile's posed points.
-    general = FieldSet(fields.polygons[5:])
-    poses = solver._pose_lattice(standard_spot(), 0.25, (0.0,))
-    own = ObjectiveEvaluator(general, LATTICE_FOOTPRINT, SamplingPlan())
-    assert_lattice_exact(general, own, poses, lattice_calls, len(poses))
+            assert np.array_equal(shared.scores(poses, axes), column)
 
 
 def test_oracle_tie_break_matches_per_pose_key_loop():
@@ -806,9 +796,9 @@ def scored_poses(monkeypatch):
     seen = {}
     original = ObjectiveEvaluator.scores
 
-    def recording(self, poses):
+    def recording(self, poses, *args):
         seen.setdefault(self, []).extend(map(tuple, np.asarray(poses).tolist()))
-        return original(self, poses)
+        return original(self, poses, *args)
 
     monkeypatch.setattr(ObjectiveEvaluator, "scores", recording)
     return seen
@@ -938,15 +928,21 @@ def per_start_compass_refine(evaluator, memo, starts, scores, cfg, spot):
     ]
 
 
-@pytest.mark.parametrize("max_refine_evals", [4000, 30])
+# At 40 starts a refinement round scores over a hundred poses of one
+# heading, all of them pose by pose.
+@pytest.mark.parametrize(
+    "max_refine_evals, starts, count",
+    [(4000, 3, 20), (30, 3, 20), (4000, 40, 3)],
+    ids=["4000", "30", "4000-starts40"],
+)
 def test_lockstep_refinement_equals_the_per_start_loop(
-    monkeypatch, scored_poses, max_refine_evals
+    monkeypatch, scored_poses, max_refine_evals, starts, count
 ):
     rng = random.Random(47)
     plan = SamplingPlan(GRID, 25.0)
-    config = SolverConfig(max_refine_evals=max_refine_evals)
-    cases = [random_scenario(rng) for _ in range(20)]
-    lattice = sum(len(solver._pose_lattice(spot, 0.25, config.headings)) for spot, _, _ in cases)
+    config = SolverConfig(max_refine_evals=max_refine_evals, starts=starts)
+    cases = [random_scenario(rng) for _ in range(count)]
+    lattice = sum(len(solver._pose_lattice(spot, 0.25, config.headings)[0]) for spot, _, _ in cases)
     calls = []  # poses each ``_memo_scores`` call sent to the evaluator
     memo_scores = solver._memo_scores
 

@@ -292,7 +292,7 @@ def assert_explain_equivalent(monkeypatch, fields, footprint, spot, plan, config
             assert bias_drivers(fields, footprint, spot, base, plan, config, coarse) == expected
             assert recorded == expected_results
 
-    lattice = _pose_lattice(spot, config.coarse_pitch, config.headings)
+    lattice, _ = _pose_lattice(spot, config.coarse_pitch, config.headings)
     local = _local_field_set(fields, spot)
     for fp in [footprint, *ablations]:
         alone = ObjectiveEvaluator(local, fp, plan, config.rect_weights).scores(lattice)
@@ -346,22 +346,22 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     # With explain on, the base solve and its 3 re-solves start from one
     # coarse pass: every lattice pose's samples reach the field set's
     # lattice entry once, not once per solve, and none reach the per-pose
-    # kernel.
+    # kernel; no other scores call reaches the lattice entry.
     scenario = load_golden("single_obstacle_baby.json")
     footprint = build_footprint(scenario.context, scenario.vehicle)
     assert len(footprint.labels()) == 3 and len(scenario.spots) == 1
     spot = scenario.spots[0]
     config = SolverConfig()
-    lattice = set(map(tuple, _pose_lattice(spot, config.coarse_pitch, config.headings).tolist()))
+    lattice = set(map(tuple, _pose_lattice(spot, config.coarse_pitch, config.headings)[0].tolist()))
     samples = ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._coords.shape[1]
     calls = []  # per scores call: [poses, lattice entry points, kernel points]
     scores = ObjectiveEvaluator.scores
     eval_many = FieldSet.eval_many
     eval_lattice = FieldSet.eval_lattice
 
-    def counting_scores(self, poses):
+    def counting_scores(self, poses, *args):
         calls.append([list(map(tuple, np.asarray(poses).tolist())), 0, 0])
-        return scores(self, poses)
+        return scores(self, poses, *args)
 
     def counting_eval_lattice(self, x, y, xs, ys):
         if calls:
@@ -382,6 +382,7 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     assert len(hits) == len(lattice) == len(set(hits))
     coarse = [points for poses, *points in calls if lattice & set(poses)]
     assert coarse == [[len(lattice) * samples, 0]]
+    assert all(points[0] == 0 for poses, *points in calls if not lattice & set(poses))
 
 
 @pytest.mark.parametrize("name", ["empty_spot.json", "mixed_obstacles.json"])
@@ -409,8 +410,8 @@ def test_benchmark_tracer_counts_kernel_points_from_the_x_row(name):
     poses = metrics["solver.poses_scored"]
     assert poses > 0
     # Every posed point of a general polygon passes the wrapped kernel,
-    # through the general-only sub-set on a lattice; on an axis-only set
-    # only the refinement polls do.
+    # through ``eval_many(..., lines=...)`` on a lattice tile; on an
+    # axis-only set only the refinement polls do.
     if name == "mixed_obstacles.json":
         kernel_poses = poses
     else:
