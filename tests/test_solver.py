@@ -651,14 +651,6 @@ def test_lattice_scores_exact_on_a_whole_pose_lattice(lattice_calls):
     poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi, -0.3))
     assert_lattice_exact(fields, evaluator, poses, axes, lattice_calls)
     assert [(len(c.xs), len(c.ys)) for c in lattice_calls] == [(21, 11)] * 3
-    # A set of general polygons only takes the lattice entry too, which
-    # runs its products on each tile's posed points; a repeated heading is
-    # scored once per copy.
-    general = FieldSet(fields.polygons[5:])
-    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, 0.0))
-    own = ObjectiveEvaluator(general, LATTICE_FOOTPRINT, SamplingPlan())
-    assert_lattice_exact(general, own, poses, axes, lattice_calls)
-    assert len(lattice_calls) == 2
 
 
 @pytest.mark.parametrize("nx, ny", [(TILE_POSES + 1, 10), (5, 40)])
@@ -714,6 +706,32 @@ def test_lattice_union_scores_exact_per_footprint(lattice_calls):
             assert np.array_equal(column, unblocked_scores(fields, own, poses))
             shared = ObjectiveEvaluator(fields, fp, plan, shared=union)
             assert np.array_equal(shared.scores(poses, axes), column)
+
+
+def test_lattice_path_skips_polls_and_general_only_sets(lattice_calls):
+    fields = lattice_field_set()
+    evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
+    # Poses given without axes keep the per-pose path, however regular:
+    # 63 poses of one heading on a grid, and scattered poses with as many
+    # distinct x and y as poses.
+    gx, gy = np.meshgrid(np.linspace(0.0, 5.0, 9), np.linspace(0.0, 2.5, 7), indexing="ij")
+    few = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    scattered = random_poses(np.random.default_rng(4), standard_spot(), 400)
+    scattered[:, 2] = 0.0
+    for poses in (few, scattered):
+        want = unblocked_scores(fields, evaluator, poses)
+        for _ in range(2):
+            lattice_calls.clear()
+            assert np.array_equal(evaluator.scores(poses), want)
+            assert lattice_calls == []
+    # A set of general polygons only takes the lattice entry too, which
+    # runs its products on each tile's posed points; a repeated heading is
+    # scored once per copy.
+    general = FieldSet(fields.polygons[5:])
+    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, 0.0))
+    own = ObjectiveEvaluator(general, LATTICE_FOOTPRINT, SamplingPlan())
+    assert_lattice_exact(general, own, poses, axes, lattice_calls)
+    assert len(lattice_calls) == 2
 
 
 def test_oracle_tie_break_matches_per_pose_key_loop():
