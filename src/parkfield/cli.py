@@ -26,7 +26,7 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import BudgetError, ParkfieldError, ScenarioError, finite_number
-from .render import CONTOUR_LEVELS, render_scene, scene_bounds
+from .render import render_scene, scene_bounds
 # ``spot_field_set`` is bound here although only ``strategy`` calls it: the
 # benchmark's tracer self-test asserts ``cli.spot_field_set`` is wrapped.
 from .scenario import area_field_map, build_footprint, load_scenario, spot_field_set
@@ -210,8 +210,7 @@ def _cmd_render(args) -> int:
             return EXIT_INFEASIBLE
         footprint = build_footprint(scenario.context, scenario.vehicle)
         poses = {s.spot_id: s.pose for s in ranked.strategies}
-    svg = render_scene(scenario, fmap=fmap, poses=poses, footprint=footprint,
-                       levels=CONTOUR_LEVELS)
+    svg = render_scene(scenario, fmap=fmap, poses=poses, footprint=footprint)
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(svg)

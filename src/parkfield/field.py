@@ -14,11 +14,12 @@ polygons once into one axis form, in which a line whose normal is exactly
 - the general part, every other polygon, with one ``(L, 2) @ (2, n)`` BLAS
   product per polygon and block.  Its operand is the F-ordered transpose
   of a C-ordered ``(n, 2)`` copy of the block: BLAS may fuse one of the
-  two products into the add (OpenBLAS 0.3.31 with its Haswell kernels
-  rounds gemv as ``fma(a, x, b*y)`` and gemm as ``fma(b, y, a*x)``), and,
-  handed the rows themselves, gemv rounds a one-line polygon's ``n % 4``
-  tail points differently.  A set holds the normals and offsets of its
-  general polygons itself, none if it has none.
+  two products into the add (OpenBLAS 0.3.31 with the SkylakeX kernels it
+  picks on an AVX-512 core rounds gemv as ``fma(a, x, b*y)`` and gemm as
+  ``fma(b, y, a*x)``; the bit-pinned tests pass under its Haswell kernels
+  too), and, handed the rows themselves, gemv rounds a one-line polygon's
+  ``n % 4`` tail points differently.  A set holds the normals and offsets
+  of its general polygons itself, none if it has none.
 
 The field is ``max(general, EX, EY, min(BX, BY) per box)``, and three
 entries fold it with one helper, ``_fold``.  ``FieldSet.eval_many`` takes
@@ -62,11 +63,12 @@ small value far from the origin while its rounding stays at the scale of
 ``x``.  The kept polygons keep their fold order, general part first.
 ``np.maximum`` keeps its first argument on a tie, so which of two equal
 terms comes first can decide the sign of a zero; a skipped polygon never
-ties, so the order of the rest decides as before.  The boxes come from
-data the callers already hold: ``eval_lattice`` takes the sample rows'
-extremes plus each tile's shift range, and the objective passes each
-heading's cached row extremes plus its translations.  Rounding is
-monotone, so the computed points lie inside these boxes.
+ties, so the order of the rest decides as before.  ``eval_many`` bounds
+a block by the extremes of its own points, which is the tightest box.
+``eval_lattice`` must choose a tile's general polygons before it makes
+the tile's points, so it bounds a tile by the sample rows' extremes plus
+the tile's shift range; rounding is monotone, so the posed points lie
+inside that box.
 """
 
 from __future__ import annotations
@@ -141,9 +143,8 @@ class FieldSet:
     """Non-empty collection of field-generating polygons, compiled once
     into the axis form and the general part.
 
-    ``mixed`` tells whether the set has both general polygons and others,
-    so that a block may skip the general ones.  A set keeps scratch buffers
-    across calls, so an instance must not be shared between threads.
+    A set keeps scratch buffers across calls, so an instance must not be
+    shared between threads.
     """
 
     def __init__(self, polygons):
@@ -168,8 +169,10 @@ class FieldSet:
             (np.array([[e.a, e.b] for e in p.edges]), np.array([[e.c] for e in p.edges]))
             for p in general
         ]
-        self.mixed = 0 < len(general) < len(polygons)
-        if self.mixed:
+        # With both general polygons and an axis form, a block may skip the
+        # general ones.
+        self._mixed = 0 < len(general) < len(polygons)
+        if self._mixed:
             # What ``_reaching`` bounds over a box, as floats: per coordinate
             # the largest offset of the one-line polygons' positive and
             # negative lines; per box the smallest of each sign per
@@ -234,15 +237,12 @@ class FieldSet:
             < floor
         ]
 
-    def eval_many(
-        self, x: np.ndarray, y: np.ndarray, *, box=None, out=None, lines=None
-    ) -> np.ndarray:
+    def eval_many(self, x: np.ndarray, y: np.ndarray, *, out=None, lines=None) -> np.ndarray:
         """Composite field at the points ``(x[i], y[i])``, into ``out`` if given.
 
         ``x`` and ``y`` are equal-length 1-D arrays of any stride.  A mixed
         set skips in each block the general polygons that cannot reach its
-        axis form over ``box``, an ``(x0, x1, y0, y1)`` that bounds every
-        point, or else over the block's own bounding box.  Given ``lines``,
+        axis form over the block's own bounding box.  Given ``lines``,
         a non-empty list of pairs of ``_lines``, the call evaluates only
         those general polygons, with no axis form, and may write over
         ``y``: each block copies its points first.
@@ -260,7 +260,7 @@ class FieldSet:
             # kept general polygons, EX, EY and min(BX, BY) per box, each
             # term folded into ``dst`` (or written there first) as it is
             # made.
-            kept = self._reaching(*(box or _bounds(*xy))) if self.mixed else self._lines
+            kept = self._reaching(*_bounds(*xy)) if self._mixed else self._lines
             filled = bool(kept)
             if filled:
                 self._products(xy, dst, buf, kept)
@@ -338,7 +338,7 @@ class FieldSet:
         # tile's shift extremes: rounding is monotone, so every posed point
         # ``x[i] + xs[j]`` of the tile lies in that box.
         x_tiles, y_tiles = list(_block_slices(len(xs), tx)), list(_block_slices(len(ys), ty))
-        if self.mixed:
+        if self._mixed:
             x_ends, y_ends = _tile_ends(x, xs, x_tiles), _tile_ends(y, ys, y_tiles)
         for jt, (j0, j1) in enumerate(x_tiles):
             xr = side_x[:, : j1 - j0]
@@ -351,7 +351,7 @@ class FieldSet:
                 shape = (j1 - j0, k1 - k0, n)
                 size = shape[0] * shape[1] * n
                 out, temp = vals[:size].reshape(shape), work[:size].reshape(shape)
-                lines = self._reaching(*x_ends[jt], *y_ends[kt]) if self.mixed else self._lines
+                lines = self._reaching(*x_ends[jt], *y_ends[kt]) if self._mixed else self._lines
                 if lines:
                     # The posed points, through the general polygons' entry,
                     # which writes its values over their y.

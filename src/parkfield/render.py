@@ -17,6 +17,12 @@ from .solver import Pose
 
 CONTOUR_LEVELS = (-2.0, -1.5, -1.0, -0.5, -0.1, 0.0, 0.25)
 
+# Page pixels per world metre, the page margin in pixels, and the world
+# metres of padding around the scene's spots and obstacles.
+_SCALE = 60.0
+_MARGIN = 20.0
+_PADDING = 1.5
+
 _COLOR_BG = "#ffffff"
 _COLOR_SPOT = "#2e8b57"
 _COLOR_OBSTACLE = "#e07b39"
@@ -127,12 +133,10 @@ def contour_polylines(fmap: FieldMap, level: float):
 class _SvgCanvas:
     """World-to-page mapping (y up in the world, y down in SVG)."""
 
-    def __init__(self, bounds, scale=60.0, margin=20.0):
+    def __init__(self, bounds):
         self.x0, self.y0, x1, y1 = bounds
-        self.scale = scale
-        self.margin = margin
-        self.width = (x1 - self.x0) * scale + 2 * margin
-        self.height = (y1 - self.y0) * scale + 2 * margin
+        self.width = (x1 - self.x0) * _SCALE + 2 * _MARGIN
+        self.height = (y1 - self.y0) * _SCALE + 2 * _MARGIN
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{self.width:.1f}" height="{self.height:.1f}" '
@@ -143,8 +147,8 @@ class _SvgCanvas:
 
     def map(self, x, y):
         return (
-            (x - self.x0) * self.scale + self.margin,
-            self.height - ((y - self.y0) * self.scale + self.margin),
+            (x - self.x0) * _SCALE + _MARGIN,
+            self.height - ((y - self.y0) * _SCALE + _MARGIN),
         )
 
     def _points_attr(self, pts):
@@ -168,7 +172,7 @@ class _SvgCanvas:
         return "\n".join(self.parts) + "\n</svg>\n"
 
 
-def scene_bounds(scenario: Scenario, padding: float = 1.5):
+def scene_bounds(scenario: Scenario):
     xs = []
     ys = []
     for spot in scenario.spots:
@@ -177,7 +181,7 @@ def scene_bounds(scenario: Scenario, padding: float = 1.5):
     for obstacle in scenario.obstacles:
         xs.extend(v.x for v in obstacle.vertices)
         ys.extend(v.y for v in obstacle.vertices)
-    return (min(xs) - padding, min(ys) - padding, max(xs) + padding, max(ys) + padding)
+    return (min(xs) - _PADDING, min(ys) - _PADDING, max(xs) + _PADDING, max(ys) + _PADDING)
 
 
 def _pose_rect_corners(rect, pose: Pose, spot):
@@ -197,16 +201,16 @@ def render_scene(
     fmap: FieldMap | None = None,
     poses: dict | None = None,
     footprint: VehicleFootprint | None = None,
-    levels=CONTOUR_LEVELS,
 ) -> str:
-    """SVG of the parking area: contours, spots, obstacles, solved poses.
+    """SVG of the parking area: contours at ``CONTOUR_LEVELS``, spots,
+    obstacles, solved poses.
 
     ``poses`` maps spot id to a spot-local Pose; drawn with the footprint
     when both are given.
     """
     canvas = _SvgCanvas(scene_bounds(scenario))
     if fmap is not None:
-        for level in levels:
+        for level in CONTOUR_LEVELS:
             for line in contour_polylines(fmap, level):
                 canvas.polyline(line, _COLOR_CONTOUR, width=0.8, dash="3,2")
     for spot in scenario.spots:

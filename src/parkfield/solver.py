@@ -349,8 +349,6 @@ class ObjectiveEvaluator:
             self._buf = np.empty(need)
         lx, ly = self._coords
         rows = self._rows
-        mixed = self._fields.mixed
-        box = None
         for lo, hi in _block_slices(len(poses), step):
             block = poses[lo:hi]
             k = hi - lo
@@ -368,28 +366,15 @@ class ObjectiveEvaluator:
                 rot = np.empty((2, len(fresh), m))
                 np.subtract(c * lx, s * ly, out=rot[0])
                 np.add(s * lx, c * ly, out=rot[1])
-                # A mixed field set's rows keep their extremes, x0, y0, x1, y1.
-                ends = [None] * len(fresh)
-                if mixed:
-                    ends = np.concatenate([rot.min(axis=2), rot.max(axis=2)]).T
                 for j, i in enumerate(fresh):
-                    rows[keys[i]] = (rot[:, j], ends[j])
+                    rows[keys[i]] = rot[:, j]
             # Posed points, x block then y block, and the kernel's values.
             x, y, values = self._buf[: 3 * k * m].reshape(3, k, m)
             for first, end in zip(runs, runs[1:] + [k]):
-                (rx, ry), _ = rows[keys[first]]
+                rx, ry = rows[keys[first]]
                 np.add(rx, block[first:end, 0:1], out=x[first:end])
                 np.add(ry, block[first:end, 1:2], out=y[first:end])
-            if mixed:
-                # The block's box: per run, its heading's row extremes plus
-                # its translations' extremes.  Rounding is monotone, so the
-                # posed points lie in it.
-                ext = np.array([rows[keys[i]][1] for i in runs])
-                shifts = block[:, :2]
-                low = (ext[:, :2] + np.minimum.reduceat(shifts, runs)).min(axis=0)
-                high = (ext[:, 2:] + np.maximum.reduceat(shifts, runs)).max(axis=0)
-                box = (float(low[0]), float(high[0]), float(low[1]), float(high[1]))
-            self._fields.eval_many(x.reshape(-1), y.reshape(-1), box=box, out=values.reshape(-1))
+            self._fields.eval_many(x.reshape(-1), y.reshape(-1), out=values.reshape(-1))
             # A union evaluator's weighted values go over the posed points.
             for row, column in zip(sums, self._columns):
                 self._weighted(values, *column).sum(axis=1, out=row[lo:hi])
@@ -723,5 +708,5 @@ def brute_force_minimize(
     # order puts the lowest score first, so this is the same total order.
     tied = np.flatnonzero(scores == scores.min())
     best = tied[_tie_order(scores[tied], poses[tied], config, spot)[0]]
-    pose = Pose(poses[best, 0], poses[best, 1], poses[best, 2])
+    pose = Pose(*poses[best].tolist())
     return SolveResult(pose, float(scores[best]), len(poses), True)

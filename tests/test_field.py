@@ -289,7 +289,7 @@ def test_lines_entry_equals_the_general_polygons_alone(lines):
     # ``eval_many(..., lines=...)`` is how a lattice tile runs the general
     # part: those polygons only, no axis form, and ``y`` may be the output.
     fields = kernel_set(lines)
-    assert fields.mixed
+    assert is_mixed(fields)
     general = [p for p, axis in zip(fields.polygons, on_axis_path(fields)) if not axis]
     rng = np.random.default_rng(8)
     for n in BLOCK_STRADDLING_COUNTS + (935,):
@@ -340,6 +340,12 @@ def one_polygon_fold(polys, x, y):
     by ``np.maximum`` in the set's order, general polygons first."""
     values = [FieldSet((p,)).eval_many(x, y) for p in sorted(polys, key=fold_rank)]
     return functools.reduce(np.maximum, values)
+
+
+def is_mixed(fields):
+    """Does ``fields`` hold both general polygons and an axis form, so that
+    its blocks may skip the general ones?"""
+    return 0 < on_axis_path(fields).count(False) < len(fields.polygons)
 
 
 def assert_same_bits(got, want):
@@ -409,7 +415,7 @@ def test_skipped_polygons_keep_every_bit_of_eval_many(origin, products):
     rng = np.random.default_rng(21)
     polys = skip_scene(rng, origin)
     fields = FieldSet(polys)
-    assert fields.mixed
+    assert is_mixed(fields)
     for n in BLOCK_STRADDLING_COUNTS:
         # Sorted by x, so each block is a strip of the scene.
         x = origin[0] + ordered_coords(rng, -14, 19, n, origin[0] == 0)
@@ -417,9 +423,6 @@ def test_skipped_polygons_keep_every_bit_of_eval_many(origin, products):
         y[3::11] = -0.0 if origin[1] == 0 else y[3::11]
         want = one_polygon_fold(polys, x, y)
         assert_same_bits(fields.eval_many(x, y), want)
-        if n:
-            box = (x.min(), x.max(), y.min(), y.max())
-            assert_same_bits(fields.eval_many(x, y, box=box), want)
     assert_some_polygon_pruned_and_kept(products, fields)
 
 
@@ -472,7 +475,7 @@ def test_skip_slack_covers_near_ties_far_from_the_origin(scale):
             spot_edge((px, py - 1), (px, py + 1)),
         ]
         fields = FieldSet(polys)
-        assert fields.mixed
+        assert is_mixed(fields)
         shifts = np.linspace(-h, h, 5)
         x, y = np.full(5, px), py + shifts
         want = one_polygon_fold(polys, x, y)
@@ -486,9 +489,28 @@ def test_skip_slack_covers_near_ties_far_from_the_origin(scale):
         assert_same_bits(tile, want)
 
 
-def test_the_skip_cuts_the_lot_product_work(monkeypatch):
-    # Points x lines that the general part multiplies in ``rank_spots`` on
-    # ``bench/lot.py`` lots 0-15, explain off: 753,323,616 without the skip.
+def lot_rankings():
+    generate_lot = bench_module("lot").generate_lot
+    for seed in range(16):
+        rank_spots(load_scenario(generate_lot(seed)), explain=False)
+
+
+def golden_rankings():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        rank_spots(load_golden(path.name), explain=True)
+
+
+# Points x lines that the general part multiplies: in ``rank_spots`` on
+# ``bench/lot.py`` lots 0-15 with explain off (753,323,616 without the
+# skip), and in one pass over the goldens with explain on.
+@pytest.mark.parametrize(
+    "rankings, products",
+    [
+        pytest.param(lot_rankings, 413_910_960, id="lot"),
+        pytest.param(golden_rankings, 5_370_192, id="goldens"),
+    ],
+)
+def test_the_skip_pins_the_product_work(rankings, products, monkeypatch):
     work = [0]
     original = FieldSet._products
 
@@ -497,10 +519,8 @@ def test_the_skip_cuts_the_lot_product_work(monkeypatch):
         return original(self, xy, dst, buf, lines)
 
     monkeypatch.setattr(FieldSet, "_products", counting)
-    generate_lot = bench_module("lot").generate_lot
-    for seed in range(16):
-        rank_spots(load_scenario(generate_lot(seed)), explain=False)
-    assert 0 < work[0] <= 452_000_000
+    rankings()
+    assert work[0] == products
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):

@@ -399,6 +399,19 @@ def test_minimize_beats_oracle_lattice():
         assert fast.score <= slow.score + 1e-6
 
 
+def test_both_solvers_return_python_floats():
+    # Not numpy scalars, which a float check lets through: they print as
+    # ``np.float64(...)`` in a pose's repr.
+    spot, fields, footprint = random_scenario(random.Random(5))
+    plan = SamplingPlan(GRID, 25.0)
+    for result in (
+        minimize(fields, footprint, spot, plan),
+        brute_force_minimize(fields, footprint, spot, plan, resolution=0.1),
+    ):
+        values = (result.pose.x_hat, result.pose.y_hat, result.pose.theta_hat, result.score)
+        assert [type(v) for v in values] == [float] * 4
+
+
 def test_oracle_monotone_under_added_obstacle(body_only_footprint):
     spot = standard_spot()
     obstacle = Polygon(
