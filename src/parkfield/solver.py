@@ -6,7 +6,9 @@ are fixed per sampling plan, so the estimate is a deterministic quadrature
 and the same rule scores every pose.  Minimization is a two-stage
 derivative-free search (the field is piecewise linear): an exhaustive
 coarse grid over the spot box and the discrete headings, then compass
-refinement from the best cells, all of them in lockstep.
+refinement from the best cells, all of them in lockstep.  The test oracle,
+``brute_force_minimize``, finds the exact minimum over a pose lattice,
+scoring only the nodes that a Lipschitz bound cannot rule out.
 """
 
 from __future__ import annotations
@@ -448,10 +450,9 @@ def _local_field_set(fields: FieldSet, spot: ParkingSpot) -> FieldSet:
     )
 
 
-def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> tuple:
-    """``(poses, (xs, ys, headings))`` of a ``pitch`` lattice over the spot
-    box and headings: the axes as arrays, and an (x, y, theta) row per node
-    of their ``ij`` meshgrid.
+def _lattice_axes(spot: ParkingSpot, pitch: float, headings) -> tuple:
+    """``(xs, ys, headings)`` of a ``pitch`` lattice over the spot box and
+    headings, as arrays.
 
     Each position axis spans its extent inclusively in equal steps of at
     most ``pitch``; more than ``MAX_LATTICE_POSES`` poses raise
@@ -467,9 +468,25 @@ def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> tuple:
     total = len(xs) * len(ys) * len(headings)
     if total > MAX_LATTICE_POSES:
         raise BudgetError(f"{total} lattice poses exceed {MAX_LATTICE_POSES}")
-    headings = np.array(headings, dtype=float)
+    return xs, ys, np.array(headings, dtype=float)
+
+
+def _lattice_rows(xs, ys, headings) -> np.ndarray:
+    """An (x, y, theta) row per node of the ``ij`` meshgrid of the axes."""
     gx, gy, gt = np.meshgrid(xs, ys, headings, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()]), (xs, ys, headings)
+    return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()])
+
+
+def _node_rows(axes, nodes) -> np.ndarray:
+    """An (x, y, theta) row per lattice node of ``axes`` at the index
+    arrays ``nodes``, ``(i, j, k)``."""
+    return np.column_stack([axis[index] for axis, index in zip(axes, nodes)])
+
+
+def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> tuple:
+    """``(poses, axes)``: the ``_lattice_axes`` and their ``_lattice_rows``."""
+    axes = _lattice_axes(spot, pitch, headings)
+    return _lattice_rows(*axes), axes
 
 
 class ScoredLattice:
@@ -484,13 +501,12 @@ class ScoredLattice:
     inside the first solve that needs it.
     """
 
-    def __init__(self, fields, footprints, spot, plan, config, pitch=None):
+    def __init__(self, fields, footprints, spot, plan, config):
         self._footprints = tuple(footprints)
         self._fields = fields
         self._spot = spot
         self._plan = plan
         self._config = config
-        self._pitch = config.coarse_pitch if pitch is None else pitch
         self._scored = None
 
     def column(self, footprint: VehicleFootprint):
@@ -501,7 +517,8 @@ class ScoredLattice:
         """
         plan, weights = self._plan, self._config.rect_weights
         if self._scored is None:
-            poses, axes = _pose_lattice(self._spot, self._pitch, self._config.headings)
+            config = self._config
+            poses, axes = _pose_lattice(self._spot, config.coarse_pitch, config.headings)
             local = _local_field_set(self._fields, self._spot)
             shared = ObjectiveEvaluator(local, self._footprints, plan, weights)
             columns = shared.scores(poses, axes).reshape(len(self._footprints), -1)
@@ -699,14 +716,166 @@ def brute_force_minimize(
     resolution: float = 0.1,
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Exhaustive pose-lattice search; the test oracle, not a production path."""
+    """Best pose of the pitch-``resolution`` lattice of ``_pose_lattice``
+    over the spot box and ``config.headings``; the test oracle, not a
+    production path.
+
+    The result is the full scan's bit for bit: the lowest lattice score,
+    and among the nodes holding it the first in ``_tie_order``.  Its
+    ``evaluations`` counts every lattice pose, each one scored or bounded
+    above that minimum by ``_bounded_scan``, which scores only the nodes a
+    Lipschitz bound cannot rule out.
+    """
     resolution = finite_number("resolution", resolution, 0.0, False)
     check_feasible(footprint, spot, config.headings)
-    lattice = ScoredLattice(fields, (footprint,), spot, plan, config, resolution)
-    _, poses, scores = lattice.column(footprint)
-    # Ties are broken only among the poses holding the minimum score: the
-    # order puts the lowest score first, so this is the same total order.
-    tied = np.flatnonzero(scores == scores.min())
-    best = tied[_tie_order(scores[tied], poses[tied], config, spot)[0]]
-    pose = Pose(*poses[best].tolist())
-    return SolveResult(pose, float(scores[best]), len(poses), True)
+    axes = _lattice_axes(spot, resolution, config.headings)
+    local = _local_field_set(fields, spot)
+    evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
+    values, scored, _ = _bounded_scan(evaluator, local, axes, _oracle_stride(resolution, axes))
+    low = values[scored].min()
+    # Every node left unscored is bounded strictly above ``low``, so the
+    # tied nodes are all scored, and stay in lattice order.
+    tied = np.flatnonzero(scored & (values == low))
+    poses = _node_rows(axes, np.unravel_index(tied, values.shape))
+    best = _tie_order(values.reshape(-1)[tied], poses, config, spot)[0]
+    return SolveResult(Pose(*poses[best].tolist()), float(low), values.size, True)
+
+
+# The oracle's first pass scores the lattice nodes of every ``stride``-th
+# index, where ``stride`` is the largest power of two whose step over the
+# lattice pitch is at most this many metres, so a lattice of pitch over
+# 0.1 m is scanned whole.  A scored node's bound on its neighbours falls by
+# the objective's Lipschitz constant per metre (9 to 13 on the goldens at
+# the default weights): a longer first step leaves more nodes to score
+# later, a shorter one scores more nodes first.  On the goldens, 0.1 m and
+# 0.4 m steps were no faster at 0.05 m and 0.01 m pitches.
+_ORACLE_SPAN = 0.2
+# ``_bounded_scan`` scores a node whose bound is within this share of the
+# objective's operands of the incumbent (see ``_bound_slack``).
+_BOUND_SLACK = 2.0**-44
+
+
+def _oracle_stride(pitch: float, axes) -> int:
+    """The first-pass index stride of the oracle over a pitch-``pitch``
+    lattice on ``axes``: at most the span that leaves only the axis ends."""
+    longest = max(len(axes[0]), len(axes[1])) - 1
+    stride = 1
+    while 2 * stride * pitch <= _ORACLE_SPAN and stride < longest:
+        stride *= 2
+    return stride
+
+
+def _stride_nodes(n: int, stride: int) -> np.ndarray:
+    """Indices ``0, stride, 2*stride, ...`` below ``n - 1``, then ``n - 1``."""
+    return np.append(np.arange(0, n - 1, stride), n - 1)
+
+
+def _halving(axis: np.ndarray, stride: int) -> tuple:
+    """``(nodes, lo, dlo, hi, dhi)``: the stride-``stride // 2`` indices of
+    a lattice axis, and the index and distance of each one's lower and of
+    its upper enclosing stride-``stride`` node, itself at distance 0 if it
+    is one."""
+    n = len(axis)
+    nodes = _stride_nodes(n, stride // 2)
+    old = (nodes % stride == 0) | (nodes == n - 1)
+    lo = np.where(old, nodes, nodes - nodes % stride)
+    hi = np.where(old, nodes, np.minimum(lo + stride, n - 1))
+    return nodes, lo, axis[nodes] - axis[lo], hi, axis[hi] - axis[nodes]
+
+
+def _level_bounds(grid: np.ndarray, x: tuple, y: tuple, lipschitz: float) -> np.ndarray:
+    """The bound of each node of a finer level, ``x`` and ``y`` from
+    ``_halving``, over one heading's ``grid`` of values: the largest over
+    its enclosing nodes of their value less ``lipschitz`` times the
+    distance."""
+    bound = np.full((len(x[0]), len(y[0])), -math.inf)
+    for a, dx in (x[1:3], x[3:5]):
+        for b, dy in (y[1:3], y[3:5]):
+            term = np.hypot(dx[:, None], dy[None])
+            term *= -lipschitz
+            term += grid[np.ix_(a, b)]
+            np.maximum(bound, term, out=bound)
+    return bound
+
+
+def _bound_slack(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, levels: int) -> tuple:
+    """``(lipschitz, slack)`` of ``evaluator``'s one footprint over ``axes``.
+
+    Every field line has a unit normal, so the field is 1-Lipschitz, and at
+    one heading two lattice nodes differ by a translation: the exact
+    objective moves by at most ``lipschitz``, the sum of the quadrature
+    weights' magnitudes, per metre between them.  The slack covers what
+    rounding adds.  Let S be twice the largest ``|lx| + |ly|`` of the
+    samples plus twice the spot extents plus the largest line offset
+    magnitude, so that it bounds every posed coordinate, line value and
+    node distance.  A computed score is then within ``(m + 6)`` units of
+    ``2**-53`` of ``lipschitz * S`` of the exact one over the same rotated
+    samples (a posed point, a line value, a weighting, and an ``m``-term
+    sum in any order), and each of a bound's at most ``levels`` steps
+    (a distance, its product with the computed weight sum, a difference)
+    adds a few more.  ``_BOUND_SLACK * (m + levels)`` units of ``lipschitz
+    * S`` is over 20 times their total.
+    """
+    lx, ly = evaluator._coords
+    _, weights = evaluator._columns[0]
+    lipschitz = float(np.abs(weights).sum())
+    offset = max(abs(e.c) for p in fields.polygons for e in p.edges)
+    scale = 2.0 * (float((np.abs(lx) + np.abs(ly)).max()) + axes[0][-1] + axes[1][-1]) + offset
+    return lipschitz, _BOUND_SLACK * (len(weights) + levels) * lipschitz * scale
+
+
+def _bounded_scan(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, stride: int) -> tuple:
+    """``(values, scored, slack)`` of a coarse-to-fine search of the
+    lattice ``axes`` for its lowest score, under ``evaluator`` of one
+    footprint over the spot-local ``fields``.
+
+    ``values`` is the ``(nx, ny, nh)`` grid of the lattice nodes: a node's
+    score where ``scored`` is set, and otherwise a bound, which the node's
+    score is at least, less ``slack``.  The nodes of every ``stride``-th index (``_stride_nodes``)
+    are scored first, through the lattice entry.  Each halving of the
+    stride gives a node of the finer level the largest over its enclosing
+    nodes of the coarser one of their value less the Lipschitz constant
+    times the distance (``_bound_slack``), and the nodes whose bound is at
+    most the lowest score so far plus ``slack`` are scored pose by pose,
+    which keeps the lattice entry's bits.  That lowest score only falls, so
+    a node left unscored lies strictly above the lattice's minimum: the
+    minimum and every node tied with it are scored, as in a full scan.
+    Only the scored nodes get pose rows.
+    """
+    xs, ys, headings = axes
+    values = np.empty((len(xs), len(ys), len(headings)))
+    scored = np.zeros(values.shape, dtype=bool)
+    lipschitz, slack = _bound_slack(evaluator, fields, axes, stride.bit_length() - 1)
+    i, j = _stride_nodes(len(xs), stride), _stride_nodes(len(ys), stride)
+    first = (xs[i], ys[j], headings)
+    scores = evaluator.scores(_lattice_rows(*first), first)
+    values[np.ix_(i, j)] = scores.reshape(len(i), len(j), -1)
+    scored[np.ix_(i, j)] = True
+    low = scores.min()
+    while stride > 1:
+        x, y = _halving(xs, stride), _halving(ys, stride)
+        j = y[0]
+        picks = []
+        # Blocks of the level's x nodes, so that its temporaries stay
+        # within a few kernel blocks.
+        for lo, hi in _block_slices(len(x[0]), max(1, _BLOCK_POINTS // len(j))):
+            part = tuple(v[lo:hi] for v in x)
+            i = part[0]
+            for k in range(len(headings)):
+                grid = values[..., k]
+                bound = _level_bounds(grid, part, y, lipschitz)
+                # A node of the coarser level keeps its value: it is its
+                # own enclosing node, at distance 0.  The level's new nodes
+                # enclose none, so a block's writes leave every later
+                # block's corners as they were.
+                grid[np.ix_(i, j)] = bound
+                a, b = np.nonzero((bound <= low + slack) & ~scored[..., k][np.ix_(i, j)])
+                picks.append((i[a], j[b], np.full(len(a), k)))
+        pick = tuple(np.concatenate(axis) for axis in zip(*picks))
+        if len(pick[0]):
+            got = evaluator.scores(_node_rows(axes, pick))
+            values[pick] = got
+            scored[pick] = True
+            low = min(low, got.min())
+        stride //= 2
+    return values, scored, slack

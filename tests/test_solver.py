@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from parkfield.solver import (
     ObjectiveEvaluator,
     Pose,
     SamplingPlan,
+    SolveResult,
     SolverConfig,
     brute_force_minimize,
     minimize,
@@ -776,6 +778,124 @@ def test_oracle_tie_break_matches_per_pose_key_loop():
             best = (float(scores[j]), poses[j, 0], poses[j, 1], poses[j, 2])
     assert result.evaluations == len(poses)
     assert (result.score, result.pose) == (best[0], Pose(best[1], best[2], best[3]))
+
+
+def full_scan_scores(fields, footprint, spot, plan, resolution, config=SolverConfig()):
+    """``(poses, scores)`` of every lattice pose: ``ScoredLattice`` at the
+    ``resolution`` pitch."""
+    lattice = solver.ScoredLattice(
+        fields, (footprint,), spot, plan, replace(config, coarse_pitch=resolution)
+    )
+    return lattice.column(footprint)[1:]
+
+
+def full_scan(fields, footprint, spot, plan, resolution, config=SolverConfig()):
+    """The oracle's result from every lattice pose's score, the tied poses
+    in ``_tie_order``."""
+    poses, scores = full_scan_scores(fields, footprint, spot, plan, resolution, config)
+    tied = np.flatnonzero(scores == scores.min())
+    best = tied[solver._tie_order(scores[tied], poses[tied], config, spot)[0]]
+    return SolveResult(Pose(*poses[best].tolist()), float(scores[best]), len(poses), True)
+
+
+def result_bits(result):
+    pose = result.pose
+    floats = (pose.x_hat, pose.y_hat, pose.theta_hat, result.score)
+    return [v.hex() for v in floats] + [result.evaluations, result.converged]
+
+
+def golden_spots():
+    """``(name, spot, fields, footprint)`` of every spot of every golden."""
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        scenario = load_scenario(path.read_text())
+        footprint = build_footprint(scenario.context, scenario.vehicle)
+        for spot in scenario.spots:
+            fields = spot_field_set(spot, list(scenario.obstacles), reach=footprint.max_reach())
+            yield path.stem, spot, fields, footprint
+
+
+@pytest.mark.parametrize("resolution", [0.1, 0.05])
+def test_oracle_equals_the_full_scan_on_every_golden(resolution):
+    for name, spot, fields, footprint in golden_spots():
+        for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 24, 4)):
+            want = full_scan(fields, footprint, spot, plan, resolution)
+            got = brute_force_minimize(fields, footprint, spot, plan, resolution)
+            assert result_bits(got) == result_bits(want), (name, spot.id, plan.mode)
+
+
+def random_oracle_case(rng):
+    """A random scene, plan, config and pitch: grid or monte-carlo
+    sampling, some rectangle weights zero, sometimes a third heading."""
+    spot, fields, footprint = random_scenario(rng, rects=rng.randint(0, 3))
+    if rng.random() < 0.5:
+        plan = SamplingPlan(GRID, rng.choice([9.0, 25.0, 60.0]))
+    else:
+        plan = SamplingPlan(MONTE_CARLO, rng.randint(1, 40), rng.randint(0, 9))
+    headings = (0.0, math.pi) + ((rng.uniform(-math.pi, math.pi),) if rng.random() < 0.5 else ())
+    labels = [label for _, label in footprint.maneuver_rects]
+    weights = {label: rng.choice([0.0, 1.0, 3.0]) for label in ["body"] + labels}
+    config = SolverConfig(headings=headings, rect_weights=weights)
+    return spot, fields, footprint, plan, config, rng.choice([0.25, 0.1, 0.07, 0.05, 0.03])
+
+
+def test_oracle_equals_the_full_scan_on_random_scenes():
+    rng = random.Random(17)
+    for trial in range(60):
+        spot, fields, footprint, plan, config, resolution = random_oracle_case(rng)
+        want = full_scan(fields, footprint, spot, plan, resolution, config)
+        got = brute_force_minimize(fields, footprint, spot, plan, resolution, config)
+        assert result_bits(got) == result_bits(want), trial
+
+
+def test_oracle_bounds_hold_and_rule_out_most_nodes():
+    # Every node the search leaves unscored scores at least its bound less
+    # the slack in a full scan, and every scored node holds its full-scan
+    # bits.
+    rng = random.Random(23)
+    goldens = [
+        (spot, f, fp, SamplingPlan(), SolverConfig(), 0.05) for _, spot, f, fp in golden_spots()
+    ]
+    scored_share = []
+    for case in goldens + [random_oracle_case(rng) for _ in range(30)]:
+        spot, fields, footprint, plan, config, resolution = case
+        _, full = full_scan_scores(fields, footprint, spot, plan, resolution, config)
+        axes = solver._lattice_axes(spot, resolution, config.headings)
+        local = solver._local_field_set(fields, spot)
+        evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
+        stride = solver._oracle_stride(resolution, axes)
+        values, scored, slack = solver._bounded_scan(evaluator, local, axes, stride)
+        full = full.reshape(values.shape)
+        assert full[scored].tobytes() == values[scored].tobytes()
+        assert np.all(full[~scored] >= values[~scored] - slack)
+        scored_share.append(scored.mean())
+    # The goldens at the CLI's default pitch score about an eighth of their
+    # nodes.
+    assert max(scored_share[: len(goldens)]) < 0.25
+
+
+def test_oracle_first_stride_keeps_the_pinned_pitch_a_full_scan():
+    axes = solver._lattice_axes(standard_spot(), 0.25, (0.0,))
+    strides = {p: solver._oracle_stride(p, axes) for p in (0.25, 0.1, 0.05, 0.01)}
+    assert strides == {0.25: 1, 0.1: 2, 0.05: 4, 0.01: 16}
+    # Never past the span that leaves only the axis ends.
+    assert solver._oracle_stride(1e-6, axes) == 32
+
+
+def test_oracle_memory_holds_no_pose_rows():
+    # 251,502 lattice poses; a full scan's pose rows alone took 48 bytes
+    # each, the search's score-or-bound grid and scored mask take 9.
+    scenario = load_golden("single_obstacle_baby.json")
+    footprint = build_footprint(scenario.context, scenario.vehicle)
+    spot = scenario.spots[0]
+    fields = spot_field_set(spot, list(scenario.obstacles), reach=footprint.max_reach())
+    tracemalloc.start()
+    try:
+        result = brute_force_minimize(fields, footprint, spot, SamplingPlan(), 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluations == 251502
+    assert peak < 24 * result.evaluations
 
 
 @pytest.mark.parametrize("side", ["x_min", "x_max", "y_min", "y_max"])
