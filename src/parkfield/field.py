@@ -48,23 +48,27 @@ node at ``0.0 + -0.0`` is ``+0.0``.
 
 A mixed set, with general polygons and an axis form, skips the general
 polygons that a block cannot reach.  Before a block's (or a lattice
-tile's) products it takes two bounds over the block's bounding box: a
-floor under the axis form (``FieldSet._reaching``), and per general
-polygon the smallest over its lines of the line's maximum over the box.
-A polygon whose bound is below the floor by more than a slack is left out
-of the block, and a block that leaves out all of them skips the
-point-major copy too.  This is exact.  The skipped polygon is strictly
-below the axis form at every point, and a maximum is exact, so it can
-never be the value, nor tie with it.  The slack, ``_SKIP_SLACK`` times
-the box's coordinate magnitudes plus the set's largest offset, covers
-every rounding of the points, the products and the bounds.  It is sized
-by the operands, not by the result, because ``a*x + c`` cancels to a
-small value far from the origin while its rounding stays at the scale of
-``x``.  The kept polygons keep their fold order, general part first.
-``np.maximum`` keeps its first argument on a tie, so which of two equal
-terms comes first can decide the sign of a zero; a skipped polygon never
-ties, so the order of the rest decides as before.  ``eval_many`` bounds
-a block by the extremes of its own points, which is the tightest box.
+tile's) products it bounds, over the block's bounding box, each general
+polygon's lines less each line of a one-line polygon (a spot edge in its
+spot frame), and leaves the polygon out of the block when one such
+difference is below zero by more than a slack everywhere in the box
+(``FieldSet._reaching``): the polygon's field is at most its line, and
+the axis form at least the other.  Beside upright boxes it also leaves a
+polygon out when one of its lines is below a floor under the boxes, less
+the slack.  A block that leaves out every polygon skips the point-major
+copy too.  This is exact.  The skipped polygon is strictly below the axis
+form at every point, and a maximum is exact, so it can never be the
+value, nor tie with it.  The slack, ``_SKIP_SLACK`` times the box's
+coordinate magnitudes plus the set's largest offset, covers every
+rounding of the points, the products, the differences of the lines and
+the bounds.  It is sized by the operands, not by the result, because
+``a*x + c`` cancels to a small value far from the origin while its
+rounding stays at the scale of ``x``.  The kept polygons keep their fold
+order, general part first.  ``np.maximum`` keeps its first argument on a
+tie, so which of two equal terms comes first can decide the sign of a
+zero; a skipped polygon never ties, so the order of the rest decides as
+before.  ``eval_many`` bounds a block by the extremes of its own points,
+which is the tightest box.
 ``eval_lattice`` must choose a tile's general polygons before it makes
 the tile's points, so it bounds a tile by the sample rows' extremes plus
 the tile's shift range; rounding is monotone, so the posed points lie
@@ -99,13 +103,15 @@ _BLOCK_POINTS = 16384
 # half as many points: their block scratch, up to 1 MB, works beside the
 # tile.
 _TILE_POINTS = 65536
-# A mixed set skips a general polygon in a block only when the polygon's
-# bound is below the axis form's floor by this share of the box's
-# coordinate magnitudes plus the set's largest line offset.  Every
-# rounding between the true bounds and the computed values (the posed
-# points, BLAS's fused or unfused products, the offsets, the bounds
-# themselves) is at most a few units of 2**-53 of that sum, so 2**-44
-# leaves a factor of over 30.
+# A mixed set skips a general polygon in a block only when one of its lines
+# less one one-line polygon's line is below zero over the block's box (or,
+# beside upright boxes, one of its lines is below their floor) by this
+# share of the box's coordinate magnitudes plus the set's largest line
+# offset.  Every rounding between the true bounds and the computed values
+# (the posed points, BLAS's fused or unfused products, the offsets, the
+# differences of two lines, whose normals are at most 2 and offsets at
+# most twice the largest, the bounds themselves) is at most a few units of
+# 2**-53 of twice that sum, so 2**-44 leaves a factor of over 15.
 _SKIP_SLACK = 2.0**-44
 
 
@@ -154,38 +160,43 @@ class FieldSet:
         self._polygons = polygons
         self._single = ([], [])
         self._boxes = []
+        # Each polygon's lines, read once: a polygon makes them on access.
+        lines = [p.edges for p in polygons]
         general = []
-        for poly in polygons:
-            sides = _axis_sides(poly.edges)
-            if sides and len(poly.edges) == 1:
+        for edges in lines:
+            sides = _axis_sides(edges)
+            if sides and len(edges) == 1:
                 coord = 0 if sides[0] else 1
                 self._single[coord].append(sides[coord][0])
             elif sides and all(sides):
                 self._boxes.append(sides)
             else:
-                general.append(poly)
+                general.append(edges)
+        # The largest offset magnitude of any line, which bounds the
+        # rounding of a line's value with the coordinates' magnitudes.
+        self._scale = max(abs(e.c) for edges in lines for e in edges)
         # The (L, 2) line normals and (L, 1) offsets per general polygon.
         self._lines = [
-            (np.array([[e.a, e.b] for e in p.edges]), np.array([[e.c] for e in p.edges]))
-            for p in general
+            (np.array([[e.a, e.b] for e in edges]), np.array([[e.c] for e in edges]))
+            for edges in general
         ]
         # With both general polygons and an axis form, a block may skip the
         # general ones.
         self._mixed = 0 < len(general) < len(polygons)
         if self._mixed:
-            # What ``_reaching`` bounds over a box, as floats: per coordinate
-            # the largest offset of the one-line polygons' positive and
-            # negative lines; per box the smallest of each sign per
-            # coordinate; each general polygon's lines as (a, b, c, |a|,
-            # |b|); and the largest offset magnitude of any line.
-            self._ends = [_extreme(max, lines, -math.inf) for lines in self._single]
-            self._box_ends = [
-                _extreme(min, bx, math.inf) + _extreme(min, by, math.inf) for bx, by in self._boxes
-            ]
-            self._reach = [
-                tuple((e.a, e.b, e.c, abs(e.a), abs(e.b)) for e in p.edges) for p in general
-            ]
-            self._scale = max(abs(e.c) for p in polygons for e in p.edges)
+            # What ``_reaching`` bounds over a box: per upright box the
+            # smallest offset of each sign per coordinate, and two tables of
+            # lines, one ``_table`` each, per general polygon: each of its
+            # lines less each one-line polygon's line, and, beside upright
+            # boxes, its lines.
+            self._box_ends = [_least(bx) + _least(by) for bx, by in self._boxes]
+            axis = [(1.0 if positive else -1.0, 0.0, c) for positive, c in self._single[0]]
+            axis += [(0.0, 1.0 if positive else -1.0, c) for positive, c in self._single[1]]
+            self._pairs = _table(
+                [(e.a - a, e.b - b, e.c - c) for e in edges for a, b, c in axis] for edges in general
+            )
+            own = [[(e.a, e.b, e.c) for e in edges] for edges in general]
+            self._own = _table(own if self._boxes else [])
         # Scratch rows per block point: 2 for BLAS's point-major copy of the
         # block, then one general polygon's line values; the axis form
         # needs 2, a box's running minimum and one line.  Grown on demand,
@@ -211,31 +222,32 @@ class FieldSet:
         """The ``(normals, offsets)`` of the general polygons that may reach
         the axis form somewhere in the box ``[x0, x1] x [y0, y1]``.
 
-        The floor is a lower bound of the axis form over the box: over
-        ``[x0, x1]`` the convex ``max(x + cp, cn - x)`` of the one-line
-        polygons is at least ``x0 + cp``, ``cn - x1`` and the mean of
-        ``cp`` and ``cn``, and a box's concave minimum is its smallest line
-        at an end.  A polygon's bound is the smallest over its lines of the
-        line's maximum over the box.  A polygon is skipped only when its
-        bound is below the floor by more than a slack of ``_SKIP_SLACK``
+        A polygon is skipped when the maximum over the box of one of its
+        lines less one line of a one-line polygon is below ``-slack``: the
+        polygon's field is at most that line, and the axis form at least
+        the other.  Or when one of its lines' maximum over the box is below
+        the floor less ``slack``, where the floor is the largest over the
+        upright boxes of a box's smallest line at an end of the range, a
+        lower bound of its concave minimum.  A one-line polygon needs no
+        floor term: over the box, a line's maximum less the other line's
+        minimum is never below the maximum of their difference, so the pair
+        skips whatever that term would.  ``slack`` is ``_SKIP_SLACK``
         times the box's and the set's magnitudes, so that no rounding of
-        the points, the lines or these bounds can lift its value to the
-        axis form's.  A NaN or infinite box makes the slack NaN or
+        the points, the lines or these bounds can lift the polygon's value
+        to the axis form's.  A NaN or infinite box makes the slack NaN or
         infinite, and skips nothing.
         """
-        floor = -math.inf
-        for (pos, neg), lo, hi in zip(self._ends, (x0, y0), (x1, y1)):
-            floor = max(floor, lo + pos, neg - hi, (pos + neg) / 2)
-        for px, nx, py, ny in self._box_ends:
-            floor = max(floor, min(x0 + px, nx - x1, y0 + py, ny - y1))
-        floor -= (abs(x0) + abs(x1) + abs(y0) + abs(y1) + self._scale) * _SKIP_SLACK
-        cx, cy, hx, hy = (x0 + x1) / 2, (y0 + y1) / 2, (x1 - x0) / 2, (y1 - y0) / 2
-        return [
-            lines
-            for lines, edges in zip(self._lines, self._reach)
-            if not min(a * cx + b * cy + c + aa * hx + bb * hy for a, b, c, aa, bb in edges)
-            < floor
-        ]
+        slack = (abs(x0) + abs(x1) + abs(y0) + abs(y1) + self._scale) * _SKIP_SLACK
+        floor = max(
+            (min(x0 + px, nx - x1, y0 + py, ny - y1) for px, nx, py, ny in self._box_ends),
+            default=-math.inf,
+        )
+        box = np.array(((x0 + x1) / 2, (y0 + y1) / 2, 1.0, (x1 - x0) / 2, (y1 - y0) / 2))
+        skip = np.zeros(len(self._lines), dtype=bool)
+        for (rows, starts), level in ((self._pairs, -slack), (self._own, floor - slack)):
+            if len(rows):
+                skip |= np.minimum.reduceat(rows @ box, starts) < level
+        return [lines for lines, skipped in zip(self._lines, skip.tolist()) if not skipped]
 
     def eval_many(self, x: np.ndarray, y: np.ndarray, *, out=None, lines=None) -> np.ndarray:
         """Composite field at the points ``(x[i], y[i])``, into ``out`` if given.
@@ -399,13 +411,29 @@ class FieldSet:
             np.copyto(out, acc)
 
 
-def _extreme(pick, lines, none) -> tuple:
-    """``pick``, max or min, of the offsets of the positive ``lines`` and
-    of the negative ones, ``none`` for a sign without lines."""
+def _least(lines) -> tuple:
+    """The smallest offset of the positive axis ``lines`` and of the
+    negative ones, infinite for a sign without lines."""
     return tuple(
-        pick((c for positive, c in lines if positive == sign), default=none)
+        min((c for positive, c in lines if positive == sign), default=math.inf)
         for sign in (True, False)
     )
+
+
+def _table(polygons) -> tuple:
+    """``(rows, starts)`` of lists of lines ``(a, b, c)`` of ``a*x + b*y +
+    c``, one list per polygon, each non-empty or all empty: each line as a
+    row ``(a, b, c, |a|, |b|)`` of ``rows``, and the index of each list's
+    first row in ``starts``.
+
+    ``rows @ (cx, cy, 1, hx, hy)`` is each line's maximum over the box of
+    centre ``(cx, cy)`` and half-extents ``(hx, hy)``, and
+    ``np.minimum.reduceat`` of it over ``starts`` the least per polygon.
+    """
+    polygons = list(polygons)
+    starts = np.cumsum([0] + [len(lines) for lines in polygons[:-1]])
+    rows = [(a, b, c, abs(a), abs(b)) for lines in polygons for a, b, c in lines]
+    return np.array(rows).reshape(-1, 5), starts
 
 
 def _tile_ends(r, shifts, tiles) -> list:

@@ -1,15 +1,16 @@
 """Planar polygon and rigid-transform primitives.
 
-Everything here is scalar, pure and immutable.  Polygons carry one signed
-line per edge; for convex counter-clockwise polygons the line normals point
-inward, so the per-edge value is a true signed distance (positive inside).
+Everything here is scalar, pure and immutable.  Polygons hold only their
+vertices and derive one signed line per edge on access; for convex
+counter-clockwise polygons the line normals point inward, so the per-edge
+value is a true signed distance (positive inside).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GeometryError
 
@@ -116,12 +117,14 @@ class Polygon:
 
     kind=obstacle: >= 3 vertices, convex, counter-clockwise (clockwise
     input is reversed with a warning).  kind=spot_edge: exactly 2 vertices.
+    Only the vertices are stored: a parsed scene holds every polygon, and
+    its lines, which take more memory than its vertices, are read once,
+    when a ``FieldSet`` compiles them.
     """
 
     vertices: tuple[Point2, ...]
     kind: str = OBSTACLE
     name: str = ""
-    edges: tuple[EdgeLine, ...] = field(init=False)
 
     def __post_init__(self):
         verts = tuple(self.vertices)
@@ -148,8 +151,14 @@ class Polygon:
                 raise GeometryError(f"obstacle '{self.name}' is not convex")
         else:
             raise GeometryError(f"unknown polygon kind '{self.kind}'")
+        # Validated once here: ``edges`` makes the same lines on access.
+        _lines_for_vertices(verts)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", _lines_for_vertices(verts))
+
+    @property
+    def edges(self) -> tuple[EdgeLine, ...]:
+        """One line per edge, made from the vertices on each access."""
+        return _lines_for_vertices(self.vertices)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max)."""

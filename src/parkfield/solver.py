@@ -819,8 +819,8 @@ def _bound_slack(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, levels: 
     lx, ly = evaluator._coords
     _, weights = evaluator._columns[0]
     lipschitz = float(np.abs(weights).sum())
-    offset = max(abs(e.c) for p in fields.polygons for e in p.edges)
-    scale = 2.0 * (float((np.abs(lx) + np.abs(ly)).max()) + axes[0][-1] + axes[1][-1]) + offset
+    scale = 2.0 * (float((np.abs(lx) + np.abs(ly)).max()) + axes[0][-1] + axes[1][-1])
+    scale += fields._scale
     return lipschitz, _BOUND_SLACK * (len(weights) + levels) * lipschitz * scale
 
 

@@ -489,6 +489,56 @@ def test_skip_slack_covers_near_ties_far_from_the_origin(scale):
         assert_same_bits(tile, want)
 
 
+def line_pair_scene(touching):
+    """A 5 x 2.5 spot's edges and a rectangle beyond its lower edge, tilted
+    off it by 0.05 rad; with ``touching``, a triangle with a vertex on the
+    right edge."""
+    polys = [
+        spot_edge((5, 0), (0, 0)),
+        spot_edge((5, 2.5), (5, 0)),
+        spot_edge((0, 2.5), (5, 2.5)),
+        spot_edge((0, 0), (0, 2.5)),
+        transform_polygon(RigidTransform(0.05, 2.5, -0.9), axis_rect(-1.5, -0.35, 1.5, 0.35)),
+    ]
+    if touching:
+        polys.append(Polygon((Point2(5.0, 1.2), Point2(5.9, 0.6), Point2(5.8, 1.9))))
+    return polys
+
+
+@pytest.mark.parametrize("touching", [False, True], ids=["alone", "touching"])
+def test_line_pairs_skip_only_what_a_spot_edge_dominates(touching, products):
+    polys = line_pair_scene(touching)
+    fields = FieldSet(polys)
+    assert is_mixed(fields)
+    rect, *kept = [id(normals) for normals, _ in fields._lines]
+    rng = np.random.default_rng(23)
+    # Two blocks over the spot and beyond it, with the touching vertex and
+    # points on the lower edge.
+    pts = rng.uniform((-1, -3), (7, 3), size=(_BLOCK_POINTS + 1, 2))
+    pts[0] = 5.0, 1.2
+    pts[1::9, 1] = 0.0
+    # The rectangle is below the axis form at every point, yet its field
+    # somewhere is above the axis form somewhere else: no floor under the
+    # axis form over a block's box skips it, only its lower edge does.
+    own = point_major_gamma_many(FieldSet(polys[4:5]), pts)
+    axis = point_major_gamma_many(FieldSet(polys[:4]), pts)
+    assert np.all(own < axis) and own.max() > axis.min()
+    assert np.array_equal(fields.eval_many(*pts.T), point_major_gamma_many(fields, pts))
+    # One lattice tile over the same area, through the touching vertex.
+    x, y = rng.uniform(-0.5, 0.5, (2, 37))
+    x[0] = y[0] = 0.0
+    xs = np.append(np.linspace(-0.5, 6.5, 25), 5.0)
+    ys = np.append(np.linspace(-2.5, 2.5, 29), 1.2)
+    ((_, _, values),) = fields.eval_lattice(x, y, xs, ys)
+    px, py = np.broadcast_arrays(x + xs[:, None, None], y + ys[None, :, None])
+    want = point_major_gamma_many(fields, np.column_stack([px.ravel(), py.ravel()]))
+    assert np.array_equal(values.ravel(), want)
+    # The touching triangle ties with the right edge at its vertex, so
+    # every block keeps it; without it no block has a product to make.
+    assert bool(products) == touching
+    assert all(rect not in call and call == set(kept) for call in products)
+
+
 def lot_rankings():
     generate_lot = bench_module("lot").generate_lot
     for seed in range(16):
@@ -502,11 +552,12 @@ def golden_rankings():
 
 # Points x lines that the general part multiplies: in ``rank_spots`` on
 # ``bench/lot.py`` lots 0-15 with explain off (753,323,616 without the
-# skip), and in one pass over the goldens with explain on.
+# skip, 413,910,960 with a floor under the whole axis form in place of the
+# line pairs), and in one pass over the goldens with explain on.
 @pytest.mark.parametrize(
     "rankings, products",
     [
-        pytest.param(lot_rankings, 413_910_960, id="lot"),
+        pytest.param(lot_rankings, 137_108_016, id="lot"),
         pytest.param(golden_rankings, 5_370_192, id="goldens"),
     ],
 )
