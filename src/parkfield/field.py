@@ -11,15 +11,11 @@ polygons once into one axis form, in which a line whose normal is exactly
 - per coordinate, the lines of the one-line polygons (in its own frame a
   spot edge is one) along it, whose maximum is EX or EY;
 - per upright box, its lines of each coordinate, whose minima are BX, BY;
-- the general part, every other polygon, with one ``(L, 2) @ (2, n)`` BLAS
-  product per polygon and block.  Its operand is the F-ordered transpose
-  of a C-ordered ``(n, 2)`` copy of the block: BLAS may fuse one of the
-  two products into the add (OpenBLAS 0.3.31 with the SkylakeX kernels it
-  picks on an AVX-512 core rounds gemv as ``fma(a, x, b*y)`` and gemm as
-  ``fma(b, y, a*x)``; the bit-pinned tests pass under its Haswell kernels
-  too), and, handed the rows themselves, gemv rounds a one-line polygon's
-  ``n % 4`` tail points differently.  A set holds the normals and offsets
-  of its general polygons itself, none if it has none.
+- the general part, every other polygon: per block, each of its lines as
+  ``(a*x + b*y) + c`` by numpy ufuncs, one IEEE rounding per operation,
+  and their minimum.  No BLAS and no fused multiply-add, so the bits do not
+  depend on which kernels the CPU offers.  A set holds the ``(a, b, c)`` of
+  its general polygons' lines itself, none if it has none.
 
 The field is ``max(general, EX, EY, min(BX, BY) per box)``, and three
 entries fold it with one helper, ``_fold``.  ``FieldSet.eval_many`` takes
@@ -38,12 +34,13 @@ the call.
 ``FieldSet.eval_grid`` is the lattice of the one sample ``(0, 0)``: a
 field map's nodes, which ``FieldMap.fold`` takes band by band.
 
-The values are bit-identical to the point-major ``pts @ normals.T +
-offsets`` per polygon, for finite points and up to the sign of an exact
-zero.  BLAS's ``±1*x + 0*y`` is exactly ``±x`` whether or not it fuses
-the multiply-add, so adding ``c`` rounds the same; minimum and maximum are
-exact, so their order is free.  Only zeros can differ: ``-0.0 + -0.0`` is
-``-0.0`` here but ``(-0.0 + 0.0) + -0.0`` is ``+0.0`` in BLAS, and a grid
+The values are bit-identical to the point-major ``(x*a + y*b) + c`` per
+line, the minimum per polygon and the maximum over polygons, for finite
+points and up to the sign of an exact zero.  An axis line's ``±1*x +
+0*y`` is exactly ``±x`` up to the sign of a zero, so adding ``c`` rounds
+as ``x + c`` or ``c - x`` does; minimum and maximum are exact, so their
+order is free.  Only zeros can differ: ``-0.0 + -0.0`` is ``-0.0`` in the
+axis form but ``(-0.0 + 0.0) + -0.0`` is ``+0.0`` as a line, and a grid
 node at ``0.0 + -0.0`` is ``+0.0``.
 
 A mixed set, with general polygons and an axis form, skips the general
@@ -55,15 +52,15 @@ difference is below zero by more than a slack everywhere in the box
 (``FieldSet._reaching``): the polygon's field is at most its line, and
 the axis form at least the other.  Beside upright boxes it also leaves a
 polygon out when one of its lines is below a floor under the boxes, less
-the slack.  A block that leaves out every polygon skips the point-major
-copy too.  This is exact.  The skipped polygon is strictly below the axis
+the slack.  This is exact.  The skipped polygon is strictly below the axis
 form at every point, and a maximum is exact, so it can never be the
 value, nor tie with it.  The slack, ``_SKIP_SLACK`` times the box's
 coordinate magnitudes plus the set's largest offset, covers every
-rounding of the points, the products, the differences of the lines and
-the bounds.  It is sized by the operands, not by the result, because
-``a*x + c`` cancels to a small value far from the origin while its
-rounding stays at the scale of ``x``.  The kept polygons keep their fold
+rounding of the points, of the general part's unfused line values, of the
+differences of the lines and of the bounds, which one small BLAS product
+makes, fused or not.  It is sized by the operands, not by the result,
+because ``a*x + c`` cancels to a small value far from the origin while
+its rounding stays at the scale of ``x``.  The kept polygons keep their fold
 order, general part first.  ``np.maximum`` keeps its first argument on a
 tie, so which of two equal terms comes first can decide the sign of a
 zero; a skipped polygon never ties, so the order of the rest decides as
@@ -89,37 +86,37 @@ MAX_FIELD_MAP_CELLS = 10**8
 
 # Points per kernel block.  Sized for a 2 MB per-core L2 cache: a block's
 # working set is its x, y and output rows plus the set's scratch rows, 2
-# per point for the axis form and 2 plus the longest general polygon's
-# line count otherwise, kept across calls; for a parking scene's polygons
-# (up to 6 lines) that is 40 to 88 bytes per point, 0.6 to 1.4 MB.  A
-# compass-refinement round (up to 18 poses of ~940-1250 samples at the
-# default density per live start) spans one to four pose blocks of the
-# objective.
+# per point for the axis form and 4 beside general polygons, kept across
+# calls: 40 or 56 bytes per point, 0.66 or 0.92 MB.  A compass-refinement
+# round (up to 18 poses of ~940-1250 samples at the default density per
+# live start) spans one to four pose blocks of the objective.
 _BLOCK_POINTS = 16384
 # Points per lattice tile of ``FieldSet.eval_lattice``.  A tile's values
 # and its work rows take 16 bytes per point, 1 MB; its side rows hold one
 # row per x shift and per y shift only, so a tile larger than a block
 # mostly saves per-tile calls.  A set with general polygons takes tiles of
-# half as many points: their block scratch, up to 1 MB, works beside the
-# tile.
+# half as many points, 512 KB, beside its block scratch, 512 KB.
 _TILE_POINTS = 65536
 # A mixed set skips a general polygon in a block only when one of its lines
 # less one one-line polygon's line is below zero over the block's box (or,
 # beside upright boxes, one of its lines is below their floor) by this
 # share of the box's coordinate magnitudes plus the set's largest line
 # offset.  Every rounding between the true bounds and the computed values
-# (the posed points, BLAS's fused or unfused products, the offsets, the
-# differences of two lines, whose normals are at most 2 and offsets at
-# most twice the largest, the bounds themselves) is at most a few units of
-# 2**-53 of twice that sum, so 2**-44 leaves a factor of over 15.
+# (the posed points, the four of each unfused line value and the one of an
+# axis line, the differences of two lines, whose normals are at most 2 and
+# offsets at most twice the largest, the bounds themselves, whose BLAS
+# product may or may not fuse) is at most a few units of 2**-53 of twice
+# that sum, so 2**-44 leaves a factor of over 15.
 _SKIP_SLACK = 2.0**-44
 
 
 def _block_slices(n: int, limit: int):
     """``(lo, hi)`` bounds of equal blocks of at most ``limit`` rows over ``n``.
 
-    Equal blocks never leave a 1-row tail of a larger batch: matmul sends a
-    1-point product to BLAS gemv, which rounds differently from gemm.
+    Equal blocks never leave a small tail of a larger batch, which would
+    pay a block's per-call costs, and a mixed set's bound, for a few points.
+    A mixed set skips general polygons per block, so the boundaries also
+    decide the products it makes.
     """
     blocks = -(-n // limit)
     for b in range(blocks):
@@ -175,11 +172,8 @@ class FieldSet:
         # The largest offset magnitude of any line, which bounds the
         # rounding of a line's value with the coordinates' magnitudes.
         self._scale = max(abs(e.c) for edges in lines for e in edges)
-        # The (L, 2) line normals and (L, 1) offsets per general polygon.
-        self._lines = [
-            (np.array([[e.a, e.b] for e in edges]), np.array([[e.c] for e in edges]))
-            for edges in general
-        ]
+        # The ``(a, b, c)`` of each line, per general polygon.
+        self._lines = [tuple((e.a, e.b, e.c) for e in edges) for edges in general]
         # With both general polygons and an axis form, a block may skip the
         # general ones.
         self._mixed = 0 < len(general) < len(polygons)
@@ -193,17 +187,17 @@ class FieldSet:
             axis = [(1.0 if positive else -1.0, 0.0, c) for positive, c in self._single[0]]
             axis += [(0.0, 1.0 if positive else -1.0, c) for positive, c in self._single[1]]
             self._pairs = _table(
-                [(e.a - a, e.b - b, e.c - c) for e in edges for a, b, c in axis] for edges in general
+                [(a - sa, b - sb, c - sc) for a, b, c in lines for sa, sb, sc in axis]
+                for lines in self._lines
             )
-            own = [[(e.a, e.b, e.c) for e in edges] for edges in general]
-            self._own = _table(own if self._boxes else [])
-        # Scratch rows per block point: 2 for BLAS's point-major copy of the
-        # block, then one general polygon's line values; the axis form
-        # needs 2, a box's running minimum and one line.  Grown on demand,
-        # never per call: a fresh buffer of this size is often mmapped by
-        # the allocator, and its page faults cost more than the products it
-        # holds.
-        self._rows = 2 + max((len(n) for n, _ in self._lines), default=0)
+            self._own = _table(self._lines if self._boxes else [])
+        # Scratch rows per block point: the axis form needs 2, a box's
+        # running minimum and one line; the general part 4, a polygon's
+        # running minimum, a line, its ``b*y`` and the ``lines`` entry's
+        # copy of y.  Grown on demand, never per call: a fresh buffer of
+        # this size is often mmapped by the allocator, and its page faults
+        # cost more than the products it holds.
+        self._rows = 4 if self._lines else 2
         self._buf = np.empty(0)
 
     @property
@@ -219,8 +213,8 @@ class FieldSet:
         return self._buf
 
     def _reaching(self, x0, x1, y0, y1) -> list:
-        """The ``(normals, offsets)`` of the general polygons that may reach
-        the axis form somewhere in the box ``[x0, x1] x [y0, y1]``.
+        """The lines of the general polygons that may reach the axis form
+        somewhere in the box ``[x0, x1] x [y0, y1]``.
 
         A polygon is skipped when the maximum over the box of one of its
         lines less one line of a one-line polygon is below ``-slack``: the
@@ -255,9 +249,9 @@ class FieldSet:
         ``x`` and ``y`` are equal-length 1-D arrays of any stride.  A mixed
         set skips in each block the general polygons that cannot reach its
         axis form over the block's own bounding box.  Given ``lines``,
-        a non-empty list of pairs of ``_lines``, the call evaluates only
+        a non-empty list of entries of ``_lines``, the call evaluates only
         those general polygons, with no axis form, and may write over
-        ``y``: each block copies its points first.
+        ``y``: each block copies its y first.
         """
         if out is None:
             out = np.empty(len(x))
@@ -266,7 +260,9 @@ class FieldSet:
             n = hi - lo
             xy, dst = (x[lo:hi], y[lo:hi]), out[lo:hi]
             if lines is not None:
-                self._products(xy, dst, buf, lines)
+                held = buf[3 * n : 4 * n]
+                np.copyto(held, xy[1])
+                self._products((xy[0], held), dst, buf, lines)
                 continue
             # The paired case of the lattice fold: the maximum over the
             # kept general polygons, EX, EY and min(BX, BY) per box, each
@@ -292,25 +288,22 @@ class FieldSet:
 
     def _products(self, xy, dst, buf, lines):
         """The field of the general polygons ``lines`` at one block's
-        points ``xy``, into ``dst``: one BLAS product per polygon, ``buf``
-        as scratch."""
-        n = len(dst)
-        # Flat, so every (L, n) view of it is C-contiguous and matmul writes
-        # into it through BLAS; BLAS's operand is the transpose of the
-        # C-ordered copy ``pts``.
-        pts = buf[: 2 * n].reshape(n, 2)
-        pts[:, 0], pts[:, 1] = xy
-        work = buf[2 * n : self._rows * n].reshape(-1, n)
+        points ``xy``, into ``dst``: each line as ``(a*x + b*y) + c``, one
+        rounding per ufunc, with the first 3 rows of ``buf`` as scratch."""
+        x, y = xy
+        acc, line, term = buf[: 3 * len(dst)].reshape(3, -1)
         # The first polygon's minimum goes straight into ``dst``; each later
-        # one's into a work row, then the max into ``dst``.
-        for k, (normals, offsets) in enumerate(lines):
-            one = k == 0 and len(normals) == 1
-            vals = dst[None] if one else work[: len(normals)]
-            np.matmul(normals, pts.T, out=vals)
-            vals += offsets
-            acc = dst if k == 0 else vals[0]
-            for j in range(1, len(normals)):
-                np.minimum(vals[0] if j == 1 else acc, vals[j], out=acc)
+        # one's into ``acc``, then the max into ``dst``.
+        for k, polygon in enumerate(lines):
+            low = acc if k else dst
+            for j, (a, b, c) in enumerate(polygon):
+                value = line if j else low
+                np.multiply(x, a, out=value)
+                np.multiply(y, b, out=term)
+                value += term
+                value += c
+                if j:
+                    np.minimum(low, value, out=low)
             if k:
                 np.maximum(dst, acc, out=dst)
 

@@ -353,8 +353,8 @@ def _spot_edge_polygons(spot: ParkingSpot, local: bool = False) -> list[Polygon]
     spot frame, built from its length and width.
 
     Local edges are exact: rotating the global ones into the spot frame
-    rounds, and a line one bit off an axis takes the field kernel's BLAS
-    product instead of its axis path.
+    rounds, and a line one bit off an axis takes the field kernel's general
+    part, which multiplies out each line, instead of its axis path.
     """
     # Corners are CCW, so traversing them backwards puts the left-hand
     # normal of each edge on the outside: the edge field is negative

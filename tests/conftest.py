@@ -199,21 +199,21 @@ def node_xy(fmap, row: int, col: int) -> tuple:
 
 
 def point_major_gamma_many(fields, pts):
-    """Independent field-kernel oracle: one point-major ``(N, 2) @ (2, L)``
-    product per polygon, min over its lines, max over polygons."""
+    """Independent field-kernel oracle: every polygon's lines at the
+    ``(N, 2)`` points as one point-major ``(N, L)`` array of ``(x*a + y*b)
+    + c``, min over its lines, max over polygons."""
     values = None
     for poly in fields.polygons:
-        normals = np.array([[e.a, e.b] for e in poly.edges])
-        offsets = np.array([e.c for e in poly.edges])
-        lines_min = (pts @ normals.T + offsets).min(axis=1)
+        a, b, c = np.array([(e.a, e.b, e.c) for e in poly.edges]).T
+        lines_min = (pts[:, :1] * a + pts[:, 1:] * b + c).min(axis=1)
         values = lines_min if values is None else np.maximum(values, lines_min)
     return values
 
 
 def on_axis_path(fields) -> list:
     """Per polygon of ``fields``: does it stay out of the set's general
-    part, which takes the BLAS product?  A one-line polygon of an axis line
-    and an upright box do."""
+    part, which multiplies out each line?  A one-line polygon of an axis
+    line and an upright box do."""
     sides = [_axis_sides(p.edges) for p in fields.polygons]
     axis = [bool(s) and (len(p.edges) == 1 or all(s)) for p, s in zip(fields.polygons, sides)]
     assert axis.count(False) == len(fields._lines)

@@ -1,13 +1,23 @@
+import contextlib
+import ctypes
 import functools
 import gc
 import hashlib
+import io
+import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import parkfield
+from parkfield import cli
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample_field
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
@@ -16,6 +26,7 @@ from parkfield.solver import _local_field_set
 from parkfield.strategy import rank_spots
 
 from conftest import (
+    BENCH_DIR,
     SCENARIO_DIR,
     bench_module,
     load_golden,
@@ -152,8 +163,8 @@ def test_gamma_many_bitwise_equals_point_major_kernel(lines):
     # a fresh instance evaluates each batch with a buffer made for it.
     rng = np.random.default_rng(11)
     # A last-bit rounding difference shows on about one random point in
-    # three, so each count is drawn many times.  A one-line BLAS product
-    # rounds its last ``n % 4`` points its own way (935 and 8191 points).
+    # three, so each count is drawn many times.  Uneven counts (935 and
+    # 8191 points) end each vector loop in a tail.
     for n in BLOCK_STRADDLING_COUNTS + (935,) + BLOCK_STRADDLING_COUNTS[::-1]:
         for _ in range(25):
             pts = rng.uniform(-3, 3, size=(n, 2))
@@ -221,16 +232,80 @@ def test_lot_spot_frames_build_every_spot_edge_on_an_axis():
 # sha256 over the reprs of ``strategies``, ``infeasible`` and ``solve_stats``
 # of ``rank_spots`` on ``bench/lot.py`` lots 0-63, explain off.  A repr
 # prints each float's shortest round trip, so any changed bit shows.
-LOT_OUTPUTS_SHA256 = "5bace8bbcbee213b8264a5f1d63a50ba2d758fe244ee39e760fa3b85313f6e85"
+LOT_OUTPUTS_SHA256 = "9d2589609cfe81563148805bd7b787a4277ff76c52bae976c6e3309396781b7a"
 
 
-def test_lot_rankings_keep_their_bits():
+def lot_outputs_sha256() -> str:
     generate_lot = bench_module("lot").generate_lot
     digest = hashlib.sha256()
     for seed in range(64):
         ranked = rank_spots(load_scenario(generate_lot(seed)), explain=False)
         digest.update(repr((ranked.strategies, ranked.infeasible, ranked.solve_stats)).encode())
-    assert digest.hexdigest() == LOT_OUTPUTS_SHA256
+    return digest.hexdigest()
+
+
+def test_lot_rankings_keep_their_bits():
+    assert lot_outputs_sha256() == LOT_OUTPUTS_SHA256
+
+
+# The OpenBLAS cores a process can be forced onto with ``OPENBLAS_CORETYPE``:
+# numpy's names of the CPU features their kernels execute (a forced core
+# whose instructions the CPU lacks dies with SIGILL), and the names OpenBLAS
+# reports for it.  An x86-64 OpenBLAS aliases the 32-bit Katmai core to the
+# Prescott kernels and reports the alias.  Prescott's kernels round ``a*x +
+# b*y`` unfused, Haswell's and SkylakeX's may fuse it.
+BLAS_CORES = {
+    "Prescott": (("SSE3",), ("Prescott", "Katmai")),
+    "Haswell": (("AVX2", "FMA3"), ("Haswell",)),
+    "SkylakeX": (("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL"), ("SkylakeX",)),
+}
+
+
+def bundled_openblas():
+    """The OpenBLAS library that the numpy wheel bundles, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    return min(libs.glob("libscipy_openblas64_*.so"), default=None)
+
+
+def print_blas_core_outputs():
+    """One JSON line: the OpenBLAS core this process runs, the lot digest
+    and the sha256 of each golden's ``solve`` report less its wall time."""
+    corename = ctypes.CDLL(str(bundled_openblas())).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    normalize = bench_module("stats").normalize_report
+    reports = {}
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["solve", str(path)]) == 0
+        reports[path.name] = hashlib.sha256(normalize(out.getvalue().encode())).hexdigest()
+    outputs = {"core": corename().decode(), "lot": lot_outputs_sha256(), "reports": reports}
+    print(json.dumps(outputs))
+
+
+@pytest.mark.parametrize("core", list(BLAS_CORES))
+def test_every_blas_core_gives_the_pinned_bits(core):
+    # The field kernel rounds each operation itself, so whichever BLAS
+    # kernels the CPU runs, fused or not, the lot pin and the golden
+    # reports keep every bit.  One process per core, forced onto it.
+    needs, names = BLAS_CORES[core]
+    features = np._core._multiarray_umath.__cpu_features__
+    missing = [name for name in needs if not features.get(name)]
+    if missing:
+        pytest.skip(f"{core}: this CPU lacks {', '.join(missing)}")
+    if bundled_openblas() is None:
+        pytest.skip(f"{core}: numpy bundles no OpenBLAS to force onto it")
+    src = str(Path(parkfield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["core"] in names
+    assert got["lot"] == LOT_OUTPUTS_SHA256
+    recorded = sorted((BENCH_DIR / "expected").glob("*.report"))
+    want = {p.stem + ".json": hashlib.sha256(p.read_bytes()).hexdigest() for p in recorded}
+    assert got["reports"] == want
 
 
 # An axis-only, a general-only and two mixed sets.
@@ -386,12 +461,13 @@ def ordered_coords(rng, lo, hi, n, signed_zeros):
 
 @pytest.fixture
 def products(monkeypatch):
-    """Per ``FieldSet._products`` call, the ids of the normals it multiplies."""
+    """Per ``FieldSet._products`` call, the ids of the polygons' lines it
+    multiplies."""
     calls = []
     original = FieldSet._products
 
     def recording(self, xy, dst, buf, lines):
-        calls.append({id(normals) for normals, _ in lines})
+        calls.append({id(polygon) for polygon in lines})
         return original(self, xy, dst, buf, lines)
 
     monkeypatch.setattr(FieldSet, "_products", recording)
@@ -399,7 +475,7 @@ def products(monkeypatch):
 
 
 def assert_some_polygon_pruned_and_kept(products, fields):
-    ids = [id(normals) for normals, _ in fields._lines]
+    ids = [id(polygon) for polygon in fields._lines]
     assert any(
         any(i in call for call in products) and any(i not in call for call in products) for i in ids
     )
@@ -461,7 +537,7 @@ def test_skip_slack_covers_near_ties_far_from_the_origin(scale):
     # Points on a segment of the axis line x = P.x, whose top end lies on a
     # general line at a random angle: there the two values are zero up to
     # rounding, about scale * 2**-53, and the general line's bound over the
-    # segment, which the top end attains, rounds apart from its BLAS value.
+    # segment, which the top end attains, rounds apart from its kernel value.
     # A skip without slack, or with one sized by the values, drops the
     # general line at some of these ends where its value is the larger.
     rng = np.random.default_rng(int(scale))
@@ -480,7 +556,7 @@ def test_skip_slack_covers_near_ties_far_from_the_origin(scale):
         x, y = np.full(5, px), py + shifts
         want = one_polygon_fold(polys, x, y)
         assert_same_bits(fields.eval_many(x, y), want)
-        # One point a block: BLAS rounds a one-point product its own way.
+        # One point a block, each with its own bounding box.
         for point in range(5):
             one = x[point:][:1], y[point:][:1]
             assert_same_bits(fields.eval_many(*one), one_polygon_fold(polys, *one))
@@ -510,7 +586,7 @@ def test_line_pairs_skip_only_what_a_spot_edge_dominates(touching, products):
     polys = line_pair_scene(touching)
     fields = FieldSet(polys)
     assert is_mixed(fields)
-    rect, *kept = [id(normals) for normals, _ in fields._lines]
+    rect, *kept = [id(polygon) for polygon in fields._lines]
     rng = np.random.default_rng(23)
     # Two blocks over the spot and beyond it, with the touching vertex and
     # points on the lower edge.
@@ -566,7 +642,7 @@ def test_the_skip_pins_the_product_work(rankings, products, monkeypatch):
     original = FieldSet._products
 
     def counting(self, xy, dst, buf, lines):
-        work[0] += len(dst) * sum(len(normals) for normals, _ in lines)
+        work[0] += len(dst) * sum(len(polygon) for polygon in lines)
         return original(self, xy, dst, buf, lines)
 
     monkeypatch.setattr(FieldSet, "_products", counting)
@@ -693,3 +769,7 @@ def test_sample_field_budget():
 def test_sample_field_rejects_degenerate_bounds(unit_square):
     with pytest.raises(GeometryError):
         sample_field(FieldSet((unit_square,)), (1.0, 0.0, 1.0, 2.0), 4.0)
+
+
+if __name__ == "__main__":
+    print_blas_core_outputs()

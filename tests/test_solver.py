@@ -542,7 +542,7 @@ def test_union_scores_exact_per_footprint():
 
 def test_scores_exact_with_monte_carlo_plan():
     # 301 samples per rectangle: a pose block's point count is not a
-    # multiple of 4, where the kernel's BLAS products take their tail path.
+    # multiple of 4, so the kernel's vector loops end in a tail.
     plan = SamplingPlan(MONTE_CARLO, 301.0, 7)
     spot, local, evaluator = golden_evaluator("mixed_obstacles.json", plan)
     assert evaluator._coords.shape[1] % 4
