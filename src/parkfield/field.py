@@ -28,9 +28,9 @@ line's value at ``x_i + X`` depends on the shift only through X, so EX and
 each BX are made once per X into side rows, EY and each BY once per Y, and
 composed per point; the general part sees the shifted points, through
 ``eval_many``'s ``lines`` entry, and writes its values over the tile's y
-row.  It works in tiles of shifts whose values hold at most
-``_TILE_POINTS`` points (half that beside a general part), in scratch of
-the call.
+row.  It works in tiles of about as many x shifts as y shifts, whose
+values hold at most ``_TILE_POINTS`` points (half that beside a general
+part), in scratch of the call.
 ``FieldSet.eval_grid`` is the lattice of the one sample ``(0, 0)``: a
 field map's nodes, which ``FieldMap.fold`` takes band by band.
 
@@ -327,7 +327,9 @@ class FieldSet:
         """
         n = len(x)
         poses = max(1, (_TILE_POINTS // 2 if self._lines else _TILE_POINTS) // n)
-        tx = min(len(xs), poses)
+        # About as many x shifts as y shifts, so that a mixed set bounds a
+        # square box per tile, which skips more than a strip of the x axis.
+        tx = min(len(xs), math.isqrt(poses))
         ty = min(len(ys), max(1, poses // tx))
         # Side rows per shift: the one-line polygons' maximum and each box's
         # minimum.

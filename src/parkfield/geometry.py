@@ -1,15 +1,17 @@
 """Planar polygon and rigid-transform primitives.
 
 Everything here is scalar, pure and immutable.  Polygons hold only their
-vertices and derive one signed line per edge on access; for convex
-counter-clockwise polygons the line normals point inward, so the per-edge
-value is a true signed distance (positive inside).
+vertex coordinates, packed as doubles, and derive their vertices and one
+signed line per edge on access; for convex counter-clockwise polygons the
+line normals point inward, so the per-edge value is a true signed distance
+(positive inside).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 from .errors import GeometryError
@@ -64,27 +66,25 @@ class RigidTransform:
     ty: float
 
 
-def _edge_line(p: Point2, q: Point2, index: int) -> EdgeLine:
-    dx = q.x - p.x
-    dy = q.y - p.y
-    length = math.hypot(dx, dy)
-    if length < 1e-12:
-        raise GeometryError(f"degenerate edge {index}: coincident vertices ({p.x}, {p.y})")
-    a = -dy / length
-    b = dx / length
-    c = -(a * p.x + b * p.y)
-    return EdgeLine(a, b, c, math.atan2(dy, dx))
-
-
-def _lines_for_vertices(vertices: tuple[Point2, ...]) -> tuple[EdgeLine, ...]:
+def _edges(xy) -> list:
+    """``(px, py, qx, qy)`` of each directed edge of the vertices ``(x0,
+    y0, x1, y1, ...)``."""
     # A 2-vertex spot edge carries a single directed line; the vertex
     # order picks which side is positive (left of the direction).
-    n = len(vertices)
-    if n == 2:
-        return (_edge_line(vertices[0], vertices[1], 0),)
-    return tuple(
-        _edge_line(vertices[i], vertices[(i + 1) % n], i) for i in range(n)
-    )
+    if len(xy) == 4:
+        return [tuple(xy)]
+    closed = tuple(xy) + tuple(xy[:2])
+    return [closed[i : i + 4] for i in range(0, len(xy), 2)]
+
+
+def _edge_line(px: float, py: float, qx: float, qy: float) -> EdgeLine:
+    dx = qx - px
+    dy = qy - py
+    length = math.hypot(dx, dy)
+    a = -dy / length
+    b = dx / length
+    c = -(a * px + b * py)
+    return EdgeLine(a, b, c, math.atan2(dy, dx))
 
 
 def _signed_area(vertices: tuple[Point2, ...]) -> float:
@@ -111,60 +111,90 @@ def _is_convex_ccw(vertices: tuple[Point2, ...]) -> bool:
     return turning < 3.0 * math.pi
 
 
-@dataclass(frozen=True, slots=True)
 class Polygon:
     """Ordered cyclic vertex list with derived per-edge lines.
 
     kind=obstacle: >= 3 vertices, convex, counter-clockwise (clockwise
     input is reversed with a warning).  kind=spot_edge: exactly 2 vertices.
-    Only the vertices are stored: a parsed scene holds every polygon, and
-    its lines, which take more memory than its vertices, are read once,
-    when a ``FieldSet`` compiles them.
+    Only the vertex coordinates are stored, packed as doubles: a parsed
+    scene holds every polygon, and its ``Point2`` vertices and its lines
+    take more memory than the coordinates, so both are made on access.  A
+    ``FieldSet`` reads the lines once, when it compiles them.  Immutable;
+    equality and hashing go by the coordinate values, kind and name, so
+    ``-0.0`` equals ``0.0`` as it does in a ``Point2``.
     """
 
-    vertices: tuple[Point2, ...]
-    kind: str = OBSTACLE
-    name: str = ""
+    __slots__ = ("_xy", "kind", "name")
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        if self.kind == SPOT_EDGE:
+    def __init__(self, vertices, kind: str = OBSTACLE, name: str = ""):
+        verts = tuple(vertices)
+        if kind == SPOT_EDGE:
             if len(verts) != 2:
                 raise GeometryError(
-                    f"spot edge '{self.name}' needs exactly 2 vertices, got {len(verts)}"
+                    f"spot edge '{name}' needs exactly 2 vertices, got {len(verts)}"
                 )
-        elif self.kind == OBSTACLE:
+        elif kind == OBSTACLE:
             if len(verts) < 3:
-                raise GeometryError(
-                    f"obstacle '{self.name}' needs >= 3 vertices, got {len(verts)}"
-                )
+                raise GeometryError(f"obstacle '{name}' needs >= 3 vertices, got {len(verts)}")
             area = _signed_area(verts)
             if area == 0.0:
-                raise GeometryError(f"obstacle '{self.name}' has zero area")
+                raise GeometryError(f"obstacle '{name}' has zero area")
             if area < 0.0:
                 warnings.warn(
-                    f"obstacle '{self.name}': clockwise vertex order reversed",
-                    stacklevel=3,
+                    f"obstacle '{name}': clockwise vertex order reversed",
+                    stacklevel=2,
                 )
                 verts = verts[::-1]
             if not _is_convex_ccw(verts):
-                raise GeometryError(f"obstacle '{self.name}' is not convex")
+                raise GeometryError(f"obstacle '{name}' is not convex")
         else:
-            raise GeometryError(f"unknown polygon kind '{self.kind}'")
-        # Validated once here: ``edges`` makes the same lines on access.
-        _lines_for_vertices(verts)
-        object.__setattr__(self, "vertices", verts)
+            raise GeometryError(f"unknown polygon kind '{kind}'")
+        xy = [c for v in verts for c in (v.x, v.y)]
+        # Checked once here: ``edges`` divides by each length on access.
+        for i, (px, py, qx, qy) in enumerate(_edges(xy)):
+            if math.hypot(qx - px, qy - py) < 1e-12:
+                raise GeometryError(f"degenerate edge {i}: coincident vertices ({px}, {py})")
+        for slot, value in zip(self.__slots__, (array("d", xy).tobytes(), kind, name)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to '{name}' of an immutable Polygon")
+
+    __delattr__ = __setattr__
+
+    def _coords(self) -> tuple:
+        """``(x0, y0, x1, y1, ...)`` of the vertices."""
+        return tuple(memoryview(self._xy).cast("d"))
+
+    def _key(self) -> tuple:
+        return self._coords(), self.kind, self.name
+
+    def __eq__(self, other):
+        if other.__class__ is not Polygon:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Polygon(vertices={self.vertices!r}, kind={self.kind!r}, name={self.name!r})"
+
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        """The vertices, made from the stored coordinates on each access."""
+        xy = self._coords()
+        return tuple(Point2(x, y) for x, y in zip(xy[::2], xy[1::2]))
 
     @property
     def edges(self) -> tuple[EdgeLine, ...]:
-        """One line per edge, made from the vertices on each access."""
-        return _lines_for_vertices(self.vertices)
+        """One line per edge, made from the coordinates on each access."""
+        return tuple(_edge_line(*edge) for edge in _edges(self._coords()))
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max)."""
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        xy = self._coords()
+        return min(xy[::2]), min(xy[1::2]), max(xy[::2]), max(xy[1::2])
 
 
 def apply_transform(t: RigidTransform, p_local: Point2) -> Point2:

@@ -380,13 +380,28 @@ def _boxes_overlap(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
+def _line_field(polygon: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Field of ``polygon`` alone at ``(xs[c], ys[r])`` as ``values[r, c]``:
+    the minimum over its lines of ``(a*x + b*y) + c``, in the field kernel's
+    order of IEEE operations, so the values are ``FieldSet((polygon,))``'s
+    up to the sign of an exact zero.  One line at a time, so that at most
+    two lattices of values are held."""
+    values = None
+    for e in polygon.edges:
+        line = (e.a * xs)[None] + (e.b * ys)[:, None]
+        line += e.c
+        values = line if values is None else np.minimum(values, line, out=values)
+    return values
+
+
 def _domination_test(spot_edges: list[Polygon], region: tuple[float, float, float, float]):
     """Predicate: do the spot edges strictly dominate an obstacle on the region?
 
     Sampled on one lattice, with the edges' values on it computed once for
-    every obstacle tested, and a Lipschitz safety margin: the difference of
-    two 1-Lipschitz fields is 2-Lipschitz, so a sampled margin of sqrt(2)*h
-    at pitch h certifies strict domination between nodes.  Over
+    every obstacle tested and each obstacle's lines evaluated on it
+    directly, and a Lipschitz safety margin: the difference of two
+    1-Lipschitz fields is 2-Lipschitz, so a sampled margin of sqrt(2)*h at
+    pitch h certifies strict domination between nodes.  Over
     ``MAX_LATTICE_POSES`` nodes nothing is checked and no obstacle counts as
     dominated: pruning only saves work, and keeping the obstacle is safe.
     """
@@ -404,7 +419,7 @@ def _domination_test(spot_edges: list[Polygon], region: tuple[float, float, floa
     edge_vals = FieldSet(spot_edges).eval_grid(xs, ys)
 
     def dominated(obstacle: Polygon) -> bool:
-        obst_vals = FieldSet((obstacle,)).eval_grid(xs, ys)
+        obst_vals = _line_field(obstacle, xs, ys)
         return bool(np.all(obst_vals - edge_vals < -math.sqrt(2.0) * h))
 
     return dominated
@@ -528,9 +543,9 @@ def _parse_obstacle(entry, path: str, seen_ids: set) -> Polygon:
     verts_raw = _expect(entry.get("vertices"), list, f"{path}.vertices", "a list")
     if len(verts_raw) < 3:
         raise ScenarioError(f"{path}.vertices", "expected at least 3 vertex pairs")
-    vertices = tuple(
+    vertices = [
         _point(v, f"{path}.vertices[{i}]", MAX_SPOT_EXTENT) for i, v in enumerate(verts_raw)
-    )
+    ]
     try:
         return Polygon(vertices, kind=OBSTACLE, name=obst_id)
     except GeometryError as exc:

@@ -4,11 +4,14 @@ The objective integrates the composite field over every footprint
 rectangle at a candidate pose; sample points live in the vehicle frame and
 are fixed per sampling plan, so the estimate is a deterministic quadrature
 and the same rule scores every pose.  Minimization is a two-stage
-derivative-free search (the field is piecewise linear): an exhaustive
-coarse grid over the spot box and the discrete headings, then compass
-refinement from the best cells, all of them in lockstep.  The test oracle,
-``brute_force_minimize``, finds the exact minimum over a pose lattice,
-scoring only the nodes that a Lipschitz bound cannot rule out.
+derivative-free search (the field is piecewise linear): a coarse lattice
+over the spot box and the discrete headings, then compass refinement from
+the best nodes, all of them in lockstep.  The coarse stage and the test
+oracle, ``brute_force_minimize``, share one bounded scan of a lattice,
+which scores only the nodes that a Lipschitz bound cannot rule out: for
+the oracle, those that can hold the minimum; for the coarse stage, those
+that can pick a refinement start.  Both answer as a scan of every node
+would, bit for bit.
 """
 
 from __future__ import annotations
@@ -128,9 +131,10 @@ def _is_int(value) -> bool:
 class SolveResult:
     """Best pose of one solve.
 
-    ``evaluations`` counts the poses the search requested: the coarse grid
-    plus every refinement probe, including the probes answered from the
-    solve's score memo without reaching the evaluator.
+    ``evaluations`` counts the poses the search requested: every node of
+    the coarse lattice, scored or bounded, plus every refinement probe,
+    including the probes answered from the solve's score memo without
+    reaching the evaluator.
     """
 
     pose: Pose
@@ -281,7 +285,7 @@ class ObjectiveEvaluator:
         blocks' points.
 
         ``axes`` is ``(xs, ys, headings)`` when ``poses`` are the rows of
-        ``_pose_lattice`` over them, and then the rows are not read: each
+        ``_lattice_rows`` over them, and then the rows are not read: each
         heading goes to the field set's ``eval_lattice``, which evaluates
         each axis line once per x or y translation in tiles of at most
         ``_TILE_POINTS`` points.  Each lattice node's weighted sum is the
@@ -483,22 +487,21 @@ def _node_rows(axes, nodes) -> np.ndarray:
     return np.column_stack([axis[index] for axis, index in zip(axes, nodes)])
 
 
-def _pose_lattice(spot: ParkingSpot, pitch: float, headings) -> tuple:
-    """``(poses, axes)``: the ``_lattice_axes`` and their ``_lattice_rows``."""
-    axes = _lattice_axes(spot, pitch, headings)
-    return _lattice_rows(*axes), axes
-
-
 class ScoredLattice:
-    """One spot's pose lattice, scored once for several footprints.
+    """One spot's coarse pose lattice, searched once for several footprints.
 
     ``minimize`` starts from the lattice at the coarse pitch, and the
     explained solves of a spot (the footprint and each of its one-rectangle
-    ablations) share one: the spot-local field set is compiled once, the
-    union of the footprints' sample blocks is scored once per lattice pose
-    through the axes the lattice declares, and each footprint reads its own
-    score column.  Scoring waits for the first ``column`` call, so it runs
-    inside the first solve that needs it.
+    ablations) share one: the spot-local field set is compiled once, and
+    one ``_bounded_scan`` under the union of the footprints' sample blocks
+    scores a node for all of them when any one needs it.  A footprint needs
+    the nodes that can pick a start: its cut is the score of the last of
+    the ``config.starts`` starts that ``_coarse_starts`` picks from the
+    nodes scored so far, infinite while fewer can be picked.  The scan ends
+    when no unscored node's bound lies within slack of any footprint's cut,
+    so every node left unscored sorts after every start the whole lattice
+    would give, and the starts are the full scan's.  Scanning waits for the
+    first ``column`` call, so it runs inside the first solve that needs it.
     """
 
     def __init__(self, fields, footprints, spot, plan, config):
@@ -510,25 +513,54 @@ class ScoredLattice:
         self._scored = None
 
     def column(self, footprint: VehicleFootprint):
-        """``(evaluator, poses, scores)`` of ``footprint``, one of the lattice's.
+        """``(evaluator, nodes, poses, scores)`` of ``footprint``, one of
+        the lattice's: the lattice's node count, and the pose rows of its
+        scored nodes in lattice order with their scores for ``footprint``.
 
         The evaluator scores ``footprint`` alone and shares the lattice's
         compiled field set and sample blocks.
         """
-        plan, weights = self._plan, self._config.rect_weights
+        plan, config = self._plan, self._config
         if self._scored is None:
-            config = self._config
-            poses, axes = _pose_lattice(self._spot, config.coarse_pitch, config.headings)
-            local = _local_field_set(self._fields, self._spot)
-            shared = ObjectiveEvaluator(local, self._footprints, plan, weights)
-            columns = shared.scores(poses, axes).reshape(len(self._footprints), -1)
-            self._scored = (local, shared, poses, columns)
-        local, shared, poses, columns = self._scored
+            spot = self._spot
+            axes = _lattice_axes(spot, config.coarse_pitch, config.headings)
+            local = _local_field_set(self._fields, spot)
+            shared = ObjectiveEvaluator(local, self._footprints, plan, config.rect_weights)
+            # The oracle's stride, and at least one halving.
+            stride = max(2, _oracle_stride(config.coarse_pitch, axes))
+
+            def cut(values, scored):
+                poses, columns = _scored_nodes(values, scored, axes)
+                cuts = []
+                for scores in columns:
+                    starts = _coarse_starts(scores, poses, config, spot)
+                    cuts.append(scores[starts[-1]] if len(starts) == config.starts else math.inf)
+                return np.array(cuts)
+
+            values, scored, _ = _bounded_scan(shared, local, axes, stride, cut)
+            self._scored = (local, shared, scored.size, *_scored_nodes(values, scored, axes))
+        local, shared, nodes, poses, columns = self._scored
         if self._footprints == (footprint,):
             evaluator = shared
         else:
-            evaluator = ObjectiveEvaluator(local, footprint, plan, weights, shared=shared)
-        return evaluator, poses, columns[self._footprints.index(footprint)]
+            evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights, shared=shared)
+        return evaluator, nodes, poses, columns[self._footprints.index(footprint)]
+
+
+def _scored_nodes(values, scored, axes) -> tuple:
+    """``(poses, columns)``: the pose rows of the ``scored`` nodes of the
+    lattice ``axes``, in lattice order, and each footprint's row of their
+    scores in ``values``."""
+    flat = np.flatnonzero(scored)
+    poses = _node_rows(axes, np.unravel_index(flat, scored.shape))
+    return poses, values.reshape(len(values), -1)[:, flat]
+
+
+def _coarse_starts(scores, poses, config: SolverConfig, spot: ParkingSpot) -> list:
+    """Indices of the refinement starts among the scored coarse ``poses``:
+    ``_diverse_starts`` over their ``_tie_order``."""
+    order = _tie_order(scores, poses, config, spot)
+    return _diverse_starts(order.tolist(), poses, config.starts, 2.0 * config.coarse_pitch)
 
 
 # Signs of a poll's (x, y, theta) moves: axis moves, then position
@@ -681,21 +713,20 @@ def minimize(
 
     ``fields`` is in the global frame; the search runs in spot-local
     coordinates with the body center box-constrained to the spot.
-    ``coarse`` is this spot's coarse lattice, scored for ``footprint`` among
-    others and shared with their solves; without one the solve scores its
-    own.
+    ``coarse`` is this spot's coarse lattice, searched for ``footprint``
+    among others and shared with their solves; without one the solve
+    searches its own.  The starts and every score are those of scoring the
+    whole lattice, and ``evaluations`` counts every lattice node, each one
+    scored or bounded after the last start.
     """
     check_feasible(footprint, spot, config.headings)
     if coarse is None:
         coarse = ScoredLattice(fields, (footprint,), spot, plan, config)
-    evaluator, grid, grid_scores = coarse.column(footprint)
-    evaluations = len(grid)
+    evaluator, evaluations, grid, grid_scores = coarse.column(footprint)
     # Pose tuple -> score for this solve: the refinement polls of all
     # starts revisit poses, and step-pitch probes land on coarse nodes.
     memo = dict(zip(map(tuple, grid.tolist()), grid_scores.tolist()))
-
-    order = _tie_order(grid_scores, grid, config, spot)
-    starts = _diverse_starts(order.tolist(), grid, config.starts, 2.0 * config.coarse_pitch)
+    starts = _coarse_starts(grid_scores, grid, config, spot)
 
     refined = _compass_refine(evaluator, memo, grid[starts], grid_scores[starts], config, spot)
     evaluations += sum(r[4] for r in refined)
@@ -716,7 +747,7 @@ def brute_force_minimize(
     resolution: float = 0.1,
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Best pose of the pitch-``resolution`` lattice of ``_pose_lattice``
+    """Best pose of the pitch-``resolution`` lattice of ``_lattice_axes``
     over the spot box and ``config.headings``; the test oracle, not a
     production path.
 
@@ -731,7 +762,8 @@ def brute_force_minimize(
     axes = _lattice_axes(spot, resolution, config.headings)
     local = _local_field_set(fields, spot)
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
-    values, scored, _ = _bounded_scan(evaluator, local, axes, _oracle_stride(resolution, axes))
+    stride = _oracle_stride(resolution, axes)
+    (values,), scored, _ = _bounded_scan(evaluator, local, axes, stride, _lowest_score)
     low = values[scored].min()
     # Every node left unscored is bounded strictly above ``low``, so the
     # tied nodes are all scored, and stay in lattice order.
@@ -744,14 +776,16 @@ def brute_force_minimize(
 # The oracle's first pass scores the lattice nodes of every ``stride``-th
 # index, where ``stride`` is the largest power of two whose step over the
 # lattice pitch is at most this many metres, so a lattice of pitch over
-# 0.1 m is scanned whole.  A scored node's bound on its neighbours falls by
+# 0.1 m is scanned whole; the coarse stage takes a stride of at least 2,
+# which at its 0.25 m pitch scores about a quarter of the nodes first and
+# bounds the rest.  A scored node's bound on its neighbours falls by
 # the objective's Lipschitz constant per metre (9 to 13 on the goldens at
 # the default weights): a longer first step leaves more nodes to score
 # later, a shorter one scores more nodes first.  On the goldens, 0.1 m and
 # 0.4 m steps were no faster at 0.05 m and 0.01 m pitches.
 _ORACLE_SPAN = 0.2
 # ``_bounded_scan`` scores a node whose bound is within this share of the
-# objective's operands of the incumbent (see ``_bound_slack``).
+# objective's operands of the cut (see ``_bound_slack``).
 _BOUND_SLACK = 2.0**-44
 
 
@@ -799,7 +833,8 @@ def _level_bounds(grid: np.ndarray, x: tuple, y: tuple, lipschitz: float) -> np.
 
 
 def _bound_slack(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, levels: int) -> tuple:
-    """``(lipschitz, slack)`` of ``evaluator``'s one footprint over ``axes``.
+    """``(lipschitz, slack)`` of each footprint of ``evaluator`` over
+    ``axes``, as arrays.
 
     Every field line has a unit normal, so the field is 1-Lipschitz, and at
     one heading two lattice nodes differ by a translation: the exact
@@ -814,45 +849,64 @@ def _bound_slack(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, levels: 
     sum in any order), and each of a bound's at most ``levels`` steps
     (a distance, its product with the computed weight sum, a difference)
     adds a few more.  ``_BOUND_SLACK * (m + levels)`` units of ``lipschitz
-    * S`` is over 20 times their total.
+    * S`` is over 20 times their total.  S is taken over the samples of
+    all the footprints, which only widens the slack.
     """
     lx, ly = evaluator._coords
-    _, weights = evaluator._columns[0]
-    lipschitz = float(np.abs(weights).sum())
+    weights = [weights for _, weights in evaluator._columns]
+    lipschitz = np.array([np.abs(w).sum() for w in weights])
     scale = 2.0 * (float((np.abs(lx) + np.abs(ly)).max()) + axes[0][-1] + axes[1][-1])
     scale += fields._scale
-    return lipschitz, _BOUND_SLACK * (len(weights) + levels) * lipschitz * scale
+    terms = np.array([len(w) + levels for w in weights], dtype=float)
+    return lipschitz, _BOUND_SLACK * terms * lipschitz * scale
 
 
-def _bounded_scan(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, stride: int) -> tuple:
+def _lowest_score(values, scored) -> np.ndarray:
+    """The oracle's cut in ``_bounded_scan``: each footprint's lowest score
+    so far."""
+    return values[:, scored].min(axis=1)
+
+
+def _bounded_scan(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, stride: int, cut) -> tuple:
     """``(values, scored, slack)`` of a coarse-to-fine search of the
-    lattice ``axes`` for its lowest score, under ``evaluator`` of one
-    footprint over the spot-local ``fields``.
+    lattice ``axes`` for the nodes at or below a cut, under ``evaluator`` of
+    F footprints over the spot-local ``fields``.
 
-    ``values`` is the ``(nx, ny, nh)`` grid of the lattice nodes: a node's
-    score where ``scored`` is set, and otherwise a bound, which the node's
-    score is at least, less ``slack``.  The nodes of every ``stride``-th index (``_stride_nodes``)
-    are scored first, through the lattice entry.  Each halving of the
-    stride gives a node of the finer level the largest over its enclosing
-    nodes of the coarser one of their value less the Lipschitz constant
-    times the distance (``_bound_slack``), and the nodes whose bound is at
-    most the lowest score so far plus ``slack`` are scored pose by pose,
-    which keeps the lattice entry's bits.  That lowest score only falls, so
-    a node left unscored lies strictly above the lattice's minimum: the
-    minimum and every node tied with it are scored, as in a full scan.
-    Only the scored nodes get pose rows.
+    ``values`` is the ``(F, nx, ny, nh)`` grid of each footprint's values
+    at the lattice nodes: a node's score where the ``(nx, ny, nh)`` mask
+    ``scored`` is set, and otherwise a bound, which the node's score is at
+    least, less the footprint's ``slack``.  ``cut(values, scored)`` gives
+    each footprint's cut from the nodes scored so far.
+
+    The nodes of every ``stride``-th index (``_stride_nodes``) are scored
+    first, through the lattice entry.  Each halving of the stride gives a
+    node of the finer level the largest over its enclosing nodes of the
+    coarser one of their value less the Lipschitz constant times the
+    distance (``_bound_slack``), and the nodes whose bound is at most a
+    footprint's cut plus its slack are scored pose by pose for every
+    footprint, which keeps the lattice entry's bits.  Past the last level
+    the cuts are taken again, and the nodes under them scored, until none
+    is left: a cut may rise as nodes are scored.  A node left unscored then
+    scores strictly above every footprint's cut of the nodes scored.  Only
+    the scored nodes get pose rows.
     """
     xs, ys, headings = axes
-    values = np.empty((len(xs), len(ys), len(headings)))
-    scored = np.zeros(values.shape, dtype=bool)
+    count = len(evaluator._columns)
+    values = np.empty((count, len(xs), len(ys), len(headings)))
+    scored = np.zeros(values.shape[1:], dtype=bool)
     lipschitz, slack = _bound_slack(evaluator, fields, axes, stride.bit_length() - 1)
+
+    def score(nodes):
+        values[(slice(None), *nodes)] = evaluator.scores(_node_rows(axes, nodes)).reshape(count, -1)
+        scored[nodes] = True
+
     i, j = _stride_nodes(len(xs), stride), _stride_nodes(len(ys), stride)
     first = (xs[i], ys[j], headings)
     scores = evaluator.scores(_lattice_rows(*first), first)
-    values[np.ix_(i, j)] = scores.reshape(len(i), len(j), -1)
+    values[:, i[:, None], j] = scores.reshape(count, len(i), len(j), -1)
     scored[np.ix_(i, j)] = True
-    low = scores.min()
     while stride > 1:
+        level = cut(values, scored) + slack
         x, y = _halving(xs, stride), _halving(ys, stride)
         j = y[0]
         picks = []
@@ -862,20 +916,24 @@ def _bounded_scan(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, stride:
             part = tuple(v[lo:hi] for v in x)
             i = part[0]
             for k in range(len(headings)):
-                grid = values[..., k]
-                bound = _level_bounds(grid, part, y, lipschitz)
-                # A node of the coarser level keeps its value: it is its
-                # own enclosing node, at distance 0.  The level's new nodes
-                # enclose none, so a block's writes leave every later
-                # block's corners as they were.
-                grid[np.ix_(i, j)] = bound
-                a, b = np.nonzero((bound <= low + slack) & ~scored[..., k][np.ix_(i, j)])
+                near = np.zeros((len(i), len(j)), dtype=bool)
+                for grid, factor, top in zip(values[..., k], lipschitz, level):
+                    bound = _level_bounds(grid, part, y, factor)
+                    # A node of the coarser level keeps its value: it is
+                    # its own enclosing node, at distance 0.  The level's
+                    # new nodes enclose none, so a block's writes leave
+                    # every later block's corners as they were.
+                    grid[np.ix_(i, j)] = bound
+                    near |= bound <= top
+                a, b = np.nonzero(near & ~scored[..., k][np.ix_(i, j)])
                 picks.append((i[a], j[b], np.full(len(a), k)))
         pick = tuple(np.concatenate(axis) for axis in zip(*picks))
         if len(pick[0]):
-            got = evaluator.scores(_node_rows(axes, pick))
-            values[pick] = got
-            scored[pick] = True
-            low = min(low, got.min())
+            score(pick)
         stride //= 2
-    return values, scored, slack
+    while True:
+        level = cut(values, scored) + slack
+        pick = np.nonzero(~scored & (values <= level[:, None, None, None]).any(axis=0))
+        if not len(pick[0]):
+            return values, scored, slack
+        score(pick)

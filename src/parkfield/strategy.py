@@ -195,7 +195,7 @@ def bias_drivers(
     result re-rounded; a rectangle is a driver when the lateral or the
     longitudinal bias differs from the base strategy.  A change of
     direction alone does not make a driver.  The re-solves start from
-    ``coarse``, the spot's coarse lattice scored for every ablation.
+    ``coarse``, the spot's coarse lattice searched for every ablation.
     """
     drivers = []
     for label in footprint.labels():
@@ -222,7 +222,7 @@ def rank_spots(
     ``solve`` has the signature of :func:`minimize`, the default; the CLI's
     ``oracle`` passes the lattice search.  With explain on, the default
     solve and the explain re-solves of a spot share one coarse lattice,
-    scored for the footprint and all its ablations at once.  Infeasible
+    searched for the footprint and all its ablations at once.  Infeasible
     spots are reported with their reason, never dropped.
     """
     footprint = build_footprint(scenario.context, scenario.vehicle)

@@ -22,6 +22,21 @@ from parkfield.scenario import (
     make_spot_from_center,
     spot_field_set,
 )
+from parkfield.solver import (
+    ObjectiveEvaluator,
+    Pose,
+    SamplingPlan,
+    SolveResult,
+    SolverConfig,
+    _coarse_starts,
+    _compass_refine,
+    _diverse_starts,
+    _lattice_axes,
+    _lattice_rows,
+    _local_field_set,
+    _tie_order,
+    check_feasible,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -258,3 +273,62 @@ def bench_module(name: str):
     if str(BENCH_DIR) not in sys.path:
         sys.path.insert(0, str(BENCH_DIR))
     return importlib.import_module(name)
+
+
+def pose_lattice(spot, pitch: float, headings) -> tuple:
+    """``(poses, axes)``: the ``_lattice_axes`` of a ``pitch`` lattice over
+    the spot box and ``headings``, and an (x, y, theta) row per node, in
+    lattice order."""
+    axes = _lattice_axes(spot, pitch, headings)
+    return _lattice_rows(*axes), axes
+
+
+def full_scan_minimize(
+    fields, footprint, spot, plan=SamplingPlan(), config=SolverConfig(), coarse=None
+):
+    """Reference ``minimize`` whose coarse stage is a full scan: every node
+    of the coarse lattice scored through the lattice entry and seeded into
+    the memo, and the starts picked in ``_tie_order`` over all of them.
+    ``coarse`` is ignored, so it stands in for ``minimize`` anywhere."""
+    check_feasible(footprint, spot, config.headings)
+    poses, axes = pose_lattice(spot, config.coarse_pitch, config.headings)
+    evaluator = ObjectiveEvaluator(
+        _local_field_set(fields, spot), footprint, plan, config.rect_weights
+    )
+    scores = evaluator.scores(poses, axes)
+    memo = dict(zip(map(tuple, poses.tolist()), scores.tolist()))
+    order = _tie_order(scores, poses, config, spot).tolist()
+    starts = _diverse_starts(order, poses, config.starts, 2.0 * config.coarse_pitch)
+    refined = _compass_refine(evaluator, memo, poses[starts], scores[starts], config, spot)
+    candidates = [(score, x, y, theta) for x, y, theta, score, _, _ in refined]
+    table = np.array(candidates)
+    best = candidates[_tie_order(table[:, 0], table[:, 1:], config, spot)[0]]
+    return SolveResult(
+        Pose(*best[1:]),
+        best[0],
+        len(poses) + sum(r[4] for r in refined),
+        all(r[5] for r in refined),
+    )
+
+
+def assert_column_keeps_the_starts(fields, footprint, spot, plan, config, column):
+    """``column``, a ``ScoredLattice.column`` of ``footprint``, against its
+    whole coarse lattice: the scored nodes in lattice order, each with the
+    bits of scoring the footprint alone; among them the whole lattice's
+    starts; and every node left unscored scoring above the last start."""
+    _, nodes, poses, scores = column
+    lattice, axes = pose_lattice(spot, config.coarse_pitch, config.headings)
+    local = _local_field_set(fields, spot)
+    alone = ObjectiveEvaluator(local, footprint, plan, config.rect_weights).scores(lattice, axes)
+    # The scored nodes as a subsequence of the lattice: a repeated heading
+    # repeats its poses, so a pose alone does not name its node.
+    nodes_left = iter(enumerate(map(tuple, lattice.tolist())))
+    rows = [next(n for n, node in nodes_left if node == pose) for pose in map(tuple, poses.tolist())]
+    assert nodes == len(lattice)
+    assert np.array_equal(scores, alone[rows])
+    starts = _coarse_starts(scores, poses, config, spot)
+    assert [rows[s] for s in starts] == _coarse_starts(alone, lattice, config, spot)
+    if len(starts) == config.starts:
+        assert np.all(np.delete(alone, rows) > scores[starts[-1]])
+    else:
+        assert nodes == len(rows)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parkfield
-from parkfield import cli
+from parkfield import cli, solver
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample_field
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
@@ -627,14 +627,17 @@ def golden_rankings():
 
 
 # Points x lines that the general part multiplies: in ``rank_spots`` on
-# ``bench/lot.py`` lots 0-15 with explain off (753,323,616 without the
-# skip, 413,910,960 with a floor under the whole axis form in place of the
-# line pairs), and in one pass over the goldens with explain on.
+# ``bench/lot.py`` lots 0-15 with explain off, and in one pass over the
+# goldens with explain on.  The lots read 753,323,616 without the skip,
+# 413,910,960 with a floor under the whole axis form in place of the line
+# pairs, and 137,108,016 while the coarse lattice was scored whole in tiles
+# of the whole x axis and each obstacle's domination check built a field
+# set; the goldens read 5,370,192 while the coarse lattice was scored whole.
 @pytest.mark.parametrize(
     "rankings, products",
     [
-        pytest.param(lot_rankings, 137_108_016, id="lot"),
-        pytest.param(golden_rankings, 5_370_192, id="goldens"),
+        pytest.param(lot_rankings, 67_972_052, id="lot"),
+        pytest.param(golden_rankings, 4_671_000, id="goldens"),
     ],
 )
 def test_the_skip_pins_the_product_work(rankings, products, monkeypatch):
@@ -648,6 +651,44 @@ def test_the_skip_pins_the_product_work(rankings, products, monkeypatch):
     monkeypatch.setattr(FieldSet, "_products", counting)
     rankings()
     assert work[0] == products
+
+
+# The coarse stage's work in the same runs: its lattice nodes, the stride-2
+# sub-lattice's poses scored through the lattice entry, and all the poses
+# it scored.
+@pytest.mark.parametrize(
+    "rankings, poses",
+    [
+        pytest.param(lot_rankings, (14_784, 4_224, 6_595), id="lot"),
+        pytest.param(golden_rankings, (5_082, 1_452, 2_319), id="goldens"),
+    ],
+)
+def test_the_bounded_coarse_stage_pins_its_poses(rankings, poses, monkeypatch):
+    counts = [0, 0, 0]
+    scan = []  # set while a coarse scan runs
+    scores = solver.ObjectiveEvaluator.scores
+    bounded_scan = solver._bounded_scan
+
+    def counting_scores(self, rows, axes=None):
+        if scan:
+            n = np.asarray(rows).size // 3
+            counts[1] += n if axes is not None else 0
+            counts[2] += n
+        return scores(self, rows, axes)
+
+    def counting_scan(*args):
+        scan.append(True)
+        try:
+            values, scored, slack = bounded_scan(*args)
+        finally:
+            scan.clear()
+        counts[0] += scored.size
+        return values, scored, slack
+
+    monkeypatch.setattr(solver.ObjectiveEvaluator, "scores", counting_scores)
+    monkeypatch.setattr(solver, "_bounded_scan", counting_scan)
+    rankings()
+    assert tuple(counts) == poses
 
 
 def test_gamma_monotone_under_added_polygon(unit_square):

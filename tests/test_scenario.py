@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from parkfield.errors import GeometryError, ScenarioError
+from parkfield import scenario as scenario_module
 from parkfield.field import FieldSet
 from parkfield.geometry import EdgeLine, Point2, Polygon, SPOT_EDGE
 from parkfield.scenario import (
@@ -152,7 +153,8 @@ def test_value_types_are_slotted():
 
 def test_a_parsed_lot_holds_only_its_vertices():
     # Per parsed copy of lot 0 (20 obstacles), by tracemalloc: 32.3 KB
-    # while each polygon stored its lines too.
+    # while each polygon stored its lines too, 17.4 KB while it stored its
+    # vertices as points, 7.6 KB with them packed as doubles.
     text = bench_module("lot").generate_lot(0)
     tracemalloc.start()
     try:
@@ -163,10 +165,17 @@ def test_a_parsed_lot_holds_only_its_vertices():
         per_copy = (tracemalloc.get_traced_memory()[0] - first) / 4
     finally:
         tracemalloc.stop()
-    assert per_copy < 20_000
-    # Equal vertices make equal polygons of one hash, whose lines match.
+    assert per_copy < 9_000
+    # Equal vertices make equal polygons of one hash, whose lines match,
+    # and a zero equals a negative zero, as in a point.
     a, b = held[0].obstacles[0], held[1].obstacles[0]
     assert a == b and hash(a) == hash(b) and a.edges == b.edges
+    assert a.vertices == b.vertices and isinstance(a.vertices[0], Point2)
+    zero, negative = (
+        Polygon((Point2(z, 0.0), Point2(1.0, z), Point2(1.0, 1.0))) for z in (0.0, -0.0)
+    )
+    assert zero == negative and hash(zero) == hash(negative)
+    assert Polygon(a.vertices, a.kind, "other") != a
     spot = held[0].spots[0]
     assert _spot_edge_polygons(spot) == _spot_edge_polygons(spot)
     assert len(set(_spot_edge_polygons(spot) + _spot_edge_polygons(spot))) == 4
@@ -394,21 +403,33 @@ def test_one_domination_lattice_decides_both_ways(monkeypatch):
         _square(100.0, 0.0, 1.0, "far"),
         _square(4.9, 1.0, 1.0, "overlap"),
         _square(-50.0, 1.0, 1.0, "far_left"),
+        Polygon((Point2(20.0, -3.0), Point2(21.0, -2.6), Point2(20.3, -1.9)), name="far_tilted"),
     ]
     calls = []
+    tested = []
     eval_grid = FieldSet.eval_grid
+    line_field = scenario_module._line_field
 
     def counting_eval_grid(self, xs, ys):
         calls.append([p.name for p in self.polygons])
         return eval_grid(self, xs, ys)
 
+    def checked_line_field(polygon, xs, ys):
+        # An obstacle's lines on the lattice hold the field kernel's values.
+        values = line_field(polygon, xs, ys)
+        assert np.array_equal(values, eval_grid(FieldSet((polygon,)), xs, ys))
+        tested.append(polygon.name)
+        return values
+
     monkeypatch.setattr(FieldSet, "eval_grid", counting_eval_grid)
+    monkeypatch.setattr(scenario_module, "_line_field", checked_line_field)
     fields = spot_field_set(_spot(), obstacles, reach=0.1)
     assert [p.name for p in fields.polygons][4:] == ["beside", "overlap"]
-    # The spot edges are evaluated on the lattice once, then each obstacle
-    # the bounding-box test passes on.
+    # The spot edges are evaluated on the lattice once, through the kernel,
+    # then the lines of each obstacle the bounding-box test passes on.
     edges = [p.name for p in fields.polygons][:4]
-    assert calls == [edges, ["beside"], ["far"], ["far_left"]]
+    assert calls == [edges]
+    assert tested == ["beside", "far", "far_left", "far_tilted"]
 
 
 def test_region_over_lattice_cap_keeps_every_obstacle():

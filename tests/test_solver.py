@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,10 +35,13 @@ from parkfield.strategy import rank_spots
 
 from conftest import (
     SCENARIO_DIR,
+    assert_column_keeps_the_starts,
     bench_module,
     centroid,
+    full_scan_minimize,
     load_golden,
     on_axis_path,
+    pose_lattice,
     random_scenario,
     scalar_tie_key,
     to_local,
@@ -500,7 +502,7 @@ def assert_scores_exact(local, evaluator, poses, axes=None):
 def test_scores_exact_on_a_whole_coarse_lattice():
     spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
     # Every heading repeats hundreds of times, interleaved pose by pose.
-    lattice, _ = solver._pose_lattice(spot, 0.25, (0.0, math.pi, -0.3))
+    lattice, _ = pose_lattice(spot, 0.25, (0.0, math.pi, -0.3))
     assert_scores_exact(local, evaluator, lattice)
 
 
@@ -526,7 +528,7 @@ def test_union_scores_exact_per_footprint():
     spot, local, footprint = golden_local("loaded_family_context.json")
     footprints = [footprint] + [footprint.without(lb) for lb in footprint.labels()]
     rng = np.random.default_rng(9)
-    poses, _ = solver._pose_lattice(spot, 0.5, (0.0, math.pi))
+    poses, _ = pose_lattice(spot, 0.5, (0.0, math.pi))
     poses = np.concatenate([poses, random_poses(rng, spot, 40)])
     for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
         union = ObjectiveEvaluator(local, footprints, plan)
@@ -546,7 +548,7 @@ def test_scores_exact_with_monte_carlo_plan():
     plan = SamplingPlan(MONTE_CARLO, 301.0, 7)
     spot, local, evaluator = golden_evaluator("mixed_obstacles.json", plan)
     assert evaluator._coords.shape[1] % 4
-    poses, axes = solver._pose_lattice(spot, 0.25, (0.0, math.pi))
+    poses, axes = pose_lattice(spot, 0.25, (0.0, math.pi))
     assert_scores_exact(local, evaluator, poses, axes)
     for count in (1, 3, 5, 37):
         assert_scores_exact(local, evaluator, poses[::-1][:count])
@@ -561,7 +563,7 @@ def test_scores_memory_bounded_for_large_batches(lattice_calls):
     long_spot = make_spot(
         "long", [Point2(0, 0), Point2(12, 0), Point2(12, 2.5), Point2(0, 2.5)], "x_min"
     )
-    lattice, axes = solver._pose_lattice(long_spot, 0.05, (0.0, math.pi))
+    lattice, axes = pose_lattice(long_spot, 0.05, (0.0, math.pi))
     batches = [
         (random_poses(np.random.default_rng(6), spot, 20_000), None, 0),
         (lattice, axes, len(lattice) * 936),
@@ -642,7 +644,7 @@ TILE_POSES = _TILE_POINTS // sum(
 
 
 def grid_poses(xs, ys, headings):
-    """``_pose_lattice``'s rows and axes over the given axes."""
+    """``pose_lattice``'s rows and axes over the given axes."""
     axes = tuple(np.array(axis, dtype=float) for axis in (xs, ys, headings))
     gx, gy, gt = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel(), gt.ravel()]), axes
@@ -663,7 +665,7 @@ def assert_lattice_exact(fields, evaluator, poses, axes, calls):
 def test_lattice_scores_exact_on_a_whole_pose_lattice(lattice_calls):
     fields = lattice_field_set()
     evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
-    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi, -0.3))
+    poses, axes = pose_lattice(standard_spot(), 0.25, (0.0, math.pi, -0.3))
     assert_lattice_exact(fields, evaluator, poses, axes, lattice_calls)
     assert [(len(c.xs), len(c.ys)) for c in lattice_calls] == [(21, 11)] * 3
 
@@ -710,7 +712,7 @@ def test_lattice_union_scores_exact_per_footprint(lattice_calls):
     footprints = [LATTICE_FOOTPRINT] + [
         LATTICE_FOOTPRINT.without(label) for label in LATTICE_FOOTPRINT.labels()
     ]
-    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, math.pi))
+    poses, axes = pose_lattice(standard_spot(), 0.25, (0.0, math.pi))
     for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
         union = ObjectiveEvaluator(fields, footprints, plan)
         lattice_calls.clear()
@@ -743,7 +745,7 @@ def test_lattice_path_skips_polls_and_general_only_sets(lattice_calls):
     # runs its products on each tile's posed points; a repeated heading is
     # scored once per copy.
     general = FieldSet(fields.polygons[5:])
-    poses, axes = solver._pose_lattice(standard_spot(), 0.25, (0.0, 0.0))
+    poses, axes = pose_lattice(standard_spot(), 0.25, (0.0, 0.0))
     own = ObjectiveEvaluator(general, LATTICE_FOOTPRINT, SamplingPlan())
     assert_lattice_exact(general, own, poses, axes, lattice_calls)
     assert len(lattice_calls) == 2
@@ -781,12 +783,12 @@ def test_oracle_tie_break_matches_per_pose_key_loop():
 
 
 def full_scan_scores(fields, footprint, spot, plan, resolution, config=SolverConfig()):
-    """``(poses, scores)`` of every lattice pose: ``ScoredLattice`` at the
-    ``resolution`` pitch."""
-    lattice = solver.ScoredLattice(
-        fields, (footprint,), spot, plan, replace(config, coarse_pitch=resolution)
-    )
-    return lattice.column(footprint)[1:]
+    """``(poses, scores)`` of every pose of the ``resolution`` lattice,
+    scored through the lattice entry."""
+    poses, axes = pose_lattice(spot, resolution, config.headings)
+    local = solver._local_field_set(fields, spot)
+    evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
+    return poses, evaluator.scores(poses, axes)
 
 
 def full_scan(fields, footprint, spot, plan, resolution, config=SolverConfig()):
@@ -863,7 +865,9 @@ def test_oracle_bounds_hold_and_rule_out_most_nodes():
         local = solver._local_field_set(fields, spot)
         evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
         stride = solver._oracle_stride(resolution, axes)
-        values, scored, slack = solver._bounded_scan(evaluator, local, axes, stride)
+        (values,), scored, (slack,) = solver._bounded_scan(
+            evaluator, local, axes, stride, solver._lowest_score
+        )
         full = full.reshape(values.shape)
         assert full[scored].tobytes() == values[scored].tobytes()
         assert np.all(full[~scored] >= values[~scored] - slack)
@@ -871,6 +875,68 @@ def test_oracle_bounds_hold_and_rule_out_most_nodes():
     # The goldens at the CLI's default pitch score about an eighth of their
     # nodes.
     assert max(scored_share[: len(goldens)]) < 0.25
+
+
+# ---------------------------------------------------------------------------
+# bounded coarse stage
+# ---------------------------------------------------------------------------
+
+
+def test_minimize_equals_the_full_scan_coarse_stage_on_every_golden():
+    for name, spot, fields, footprint in golden_spots():
+        want = full_scan_minimize(fields, footprint, spot)
+        assert result_bits(minimize(fields, footprint, spot)) == result_bits(want), (name, spot.id)
+
+
+def random_coarse_case(rng):
+    """A random scene, plan and config for the coarse stage: grid or
+    monte-carlo sampling, rectangle weights of 0, 1 or 3, sometimes a third
+    heading or a repeated one, from 1 start to more than the lattice can
+    give, and a coarse pitch of 0.25, 0.1 or 0.05 m."""
+    spot, fields, footprint = random_scenario(rng, rects=rng.randint(0, 3))
+    if rng.random() < 0.5:
+        plan = SamplingPlan(GRID, rng.choice([9.0, 25.0]))
+    else:
+        plan = SamplingPlan(MONTE_CARLO, rng.randint(1, 30), rng.randint(0, 9))
+    extra = rng.choice([(), (rng.uniform(-math.pi, math.pi),), (0.0,)])
+    weights = {label: rng.choice([0.0, 1.0, 3.0]) for label in ["body"] + footprint.labels()}
+    pitch = rng.choice([0.25, 0.1, 0.05])
+    starts, budget = rng.choice([1, 2, 3, 5, 12]), 4000
+    if pitch == 0.25 and rng.random() < 0.3:
+        # More starts than the lattice has nodes, each refined briefly.
+        starts, budget = 10**4, 30
+    config = SolverConfig(
+        coarse_pitch=pitch,
+        starts=starts,
+        headings=(0.0, math.pi) + extra,
+        max_refine_evals=budget,
+        rect_weights=weights,
+    )
+    return spot, fields, footprint, plan, config
+
+
+def test_minimize_equals_the_full_scan_coarse_stage_on_random_scenes():
+    # Alone, and scanned together with its ablations as the explained
+    # solves are, each footprint's solve keeps the bits of scoring its
+    # whole coarse lattice.
+    rng = random.Random(61)
+    scans = {"bounded": 0, "whole": 0}
+    for trial in range(60):
+        spot, fields, footprint, plan, config = random_coarse_case(rng)
+        footprints = [footprint, *(footprint.without(label) for label in footprint.labels())]
+        shared = solver.ScoredLattice(fields, footprints, spot, plan, config)
+        for fp in footprints:
+            want = result_bits(full_scan_minimize(fields, fp, spot, plan, config))
+            if fp is footprint:
+                assert result_bits(minimize(fields, fp, spot, plan, config)) == want, trial
+            got = minimize(fields, fp, spot, plan, config, coarse=shared)
+            assert result_bits(got) == want, (trial, fp.labels())
+            assert_column_keeps_the_starts(fields, fp, spot, plan, config, shared.column(fp))
+        _, nodes, poses, _ = shared.column(footprint)
+        scans["whole" if len(poses) == nodes else "bounded"] += 1
+    # Most scans leave nodes unscored; too many starts, or a zero
+    # objective, score the whole lattice.
+    assert scans["bounded"] > 30 and scans["whole"] > 5
 
 
 def test_oracle_first_stride_keeps_the_pinned_pitch_a_full_scan():
@@ -1093,9 +1159,11 @@ def test_lockstep_refinement_equals_the_per_start_loop(
     plan = SamplingPlan(GRID, 25.0)
     config = SolverConfig(max_refine_evals=max_refine_evals, starts=starts)
     cases = [random_scenario(rng) for _ in range(count)]
-    lattice = sum(len(solver._pose_lattice(spot, 0.25, config.headings)[0]) for spot, _, _ in cases)
+    lattice = sum(len(pose_lattice(spot, 0.25, config.headings)[0]) for spot, _, _ in cases)
     calls = []  # poses each ``_memo_scores`` call sent to the evaluator
+    scans = []  # per coarse scan: poses sent to the evaluator, nodes scored, nodes
     memo_scores = solver._memo_scores
+    bounded_scan = solver._bounded_scan
 
     def counting(evaluator, memo, probes):
         before = len(memo)
@@ -1103,16 +1171,28 @@ def test_lockstep_refinement_equals_the_per_start_loop(
         calls.append(len(memo) - before)
         return scores
 
+    def counting_scan(*args):
+        before = sum(map(len, scored_poses.values()))
+        values, scored, slack = bounded_scan(*args)
+        sent = sum(map(len, scored_poses.values())) - before
+        scans.append((sent, int(scored.sum()), scored.size))
+        return values, scored, slack
+
     monkeypatch.setattr(solver, "_memo_scores", counting)
+    monkeypatch.setattr(solver, "_bounded_scan", counting_scan)
 
     def solve_all():
         scored_poses.clear()
         calls.clear()
+        scans.clear()
         results = [minimize(f, fp, spot, plan, config) for spot, f, fp in cases]
         scored = [set(poses) for poses in scored_poses.values()]
-        # Every pose past the coarse lattice reached the evaluator through
-        # ``_memo_scores``.
-        assert sum(map(len, scored_poses.values())) == lattice + sum(calls)
+        # Each coarse scan sent each node it scored once, and every pose past
+        # the coarse scan reached the evaluator through ``_memo_scores``.
+        assert all(sent == nodes for sent, nodes, _ in scans)
+        assert sum(size for _, _, size in scans) == lattice
+        coarse = sum(sent for sent, _, _ in scans)
+        assert sum(map(len, scored_poses.values())) == coarse + sum(calls)
         return results, scored, len(calls)
 
     lockstep, lockstep_scored, rounds = solve_all()

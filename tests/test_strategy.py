@@ -26,8 +26,6 @@ from parkfield.solver import (
     ScoredLattice,
     SolveResult,
     SolverConfig,
-    _local_field_set,
-    _pose_lattice,
     minimize,
     objective,
 )
@@ -44,7 +42,15 @@ from parkfield.strategy import (
     spot_margins,
 )
 
-from conftest import SCENARIO_DIR, bench_module, load_golden, random_scenario
+from conftest import (
+    SCENARIO_DIR,
+    assert_column_keeps_the_starts,
+    bench_module,
+    full_scan_minimize,
+    load_golden,
+    pose_lattice,
+    random_scenario,
+)
 
 
 def standard_spot(spot_id="s"):
@@ -292,11 +298,8 @@ def assert_explain_equivalent(monkeypatch, fields, footprint, spot, plan, config
             assert bias_drivers(fields, footprint, spot, base, plan, config, coarse) == expected
             assert recorded == expected_results
 
-    lattice, _ = _pose_lattice(spot, config.coarse_pitch, config.headings)
-    local = _local_field_set(fields, spot)
     for fp in [footprint, *ablations]:
-        alone = ObjectiveEvaluator(local, fp, plan, config.rect_weights).scores(lattice)
-        assert np.array_equal(shared.column(fp)[2], alone)
+        assert_column_keeps_the_starts(fields, fp, spot, plan, config, shared.column(fp))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
@@ -342,35 +345,57 @@ def test_explain_equals_independent_resolves_with_monte_carlo_and_weights(monkey
         )
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_rank_spots_equals_the_full_scan_coarse_stage_on_goldens(monkeypatch, name):
+    # Explain on: the base solve and every re-solve of a spot, from one
+    # shared bounded scan, keep the bits of solving from the whole lattice.
+    scenario = load_golden(name)
+    got = rank_spots(scenario, explain=True)
+    monkeypatch.setattr(strategy_module, "minimize", full_scan_minimize)
+    want = rank_spots(scenario, explain=True)
+
+    def bits(ranked):
+        return [
+            [v.hex() for v in (st.pose.x_hat, st.pose.y_hat, st.pose.theta_hat, st.score)]
+            for st in ranked.strategies
+        ]
+
+    assert bits(got) == bits(want)
+    assert repr(got) == repr(want)
+
+
 def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     # With explain on, the base solve and its 3 re-solves start from one
-    # coarse pass: every lattice pose's samples reach the field set's
-    # lattice entry once, not once per solve, and none reach the per-pose
-    # kernel; no other scores call reaches the lattice entry.
+    # coarse scan under the union of their footprints: its first call
+    # sends the stride-2 sub-lattice's samples to the field set's lattice
+    # entry once, not once per solve; its later calls score the nodes it
+    # could not bound away pose by pose, none of them twice; no other
+    # scores call reaches the lattice entry.
     scenario = load_golden("single_obstacle_baby.json")
     footprint = build_footprint(scenario.context, scenario.vehicle)
     assert len(footprint.labels()) == 3 and len(scenario.spots) == 1
     spot = scenario.spots[0]
     config = SolverConfig()
-    lattice = set(map(tuple, _pose_lattice(spot, config.coarse_pitch, config.headings)[0].tolist()))
+    lattice = set(map(tuple, pose_lattice(spot, config.coarse_pitch, config.headings)[0].tolist()))
     samples = ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._coords.shape[1]
-    calls = []  # per scores call: [poses, lattice entry points, kernel points]
+    # per scores call: [footprints, poses, lattice entry points, kernel points]
+    calls = []
     scores = ObjectiveEvaluator.scores
     eval_many = FieldSet.eval_many
     eval_lattice = FieldSet.eval_lattice
 
     def counting_scores(self, poses, *args):
-        calls.append([list(map(tuple, np.asarray(poses).tolist())), 0, 0])
+        calls.append([len(self._columns), list(map(tuple, np.asarray(poses).tolist())), 0, 0])
         return scores(self, poses, *args)
 
     def counting_eval_lattice(self, x, y, xs, ys):
         if calls:
-            calls[-1][1] += len(x) * len(xs) * len(ys)
+            calls[-1][2] += len(x) * len(xs) * len(ys)
         return eval_lattice(self, x, y, xs, ys)
 
     def counting_eval_many(self, x, y, **kwargs):
         if calls:
-            calls[-1][2] += len(x)
+            calls[-1][3] += len(x)
         return eval_many(self, x, y, **kwargs)
 
     monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
@@ -378,11 +403,14 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
     ranked = rank_spots(scenario, explain=True)
     assert "rear_right_door" in ranked.strategies[0].bias_drivers
-    hits = [pose for poses, _, _ in calls for pose in poses if pose in lattice]
-    assert len(hits) == len(lattice) == len(set(hits))
-    coarse = [points for poses, *points in calls if lattice & set(poses)]
-    assert coarse == [[len(lattice) * samples, 0]]
-    assert all(points[0] == 0 for poses, *points in calls if not lattice & set(poses))
+    scan = [call[1:] for call in calls if call[0] == 4]
+    (first, *points), *picks = scan
+    # 21 x 11 nodes per heading; every other index is 11 x 6.
+    assert len(first) == 11 * 6 * 2 and points == [len(first) * samples, 0]
+    assert picks and all(points == [0, len(poses) * samples] for poses, *points in picks)
+    scanned = [pose for poses, _, _ in scan for pose in poses]
+    assert len(scanned) == len(set(scanned)) < len(lattice) and lattice.issuperset(scanned)
+    assert all(call[2] == 0 for call in calls if call[0] != 4)
 
 
 @pytest.mark.parametrize("name", ["empty_spot.json", "mixed_obstacles.json"])
