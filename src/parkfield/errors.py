@@ -4,9 +4,8 @@ raises one at the offending path, and the lattice budget."""
 import math
 import numbers
 
-# Cap on the nodes of one lattice: the coarse grid of ``minimize``, the
-# oracle lattice of ``brute_force_minimize`` and the obstacle-domination
-# lattice of ``spot_field_set``.
+# Cap on the nodes of one pose lattice: the coarse grid of ``minimize`` and
+# the oracle lattice of ``brute_force_minimize``.
 MAX_LATTICE_POSES = 10**7
 
 

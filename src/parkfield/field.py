@@ -42,34 +42,6 @@ as ``x + c`` or ``c - x`` does; minimum and maximum are exact, so their
 order is free.  Only zeros can differ: ``-0.0 + -0.0`` is ``-0.0`` in the
 axis form but ``(-0.0 + 0.0) + -0.0`` is ``+0.0`` as a line, and a grid
 node at ``0.0 + -0.0`` is ``+0.0``.
-
-A mixed set, with general polygons and an axis form, skips the general
-polygons that a block cannot reach.  Before a block's (or a lattice
-tile's) products it bounds, over the block's bounding box, each general
-polygon's lines less each line of a one-line polygon (a spot edge in its
-spot frame), and leaves the polygon out of the block when one such
-difference is below zero by more than a slack everywhere in the box
-(``FieldSet._reaching``): the polygon's field is at most its line, and
-the axis form at least the other.  Beside upright boxes it also leaves a
-polygon out when one of its lines is below a floor under the boxes, less
-the slack.  This is exact.  The skipped polygon is strictly below the axis
-form at every point, and a maximum is exact, so it can never be the
-value, nor tie with it.  The slack, ``_SKIP_SLACK`` times the box's
-coordinate magnitudes plus the set's largest offset, covers every
-rounding of the points, of the general part's unfused line values, of the
-differences of the lines and of the bounds, which one small BLAS product
-makes, fused or not.  It is sized by the operands, not by the result,
-because ``a*x + c`` cancels to a small value far from the origin while
-its rounding stays at the scale of ``x``.  The kept polygons keep their fold
-order, general part first.  ``np.maximum`` keeps its first argument on a
-tie, so which of two equal terms comes first can decide the sign of a
-zero; a skipped polygon never ties, so the order of the rest decides as
-before.  ``eval_many`` bounds a block by the extremes of its own points,
-which is the tightest box.
-``eval_lattice`` must choose a tile's general polygons before it makes
-the tile's points, so it bounds a tile by the sample rows' extremes plus
-the tile's shift range; rounding is monotone, so the posed points lie
-inside that box.
 """
 
 from __future__ import annotations
@@ -97,26 +69,13 @@ _BLOCK_POINTS = 16384
 # mostly saves per-tile calls.  A set with general polygons takes tiles of
 # half as many points, 512 KB, beside its block scratch, 512 KB.
 _TILE_POINTS = 65536
-# A mixed set skips a general polygon in a block only when one of its lines
-# less one one-line polygon's line is below zero over the block's box (or,
-# beside upright boxes, one of its lines is below their floor) by this
-# share of the box's coordinate magnitudes plus the set's largest line
-# offset.  Every rounding between the true bounds and the computed values
-# (the posed points, the four of each unfused line value and the one of an
-# axis line, the differences of two lines, whose normals are at most 2 and
-# offsets at most twice the largest, the bounds themselves, whose BLAS
-# product may or may not fuse) is at most a few units of 2**-53 of twice
-# that sum, so 2**-44 leaves a factor of over 15.
-_SKIP_SLACK = 2.0**-44
 
 
 def _block_slices(n: int, limit: int):
     """``(lo, hi)`` bounds of equal blocks of at most ``limit`` rows over ``n``.
 
     Equal blocks never leave a small tail of a larger batch, which would
-    pay a block's per-call costs, and a mixed set's bound, for a few points.
-    A mixed set skips general polygons per block, so the boundaries also
-    decide the products it makes.
+    pay a block's per-call costs for a few points.
     """
     blocks = -(-n // limit)
     for b in range(blocks):
@@ -174,23 +133,6 @@ class FieldSet:
         self._scale = max(abs(e.c) for edges in lines for e in edges)
         # The ``(a, b, c)`` of each line, per general polygon.
         self._lines = [tuple((e.a, e.b, e.c) for e in edges) for edges in general]
-        # With both general polygons and an axis form, a block may skip the
-        # general ones.
-        self._mixed = 0 < len(general) < len(polygons)
-        if self._mixed:
-            # What ``_reaching`` bounds over a box: per upright box the
-            # smallest offset of each sign per coordinate, and two tables of
-            # lines, one ``_table`` each, per general polygon: each of its
-            # lines less each one-line polygon's line, and, beside upright
-            # boxes, its lines.
-            self._box_ends = [_least(bx) + _least(by) for bx, by in self._boxes]
-            axis = [(1.0 if positive else -1.0, 0.0, c) for positive, c in self._single[0]]
-            axis += [(0.0, 1.0 if positive else -1.0, c) for positive, c in self._single[1]]
-            self._pairs = _table(
-                [(a - sa, b - sb, c - sc) for a, b, c in lines for sa, sb, sc in axis]
-                for lines in self._lines
-            )
-            self._own = _table(self._lines if self._boxes else [])
         # Scratch rows per block point: the axis form needs 2, a box's
         # running minimum and one line; the general part 4, a polygon's
         # running minimum, a line, its ``b*y`` and the ``lines`` entry's
@@ -212,43 +154,10 @@ class FieldSet:
             self._buf = np.empty(need)
         return self._buf
 
-    def _reaching(self, x0, x1, y0, y1) -> list:
-        """The lines of the general polygons that may reach the axis form
-        somewhere in the box ``[x0, x1] x [y0, y1]``.
-
-        A polygon is skipped when the maximum over the box of one of its
-        lines less one line of a one-line polygon is below ``-slack``: the
-        polygon's field is at most that line, and the axis form at least
-        the other.  Or when one of its lines' maximum over the box is below
-        the floor less ``slack``, where the floor is the largest over the
-        upright boxes of a box's smallest line at an end of the range, a
-        lower bound of its concave minimum.  A one-line polygon needs no
-        floor term: over the box, a line's maximum less the other line's
-        minimum is never below the maximum of their difference, so the pair
-        skips whatever that term would.  ``slack`` is ``_SKIP_SLACK``
-        times the box's and the set's magnitudes, so that no rounding of
-        the points, the lines or these bounds can lift the polygon's value
-        to the axis form's.  A NaN or infinite box makes the slack NaN or
-        infinite, and skips nothing.
-        """
-        slack = (abs(x0) + abs(x1) + abs(y0) + abs(y1) + self._scale) * _SKIP_SLACK
-        floor = max(
-            (min(x0 + px, nx - x1, y0 + py, ny - y1) for px, nx, py, ny in self._box_ends),
-            default=-math.inf,
-        )
-        box = np.array(((x0 + x1) / 2, (y0 + y1) / 2, 1.0, (x1 - x0) / 2, (y1 - y0) / 2))
-        skip = np.zeros(len(self._lines), dtype=bool)
-        for (rows, starts), level in ((self._pairs, -slack), (self._own, floor - slack)):
-            if len(rows):
-                skip |= np.minimum.reduceat(rows @ box, starts) < level
-        return [lines for lines, skipped in zip(self._lines, skip.tolist()) if not skipped]
-
     def eval_many(self, x: np.ndarray, y: np.ndarray, *, out=None, lines=None) -> np.ndarray:
         """Composite field at the points ``(x[i], y[i])``, into ``out`` if given.
 
-        ``x`` and ``y`` are equal-length 1-D arrays of any stride.  A mixed
-        set skips in each block the general polygons that cannot reach its
-        axis form over the block's own bounding box.  Given ``lines``,
+        ``x`` and ``y`` are equal-length 1-D arrays of any stride.  Given ``lines``,
         a non-empty list of entries of ``_lines``, the call evaluates only
         those general polygons, with no axis form, and may write over
         ``y``: each block copies its y first.
@@ -265,13 +174,11 @@ class FieldSet:
                 self._products((xy[0], held), dst, buf, lines)
                 continue
             # The paired case of the lattice fold: the maximum over the
-            # kept general polygons, EX, EY and min(BX, BY) per box, each
-            # term folded into ``dst`` (or written there first) as it is
-            # made.
-            kept = self._reaching(*_bounds(*xy)) if self._mixed else self._lines
-            filled = bool(kept)
+            # general polygons, EX, EY and min(BX, BY) per box, each term
+            # folded into ``dst`` (or written there first) as it is made.
+            filled = bool(self._lines)
             if filled:
-                self._products(xy, dst, buf, kept)
+                self._products(xy, dst, buf, self._lines)
             acc, temp = buf[: 2 * n].reshape(2, n)
             for coord, single in enumerate(self._single):
                 if single:
@@ -327,8 +234,8 @@ class FieldSet:
         """
         n = len(x)
         poses = max(1, (_TILE_POINTS // 2 if self._lines else _TILE_POINTS) // n)
-        # About as many x shifts as y shifts, so that a mixed set bounds a
-        # square box per tile, which skips more than a strip of the x axis.
+        # About as many x shifts as y shifts: of the tiles of a size, the
+        # square one has the fewest side rows to make.
         tx = min(len(xs), math.isqrt(poses))
         ty = min(len(ys), max(1, poses // tx))
         # Side rows per shift: the one-line polygons' maximum and each box's
@@ -341,32 +248,25 @@ class FieldSet:
         side_x, side_y, vals, work = (buf[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
         side_x = side_x.reshape(depth[0], tx, n)
         side_y = side_y.reshape(depth[1], ty, n)
-        # A mixed set bounds a tile by the sample rows' extremes plus the
-        # tile's shift extremes: rounding is monotone, so every posed point
-        # ``x[i] + xs[j]`` of the tile lies in that box.
-        x_tiles, y_tiles = list(_block_slices(len(xs), tx)), list(_block_slices(len(ys), ty))
-        if self._mixed:
-            x_ends, y_ends = _tile_ends(x, xs, x_tiles), _tile_ends(y, ys, y_tiles)
-        for jt, (j0, j1) in enumerate(x_tiles):
+        for j0, j1 in _block_slices(len(xs), tx):
             xr = side_x[:, : j1 - j0]
             # A side's temporary rows are the tile's, which are free until
             # the tile is composed.
             self._side(0, x, xs[j0:j1], xr, vals, work)
-            for kt, (k0, k1) in enumerate(y_tiles):
+            for k0, k1 in _block_slices(len(ys), ty):
                 yr = side_y[:, : k1 - k0]
                 self._side(1, y, ys[k0:k1], yr, vals, work)
                 shape = (j1 - j0, k1 - k0, n)
                 size = shape[0] * shape[1] * n
                 out, temp = vals[:size].reshape(shape), work[:size].reshape(shape)
-                lines = self._reaching(*x_ends[jt], *y_ends[kt]) if self._mixed else self._lines
-                if lines:
+                if self._lines:
                     # The posed points, through the general polygons' entry,
                     # which writes its values over their y.
                     np.add(x, xs[j0:j1, None, None], out=temp)
                     np.add(y, ys[k0:k1, None], out=out)
                     flat = out.reshape(-1)
-                    self.eval_many(temp.reshape(-1), flat, out=flat, lines=lines)
-                self._compose(xr, yr, out, temp, bool(lines))
+                    self.eval_many(temp.reshape(-1), flat, out=flat, lines=self._lines)
+                self._compose(xr, yr, out, temp, bool(self._lines))
                 yield j0, k0, out
 
     def _side(self, coord, r, shifts, rows, vals, work):
@@ -404,46 +304,6 @@ class FieldSet:
             fold(np.minimum(bx, by, out=out if acc is None else work))
         if acc is not out:
             np.copyto(out, acc)
-
-
-def _least(lines) -> tuple:
-    """The smallest offset of the positive axis ``lines`` and of the
-    negative ones, infinite for a sign without lines."""
-    return tuple(
-        min((c for positive, c in lines if positive == sign), default=math.inf)
-        for sign in (True, False)
-    )
-
-
-def _table(polygons) -> tuple:
-    """``(rows, starts)`` of lists of lines ``(a, b, c)`` of ``a*x + b*y +
-    c``, one list per polygon, each non-empty or all empty: each line as a
-    row ``(a, b, c, |a|, |b|)`` of ``rows``, and the index of each list's
-    first row in ``starts``.
-
-    ``rows @ (cx, cy, 1, hx, hy)`` is each line's maximum over the box of
-    centre ``(cx, cy)`` and half-extents ``(hx, hy)``, and
-    ``np.minimum.reduceat`` of it over ``starts`` the least per polygon.
-    """
-    polygons = list(polygons)
-    starts = np.cumsum([0] + [len(lines) for lines in polygons[:-1]])
-    rows = [(a, b, c, abs(a), abs(b)) for lines in polygons for a, b, c in lines]
-    return np.array(rows).reshape(-1, 5), starts
-
-
-def _tile_ends(r, shifts, tiles) -> list:
-    """Per tile ``(lo, hi)`` of ``shifts``, the least and the greatest
-    ``r[i] + shifts[j]`` over its j, NaN if any is NaN."""
-    starts = [lo for lo, _ in tiles]
-    low = np.minimum.reduceat(shifts, starts) + r.min()
-    high = np.maximum.reduceat(shifts, starts) + r.max()
-    return list(zip(low.tolist(), high.tolist()))
-
-
-def _bounds(x, y) -> tuple:
-    """``(x0, x1, y0, y1)``: the extremes of the rows ``x`` and ``y``, NaN
-    if either holds a NaN."""
-    return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
 
 def _fold(op, p, lines, out, temp, held=False):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MAX_LATTICE_POSES, GeometryError, ScenarioError, finite_number
+from .errors import GeometryError, ScenarioError, finite_number
 from .field import FieldMap, FieldSet, sample_field
 from .geometry import (
     OBSTACLE,
@@ -24,6 +24,7 @@ from .geometry import (
     RigidTransform,
     apply_transform,
     invert,
+    transform_polygon,
 )
 
 SEAT_POSITIONS = ("driver", "front_passenger", "rear_left", "rear_middle", "rear_right")
@@ -380,49 +381,91 @@ def _boxes_overlap(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
-def _line_field(polygon: Polygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Field of ``polygon`` alone at ``(xs[c], ys[r])`` as ``values[r, c]``:
-    the minimum over its lines of ``(a*x + b*y) + c``, in the field kernel's
-    order of IEEE operations, so the values are ``FieldSet((polygon,))``'s
-    up to the sign of an exact zero.  One line at a time, so that at most
-    two lattices of values are held."""
-    values = None
-    for e in polygon.edges:
-        line = (e.a * xs)[None] + (e.b * ys)[:, None]
-        line += e.c
-        values = line if values is None else np.minimum(values, line, out=values)
-    return values
+# An obstacle is dropped from a spot's field set only where its lines fall
+# short of the spot's edge lines by this share of the spot frame's operands
+# (see ``_domination_clip``).
+_PRUNE_SLACK = 2.0**-44
 
 
-def _domination_test(spot_edges: list[Polygon], region: tuple[float, float, float, float]):
-    """Predicate: do the spot edges strictly dominate an obstacle on the region?
+def _domination_clip(spot: ParkingSpot, reach: float, edges: list[Polygon]):
+    """``clip(obstacle)``: the vertices of the part of the spot-frame region
+    R = [-reach, l_x + reach] x [-reach, l_y + reach] where ``obstacle``, in
+    the spot frame, may reach the field of ``edges``, the spot's exact local
+    edges (``_spot_edge_polygons(spot, local=True)``) or some of them.  An
+    empty list means the edges dominate the obstacle over R.
 
-    Sampled on one lattice, with the edges' values on it computed once for
-    every obstacle tested and each obstacle's lines evaluated on it
-    directly, and a Lipschitz safety margin: the difference of two
-    1-Lipschitz fields is 2-Lipschitz, so a sampled margin of sqrt(2)*h at
-    pitch h certifies strict domination between nodes.  Over
-    ``MAX_LATTICE_POSES`` nodes nothing is checked and no obstacle counts as
-    dominated: pruning only saves work, and keeping the obstacle is safe.
+    A footprint of reach ``reach`` posed with its body centre in the spot
+    box puts every sample in R.  The obstacle's field is the minimum of its
+    lines l_i, the edges' the maximum of theirs e_j, so it lies below the
+    edges at a point where some l_i - e_j is negative.  R is clipped
+    (Sutherland-Hodgman) by each half-plane ``l_i - e_j >= -slack``; if
+    nothing is left, at every point of R some difference is below
+    ``-slack``, and the field kernel, which evaluates the same lines (those
+    of ``transform_polygon(spot.spot_frame, obstacle)``), gives the
+    obstacle a value strictly below an edge's at every posed point: it is
+    never the maximum, nor ties with it, so dropping it changes no bit.
+
+    ``slack`` is ``_PRUNE_SLACK`` times T, the sum of l_x + l_y + 2*reach
+    (at least ``|x| + |y|`` over R), the edges' largest offset magnitude
+    and the obstacle's.  It is sized by the operands, not by the values,
+    because a line's value cancels to a small number far from the line
+    while its rounding stays at the scale of the operands.  With u =
+    2**-53 it covers:
+
+    - the posed points, which rounding puts within 9uT of R, where a
+      difference of two unit-normal lines moves by at most twice that;
+    - the kernel's four roundings of an unfused obstacle line and the one
+      of an axis edge line, at most 5uT;
+    - the clip's own arithmetic: a vertex's value, from the rounded
+      coefficients of ``l_i - e_j``, is within 10uT of the exact one, and
+      a crossing that a clip adds lies within 25uT of its line in value.
+      The edges of R keep their exact coordinate, so a point of R where
+      every difference exceeds ``-slack`` by 25uT stays inside every clip.
+
+    That is under 50uT in all; the slack, 512uT, covers it ten times over.
+    A NaN value counts as inside, so nothing is dropped on it.
     """
-    x_min, y_min, x_max, y_max = region
-    pitch = 0.25
-    # Counted in floats first: a huge region overflows them to inf.
-    nx, ny = (
-        max(2.0, np.ceil((hi - lo) / pitch) + 1) for lo, hi in ((x_min, x_max), (y_min, y_max))
-    )
-    if nx * ny > MAX_LATTICE_POSES:
-        return lambda obstacle: False
-    xs = np.linspace(x_min, x_max, int(nx))
-    ys = np.linspace(y_min, y_max, int(ny))
-    h = max(xs[1] - xs[0], ys[1] - ys[0])
-    edge_vals = FieldSet(spot_edges).eval_grid(xs, ys)
+    length, width = spot.length, spot.width
+    region = [
+        (-reach, -reach),
+        (length + reach, -reach),
+        (length + reach, width + reach),
+        (-reach, width + reach),
+    ]
+    lines = [(e.a, e.b, e.c) for polygon in edges for e in polygon.edges]
+    span = length + width + 2.0 * reach + max(length, width)
 
-    def dominated(obstacle: Polygon) -> bool:
-        obst_vals = _line_field(obstacle, xs, ys)
-        return bool(np.all(obst_vals - edge_vals < -math.sqrt(2.0) * h))
+    def clip(obstacle: Polygon) -> list:
+        own = [(e.a, e.b, e.c) for e in obstacle.edges]
+        slack = _PRUNE_SLACK * (span + max(abs(c) for _, _, c in own))
+        polygon = region
+        for a, b, c in own:
+            for ea, eb, ec in lines:
+                polygon = _clip(polygon, a - ea, b - eb, (c - ec) + slack)
+                if not polygon:
+                    return polygon
+        return polygon
 
-    return dominated
+    return clip
+
+
+def _clip(polygon: list, a: float, b: float, c: float) -> list:
+    """The vertices of the part of the convex ``polygon`` where ``a*x + b*y
+    + c`` is not negative: Sutherland-Hodgman against one half-plane."""
+    values = [a * x + b * y + c for x, y in polygon]
+    inside = [not v < 0.0 for v in values]
+    if all(inside):
+        return polygon
+    out = []
+    # Each edge from the previous vertex q to p: its crossing, then p.
+    for k, (p, vp, kept) in enumerate(zip(polygon, values, inside)):
+        if kept != inside[k - 1]:
+            q, vq = polygon[k - 1], values[k - 1]
+            t = vp / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        if kept:
+            out.append(p)
+    return out
 
 
 def area_field_map(scenario: Scenario, bounds: tuple, resolution: float) -> FieldMap:
@@ -449,12 +492,16 @@ def spot_field_set(
     obstacles: list[Polygon],
     reach: float | None = None,
 ) -> FieldSet:
-    """Field polygons relevant to one spot: its 4 edges plus near obstacles.
+    """Field polygons relevant to one spot, in the global frame: its 4 edges
+    plus the obstacles that may reach them.
 
-    An obstacle is dropped only if its bounding box misses the spot
-    inflated by ``reach`` (the footprint's maximal reach; defaults to the
-    larger spot dimension) and the spot edges verifiably dominate its
-    field over that whole inflated region.
+    An obstacle is dropped only if its bounding box misses the spot's
+    bounding box inflated by ``reach`` (the footprint's maximal reach;
+    defaults to the larger spot dimension), and, moved into the spot frame,
+    the spot's edges dominate it over the spot box inflated there by
+    ``reach`` (``_domination_clip``).  An obstacle whose bounding box meets
+    the inflated region is kept untested; the solver's spot-local set
+    (``solver._local_field_set``) tests every obstacle.
     """
     if reach is None:
         reach = max(spot.length, spot.width)
@@ -463,11 +510,11 @@ def spot_field_set(
     ys = [c.y for c in spot.corners]
     region = (min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach)
     kept = []
-    dominated = None  # built for the first obstacle whose bounding box misses the region
+    clip = None  # built for the first obstacle whose bounding box misses the region
     for obstacle in obstacles:
         if not _boxes_overlap(obstacle.bounding_box(), region):
-            dominated = dominated or _domination_test(edges, region)
-            if dominated(obstacle):
+            clip = clip or _domination_clip(spot, reach, _spot_edge_polygons(spot, local=True))
+            if not clip(transform_polygon(spot.spot_frame, obstacle)):
                 continue
         kept.append(obstacle)
     return FieldSet(edges + kept)

@@ -29,8 +29,15 @@ from .errors import (
     finite_number,
 )
 from .field import _BLOCK_POINTS, FieldSet, _block_slices
-from .geometry import TAU, normalize_angle, transform_polygon
-from .scenario import RECT_LABELS, ParkingSpot, Rect, VehicleFootprint, _spot_edge_polygons
+from .geometry import OBSTACLE, TAU, normalize_angle, transform_polygon
+from .scenario import (
+    RECT_LABELS,
+    ParkingSpot,
+    Rect,
+    VehicleFootprint,
+    _domination_clip,
+    _spot_edge_polygons,
+)
 
 GRID = "grid"
 MONTE_CARLO = "monte_carlo"
@@ -445,13 +452,16 @@ def _tie_order(scores, poses, cfg: SolverConfig, spot: ParkingSpot) -> np.ndarra
     return np.lexsort((_normalize_angles(theta), y, x, approach, deviation, scores))
 
 
-def _local_field_set(fields: FieldSet, spot: ParkingSpot) -> FieldSet:
-    """``fields`` moved into the spot frame: the spot's own edges, if it
-    holds them, built there exactly, and every other polygon rotated."""
-    exact = dict(zip(_spot_edge_polygons(spot), _spot_edge_polygons(spot, local=True)))
-    return FieldSet(
-        exact[p] if p in exact else transform_polygon(spot.spot_frame, p) for p in fields.polygons
-    )
+def _local_field_set(fields: FieldSet, spot: ParkingSpot, reach: float) -> FieldSet:
+    """``fields`` moved into the spot frame for footprints of reach
+    ``reach``: the spot's own edges, if it holds them, built there exactly,
+    and every other polygon rotated, less the obstacles that the edges it
+    holds dominate over the spot box inflated by ``reach``
+    (``scenario._domination_clip``), which change no bit of a score."""
+    local = dict(zip(_spot_edge_polygons(spot), _spot_edge_polygons(spot, local=True)))
+    clip = _domination_clip(spot, reach, [local[p] for p in fields.polygons if p in local])
+    moved = (local.get(p) or transform_polygon(spot.spot_frame, p) for p in fields.polygons)
+    return FieldSet(p for p in moved if p.kind != OBSTACLE or clip(p))
 
 
 def _lattice_axes(spot: ParkingSpot, pitch: float, headings) -> tuple:
@@ -513,9 +523,11 @@ class ScoredLattice:
         self._scored = None
 
     def column(self, footprint: VehicleFootprint):
-        """``(evaluator, nodes, poses, scores)`` of ``footprint``, one of
-        the lattice's: the lattice's node count, and the pose rows of its
-        scored nodes in lattice order with their scores for ``footprint``.
+        """``(evaluator, nodes, poses, scores, starts)`` of ``footprint``,
+        one of the lattice's: the lattice's node count, the pose rows of
+        its scored nodes in lattice order with their scores for
+        ``footprint``, and the indices of its refinement starts among them,
+        as the scan's last cut picked them.
 
         The evaluator scores ``footprint`` alone and shares the lattice's
         compiled field set and sample blocks.
@@ -524,27 +536,34 @@ class ScoredLattice:
         if self._scored is None:
             spot = self._spot
             axes = _lattice_axes(spot, config.coarse_pitch, config.headings)
-            local = _local_field_set(self._fields, spot)
+            reach = max(fp.max_reach() for fp in self._footprints)
+            local = _local_field_set(self._fields, spot, reach)
             shared = ObjectiveEvaluator(local, self._footprints, plan, config.rect_weights)
             # The oracle's stride, and at least one halving.
             stride = max(2, _oracle_stride(config.coarse_pitch, axes))
+            last = []  # the latest cut's poses, score columns and starts
 
             def cut(values, scored):
                 poses, columns = _scored_nodes(values, scored, axes)
-                cuts = []
-                for scores in columns:
-                    starts = _coarse_starts(scores, poses, config, spot)
-                    cuts.append(scores[starts[-1]] if len(starts) == config.starts else math.inf)
+                starts = [_coarse_starts(scores, poses, config, spot) for scores in columns]
+                last[:] = poses, columns, starts
+                cuts = [
+                    scores[s[-1]] if len(s) == config.starts else math.inf
+                    for scores, s in zip(columns, starts)
+                ]
                 return np.array(cuts)
 
-            values, scored, _ = _bounded_scan(shared, local, axes, stride, cut)
-            self._scored = (local, shared, scored.size, *_scored_nodes(values, scored, axes))
-        local, shared, nodes, poses, columns = self._scored
+            # The scan ends on a cut of the nodes it scored, with no node
+            # left under it.
+            _, scored, _ = _bounded_scan(shared, local, axes, stride, cut)
+            self._scored = (local, shared, scored.size, *last)
+        local, shared, nodes, poses, columns, starts = self._scored
         if self._footprints == (footprint,):
             evaluator = shared
         else:
             evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights, shared=shared)
-        return evaluator, nodes, poses, columns[self._footprints.index(footprint)]
+        k = self._footprints.index(footprint)
+        return evaluator, nodes, poses, columns[k], starts[k]
 
 
 def _scored_nodes(values, scored, axes) -> tuple:
@@ -722,11 +741,10 @@ def minimize(
     check_feasible(footprint, spot, config.headings)
     if coarse is None:
         coarse = ScoredLattice(fields, (footprint,), spot, plan, config)
-    evaluator, evaluations, grid, grid_scores = coarse.column(footprint)
+    evaluator, evaluations, grid, grid_scores, starts = coarse.column(footprint)
     # Pose tuple -> score for this solve: the refinement polls of all
     # starts revisit poses, and step-pitch probes land on coarse nodes.
     memo = dict(zip(map(tuple, grid.tolist()), grid_scores.tolist()))
-    starts = _coarse_starts(grid_scores, grid, config, spot)
 
     refined = _compass_refine(evaluator, memo, grid[starts], grid_scores[starts], config, spot)
     evaluations += sum(r[4] for r in refined)
@@ -760,7 +778,7 @@ def brute_force_minimize(
     resolution = finite_number("resolution", resolution, 0.0, False)
     check_feasible(footprint, spot, config.headings)
     axes = _lattice_axes(spot, resolution, config.headings)
-    local = _local_field_set(fields, spot)
+    local = _local_field_set(fields, spot, footprint.max_reach())
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
     stride = _oracle_stride(resolution, axes)
     (values,), scored, _ = _bounded_scan(evaluator, local, axes, stride, _lowest_score)

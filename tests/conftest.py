@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from parkfield.field import _axis_sides
+from parkfield.field import FieldSet
 from parkfield.geometry import (
     EdgeLine,
     Point2,
@@ -14,10 +15,12 @@ from parkfield.geometry import (
     RigidTransform,
     apply_transform,
     normalize_angle,
+    transform_polygon,
 )
 from parkfield.scenario import (
     Rect,
     VehicleFootprint,
+    _spot_edge_polygons,
     load_scenario,
     make_spot_from_center,
     spot_field_set,
@@ -33,7 +36,6 @@ from parkfield.solver import (
     _diverse_starts,
     _lattice_axes,
     _lattice_rows,
-    _local_field_set,
     _tie_order,
     check_feasible,
 )
@@ -275,6 +277,16 @@ def bench_module(name: str):
     return importlib.import_module(name)
 
 
+def unpruned_local_set(fields, spot) -> FieldSet:
+    """Reference spot-local set: every polygon of ``fields`` moved into the
+    spot frame, the spot's own edges built there exactly and none pruned,
+    so a solve over it shows what the package's pruned set must keep."""
+    exact = dict(zip(_spot_edge_polygons(spot), _spot_edge_polygons(spot, local=True)))
+    return FieldSet(
+        exact[p] if p in exact else transform_polygon(spot.spot_frame, p) for p in fields.polygons
+    )
+
+
 def pose_lattice(spot, pitch: float, headings) -> tuple:
     """``(poses, axes)``: the ``_lattice_axes`` of a ``pitch`` lattice over
     the spot box and ``headings``, and an (x, y, theta) row per node, in
@@ -289,11 +301,12 @@ def full_scan_minimize(
     """Reference ``minimize`` whose coarse stage is a full scan: every node
     of the coarse lattice scored through the lattice entry and seeded into
     the memo, and the starts picked in ``_tie_order`` over all of them.
-    ``coarse`` is ignored, so it stands in for ``minimize`` anywhere."""
+    The field set is ``unpruned_local_set``'s.  ``coarse`` is ignored, so it
+    stands in for ``minimize`` anywhere."""
     check_feasible(footprint, spot, config.headings)
     poses, axes = pose_lattice(spot, config.coarse_pitch, config.headings)
     evaluator = ObjectiveEvaluator(
-        _local_field_set(fields, spot), footprint, plan, config.rect_weights
+        unpruned_local_set(fields, spot), footprint, plan, config.rect_weights
     )
     scores = evaluator.scores(poses, axes)
     memo = dict(zip(map(tuple, poses.tolist()), scores.tolist()))
@@ -313,12 +326,13 @@ def full_scan_minimize(
 
 def assert_column_keeps_the_starts(fields, footprint, spot, plan, config, column):
     """``column``, a ``ScoredLattice.column`` of ``footprint``, against its
-    whole coarse lattice: the scored nodes in lattice order, each with the
-    bits of scoring the footprint alone; among them the whole lattice's
-    starts; and every node left unscored scoring above the last start."""
-    _, nodes, poses, scores = column
+    whole coarse lattice over ``unpruned_local_set``: the scored nodes in
+    lattice order, each with the bits of scoring the footprint alone; the
+    column's starts, the whole lattice's; and every node left unscored
+    scoring above the last start."""
+    _, nodes, poses, scores, starts = column
     lattice, axes = pose_lattice(spot, config.coarse_pitch, config.headings)
-    local = _local_field_set(fields, spot)
+    local = unpruned_local_set(fields, spot)
     alone = ObjectiveEvaluator(local, footprint, plan, config.rect_weights).scores(lattice, axes)
     # The scored nodes as a subsequence of the lattice: a repeated heading
     # repeats its poses, so a pose alone does not name its node.
@@ -326,7 +340,7 @@ def assert_column_keeps_the_starts(fields, footprint, spot, plan, config, column
     rows = [next(n for n, node in nodes_left if node == pose) for pose in map(tuple, poses.tolist())]
     assert nodes == len(lattice)
     assert np.array_equal(scores, alone[rows])
-    starts = _coarse_starts(scores, poses, config, spot)
+    assert starts == _coarse_starts(scores, poses, config, spot)
     assert [rows[s] for s in starts] == _coarse_starts(alone, lattice, config, spot)
     if len(starts) == config.starts:
         assert np.all(np.delete(alone, rows) > scores[starts[-1]])

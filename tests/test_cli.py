@@ -1,16 +1,31 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
+import random
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BENCH_DIR, SCENARIO_DIR, bench_module
 
 from parkfield import cli
+from parkfield.geometry import Point2, Polygon, transform_polygon
+from parkfield.scenario import (
+    _domination_clip,
+    _spot_edge_polygons,
+    build_footprint,
+    load_scenario,
+    make_spot_from_center,
+)
 
 CLI = [sys.executable, "-m", "parkfield.cli"]
 
@@ -115,9 +130,10 @@ def test_oracle_budget_exit_code():
 
 def test_huge_spot_with_far_obstacle_exits_at_the_lattice_budget(tmp_path, capsys):
     # The obstacle lies outside the footprint's reach of a 1e9 m spot, so
-    # only the domination check could prune it; its lattice would have
-    # ~1.6e19 nodes, so the obstacle is kept unchecked and the solve stops
-    # at the coarse-grid cap, allocating nothing large.
+    # only the domination check could prune it.  The check clips one
+    # rectangle and keeps the obstacle: deep inside the spot the edges read
+    # far below it.  The solve then stops at the coarse-grid cap,
+    # allocating nothing large.
     doc = {
         "spots": [{"id": "huge", "corners": [[0, 0], [1e9, 0], [1e9, 1e9], [0, 1e9]]}],
         "obstacles": [{"id": "far", "vertices": [[-100, -100], [-99, -100], [-99, -99]]}],
@@ -502,3 +518,121 @@ def test_main_builds_its_parser_once(capsys):
             cli.main(["solve"])
         assert exc.value.code == 2
     assert "the following arguments are required: scenario" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Whole-report invariants: changes to the obstacles that cannot move a byte
+# of a ``solve`` report but its wall time and the digest of its input.
+# ---------------------------------------------------------------------------
+
+
+def acceptance_scene(seed: int) -> dict:
+    """A scenario document in the style of acceptance 5: one random spot,
+    one or two small convex obstacles in it, a vehicle that fits it."""
+    rng = random.Random(seed)
+    length, width = rng.uniform(3.0, 4.2), rng.uniform(2.0, 2.7)
+    spot = make_spot_from_center(
+        "r",
+        Point2(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+        length,
+        width,
+        rng.uniform(-math.pi, math.pi),
+        rng.choice(["x_min", "x_max", "y_min", "y_max"]),
+    )
+    obstacles = []
+    while len(obstacles) < rng.randint(1, 2):
+        cx, cy, radius = rng.uniform(0, length), rng.uniform(0, width), rng.uniform(0.15, 0.5)
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(rng.randint(3, 5)))
+        if min(b - a for a, b in zip(angles, angles[1:])) < 0.05:
+            continue
+        vertices = [spot.to_global(Point2(cx + radius * math.cos(a), cy + radius * math.sin(a))) for a in angles]
+        obstacles.append({"id": f"o{len(obstacles)}", "vertices": [[v.x, v.y] for v in vertices]})
+    return {
+        "spots": [{"id": "r", "corners": [[c.x, c.y] for c in spot.corners], "approach_side": spot.approach_side}],
+        "obstacles": obstacles,
+        "cabin": {"seats": {"driver": "adult", rng.choice(["rear_left", "rear_right"]): "baby"}, "trunk_loaded": rng.random() < 0.5},
+        "vehicle": {"body_length": rng.uniform(2.2, min(2.9, length - 0.1)), "body_width": rng.uniform(1.4, min(1.9, width - 0.1))},
+    }
+
+
+def scene(source: str, seed: int) -> dict:
+    if source == "lot":
+        return json.loads(bench_module("lot").generate_lot(seed))
+    return acceptance_scene(seed)
+
+
+def beside_a_spot(spot, gap: float, rng) -> list:
+    """An upright box in ``spot``'s frame beyond one of its edges by ``gap``
+    (inside the spot if negative), as global ``[x, y]`` vertices."""
+    size, along = rng.uniform(0.2, 1.5), rng.random()
+    l, w = spot.length, spot.width
+    x0, y0 = rng.choice(
+        [(l + gap, along * w), (-gap - size, along * w), (along * l, w + gap), (along * l, -gap - size)]
+    )
+    box = [(x0, y0), (x0 + size, y0), (x0 + size, y0 + size), (x0, y0 + size)]
+    return [[p.x, p.y] for p in (spot.to_global(Point2(x, y)) for x, y in box)]
+
+
+def added_obstacle(doc: dict, kind: str, rng) -> dict:
+    """A far obstacle, 1 km past the scene, or, of 20 boxes beside a spot
+    with gaps small or not and of either sign, the one of least gap that
+    the exact test in every spot's frame finds dominated (the far one if
+    none is)."""
+    vertices = [p for spot in doc["spots"] for p in spot.get("corners", [spot.get("center")])]
+    far = max(max(abs(c) for c in p) for p in vertices) + 1e3
+    obstacle = {"id": "added", "vertices": [[far, far], [far + 1, far], [far, far + 1]]}
+    if kind == "dominated":
+        parsed = load_scenario(json.dumps(doc))
+        reach = build_footprint(parsed.context, parsed.vehicle).max_reach()
+        tests = [
+            (spot, _domination_clip(spot, reach, _spot_edge_polygons(spot, local=True)))
+            for spot in parsed.spots
+        ]
+        gaps = [rng.choice([-1.0, 1.0]) * rng.choice([1e-9, 1e-3, 0.05, 0.5, 3.0]) for _ in range(20)]
+        boxes = [(gap, beside_a_spot(rng.choice(parsed.spots), gap, rng)) for gap in gaps]
+        for _, box in sorted(boxes, key=lambda b: b[0]):
+            polygon = Polygon([Point2(*p) for p in box])
+            if not any(clip(transform_polygon(spot.spot_frame, polygon)) for spot, clip in tests):
+                return {"id": "added", "vertices": box}
+    return obstacle
+
+
+def changed_scene(doc: dict, change: str, rng) -> dict:
+    doc = json.loads(json.dumps(doc))
+    obstacles = doc["obstacles"]
+    if change == "shuffle":
+        rng.shuffle(obstacles)
+    elif change == "duplicate":
+        copy = dict(rng.choice(obstacles), id="duplicate")
+        obstacles.insert(rng.randint(0, len(obstacles)), copy)
+    else:
+        obstacles.insert(rng.randint(0, len(obstacles)), added_obstacle(doc, change, rng))
+    return doc
+
+
+@functools.lru_cache(maxsize=64)
+def report_without_wall_or_digest(text: str, explain: bool) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path, config_path = Path(tmp, "scene.json"), Path(tmp, "config.json")
+        scenario_path.write_text(text)
+        config_path.write_text(json.dumps({"explain": explain}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["solve", str(scenario_path), "--config", str(config_path)]) == 0
+    report = bench_module("stats").normalize_report(out.getvalue().encode("utf-8"))
+    return re.sub(rb'"scenario_digest": "[^"]*"', b"", report)
+
+
+@given(
+    source=st.sampled_from(["acceptance", "lot"]),
+    seed=st.integers(0, 63),
+    explain=st.booleans(),
+    change=st.sampled_from(["shuffle", "duplicate", "far", "dominated"]),
+    draw=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=16, deadline=None)
+def test_obstacle_changes_that_cannot_reach_keep_the_report(source, seed, explain, change, draw):
+    doc = scene(source, seed)
+    changed = changed_scene(doc, change, random.Random(draw))
+    want = report_without_wall_or_digest(json.dumps(doc), explain)
+    assert report_without_wall_or_digest(json.dumps(changed), explain) == want

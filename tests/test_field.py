@@ -194,12 +194,14 @@ def test_golden_spot_frames_send_axis_lines_down_the_axis_path():
         reach = build_footprint(scenario.context, scenario.vehicle).max_reach()
         for spot in scenario.spots:
             fields = spot_field_set(spot, list(scenario.obstacles), reach)
-            local = _local_field_set(fields, spot)
+            local = _local_field_set(fields, spot, reach)
             for poly, axis in zip(local.polygons, on_axis_path(local)):
                 assert axis == all(exactly_axis(e) for e in poly.edges)
                 taken[poly.kind][not axis] += len(poly.edges)
-    # Every spot edge, and every obstacle line but a triangle's three.
-    assert taken == {SPOT_EDGE: [44, 0], OBSTACLE: [40, 3]}
+    # Every spot edge, and every kept obstacle line but a triangle's three.
+    # ``three_spot_area``'s spot_b keeps ``parked_car`` in its global set
+    # (its box meets the inflated spot), and its local set prunes it.
+    assert taken == {SPOT_EDGE: [44, 0], OBSTACLE: [36, 3]}
 
 
 def test_lot_spot_frames_build_every_spot_edge_on_an_axis():
@@ -211,7 +213,7 @@ def test_lot_spot_frames_build_every_spot_edge_on_an_axis():
         scenario = load_scenario(generate_lot(seed))
         reach = build_footprint(scenario.context, scenario.vehicle).max_reach()
         for spot in scenario.spots:
-            local = _local_field_set(spot_field_set(spot, list(scenario.obstacles), reach), spot)
+            local = _local_field_set(spot_field_set(spot, list(scenario.obstacles), reach), spot, reach)
             edges = [
                 (poly, axis)
                 for poly, axis in zip(local.polygons, on_axis_path(local))
@@ -364,8 +366,8 @@ def test_lines_entry_equals_the_general_polygons_alone(lines):
     # ``eval_many(..., lines=...)`` is how a lattice tile runs the general
     # part: those polygons only, no axis form, and ``y`` may be the output.
     fields = kernel_set(lines)
-    assert is_mixed(fields)
     general = [p for p, axis in zip(fields.polygons, on_axis_path(fields)) if not axis]
+    assert 0 < len(general) < len(fields.polygons)
     rng = np.random.default_rng(8)
     for n in BLOCK_STRADDLING_COUNTS + (935,):
         pts = rng.uniform(-3, 3, size=(n, 2))
@@ -395,8 +397,8 @@ def test_field_sets_take_part_in_no_reference_cycle(lines):
 
 
 # ---------------------------------------------------------------------------
-# The dominance skip: a mixed set skips, per block or lattice tile, the
-# general polygons that cannot reach its axis form over the block's box.
+# Mixed sets, general polygons beside an axis form, near and far from the
+# origin: every polygon is folded in, general part first.
 # ---------------------------------------------------------------------------
 
 
@@ -415,12 +417,6 @@ def one_polygon_fold(polys, x, y):
     by ``np.maximum`` in the set's order, general polygons first."""
     values = [FieldSet((p,)).eval_many(x, y) for p in sorted(polys, key=fold_rank)]
     return functools.reduce(np.maximum, values)
-
-
-def is_mixed(fields):
-    """Does ``fields`` hold both general polygons and an axis form, so that
-    its blocks may skip the general ones?"""
-    return 0 < on_axis_path(fields).count(False) < len(fields.polygons)
 
 
 def assert_same_bits(got, want):
@@ -459,39 +455,17 @@ def ordered_coords(rng, lo, hi, n, signed_zeros):
     return np.sort(coords)
 
 
-@pytest.fixture
-def products(monkeypatch):
-    """Per ``FieldSet._products`` call, the ids of the polygons' lines it
-    multiplies."""
-    calls = []
-    original = FieldSet._products
-
-    def recording(self, xy, dst, buf, lines):
-        calls.append({id(polygon) for polygon in lines})
-        return original(self, xy, dst, buf, lines)
-
-    monkeypatch.setattr(FieldSet, "_products", recording)
-    return calls
-
-
-def assert_some_polygon_pruned_and_kept(products, fields):
-    ids = [id(polygon) for polygon in fields._lines]
-    assert any(
-        any(i in call for call in products) and any(i not in call for call in products) for i in ids
-    )
-
-
-# Far from the origin a line's value cancels ``a*x + c`` over 1e9: the slack
-# must follow the coordinates and offsets, not the result.
+# Far from the origin a line's value cancels ``a*x + c`` over 1e9.
 SKIP_ORIGINS = [(0.0, 0.0), (1e6, -2e6), (-3e8, 7e8), (1e9, 1e9)]
 
 
 @pytest.mark.parametrize("origin", SKIP_ORIGINS)
-def test_skipped_polygons_keep_every_bit_of_eval_many(origin, products):
+def test_skipped_polygons_keep_every_bit_of_eval_many(origin):
+    # The scene of a kernel skip since removed: a mixed set far from the
+    # origin keeps the bits of folding each polygon alone.
     rng = np.random.default_rng(21)
     polys = skip_scene(rng, origin)
     fields = FieldSet(polys)
-    assert is_mixed(fields)
     for n in BLOCK_STRADDLING_COUNTS:
         # Sorted by x, so each block is a strip of the scene.
         x = origin[0] + ordered_coords(rng, -14, 19, n, origin[0] == 0)
@@ -499,11 +473,10 @@ def test_skipped_polygons_keep_every_bit_of_eval_many(origin, products):
         y[3::11] = -0.0 if origin[1] == 0 else y[3::11]
         want = one_polygon_fold(polys, x, y)
         assert_same_bits(fields.eval_many(x, y), want)
-    assert_some_polygon_pruned_and_kept(products, fields)
 
 
 @pytest.mark.parametrize("origin", SKIP_ORIGINS)
-def test_skipped_polygons_keep_every_bit_of_the_lattice_and_grid(origin, products):
+def test_skipped_polygons_keep_every_bit_of_the_lattice_and_grid(origin):
     rng = np.random.default_rng(22)
     polys = skip_scene(rng, origin)
     fields = FieldSet(polys)
@@ -529,90 +502,6 @@ def test_skipped_polygons_keep_every_bit_of_the_lattice_and_grid(origin, product
         gx, gy = np.meshgrid(xs, ys)
         want = one_polygon_fold(polys, gx.ravel(), gy.ravel()).reshape(ny, nx)
         assert_same_bits(fields.eval_grid(xs, ys), want)
-    assert_some_polygon_pruned_and_kept(products, fields)
-
-
-@pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e9])
-def test_skip_slack_covers_near_ties_far_from_the_origin(scale):
-    # Points on a segment of the axis line x = P.x, whose top end lies on a
-    # general line at a random angle: there the two values are zero up to
-    # rounding, about scale * 2**-53, and the general line's bound over the
-    # segment, which the top end attains, rounds apart from its kernel value.
-    # A skip without slack, or with one sized by the values, drops the
-    # general line at some of these ends where its value is the larger.
-    rng = np.random.default_rng(int(scale))
-    for _ in range(300):
-        px, py = rng.uniform(scale, 2 * scale, 2) * rng.choice([-1.0, 1.0], 2)
-        t = rng.uniform(0, math.pi)
-        dx, dy = 3 * math.cos(t), 3 * math.sin(t)
-        h = rng.uniform(0.5, 2.0)
-        polys = [
-            spot_edge((px + dx, py + h + dy), (px - dx, py + h - dy)),
-            spot_edge((px, py - 1), (px, py + 1)),
-        ]
-        fields = FieldSet(polys)
-        assert is_mixed(fields)
-        shifts = np.linspace(-h, h, 5)
-        x, y = np.full(5, px), py + shifts
-        want = one_polygon_fold(polys, x, y)
-        assert_same_bits(fields.eval_many(x, y), want)
-        # One point a block, each with its own bounding box.
-        for point in range(5):
-            one = x[point:][:1], y[point:][:1]
-            assert_same_bits(fields.eval_many(*one), one_polygon_fold(polys, *one))
-        # The same points as the lattice of one sample, x shift and 5 y shifts.
-        (tile,) = [v.ravel() for _, _, v in fields.eval_lattice(np.zeros(1), np.full(1, py), x[:1], shifts)]
-        assert_same_bits(tile, want)
-
-
-def line_pair_scene(touching):
-    """A 5 x 2.5 spot's edges and a rectangle beyond its lower edge, tilted
-    off it by 0.05 rad; with ``touching``, a triangle with a vertex on the
-    right edge."""
-    polys = [
-        spot_edge((5, 0), (0, 0)),
-        spot_edge((5, 2.5), (5, 0)),
-        spot_edge((0, 2.5), (5, 2.5)),
-        spot_edge((0, 0), (0, 2.5)),
-        transform_polygon(RigidTransform(0.05, 2.5, -0.9), axis_rect(-1.5, -0.35, 1.5, 0.35)),
-    ]
-    if touching:
-        polys.append(Polygon((Point2(5.0, 1.2), Point2(5.9, 0.6), Point2(5.8, 1.9))))
-    return polys
-
-
-@pytest.mark.parametrize("touching", [False, True], ids=["alone", "touching"])
-def test_line_pairs_skip_only_what_a_spot_edge_dominates(touching, products):
-    polys = line_pair_scene(touching)
-    fields = FieldSet(polys)
-    assert is_mixed(fields)
-    rect, *kept = [id(polygon) for polygon in fields._lines]
-    rng = np.random.default_rng(23)
-    # Two blocks over the spot and beyond it, with the touching vertex and
-    # points on the lower edge.
-    pts = rng.uniform((-1, -3), (7, 3), size=(_BLOCK_POINTS + 1, 2))
-    pts[0] = 5.0, 1.2
-    pts[1::9, 1] = 0.0
-    # The rectangle is below the axis form at every point, yet its field
-    # somewhere is above the axis form somewhere else: no floor under the
-    # axis form over a block's box skips it, only its lower edge does.
-    own = point_major_gamma_many(FieldSet(polys[4:5]), pts)
-    axis = point_major_gamma_many(FieldSet(polys[:4]), pts)
-    assert np.all(own < axis) and own.max() > axis.min()
-    assert np.array_equal(fields.eval_many(*pts.T), point_major_gamma_many(fields, pts))
-    # One lattice tile over the same area, through the touching vertex.
-    x, y = rng.uniform(-0.5, 0.5, (2, 37))
-    x[0] = y[0] = 0.0
-    xs = np.append(np.linspace(-0.5, 6.5, 25), 5.0)
-    ys = np.append(np.linspace(-2.5, 2.5, 29), 1.2)
-    ((_, _, values),) = fields.eval_lattice(x, y, xs, ys)
-    px, py = np.broadcast_arrays(x + xs[:, None, None], y + ys[None, :, None])
-    want = point_major_gamma_many(fields, np.column_stack([px.ravel(), py.ravel()]))
-    assert np.array_equal(values.ravel(), want)
-    # The touching triangle ties with the right edge at its vertex, so
-    # every block keeps it; without it no block has a product to make.
-    assert bool(products) == touching
-    assert all(rect not in call and call == set(kept) for call in products)
 
 
 def lot_rankings():
@@ -628,15 +517,13 @@ def golden_rankings():
 
 # Points x lines that the general part multiplies: in ``rank_spots`` on
 # ``bench/lot.py`` lots 0-15 with explain off, and in one pass over the
-# goldens with explain on.  The lots read 753,323,616 without the skip,
-# 413,910,960 with a floor under the whole axis form in place of the line
-# pairs, and 137,108,016 while the coarse lattice was scored whole in tiles
-# of the whole x axis and each obstacle's domination check built a field
-# set; the goldens read 5,370,192 while the coarse lattice was scored whole.
+# goldens with explain on.  The spot-local sets hold only the obstacles
+# that the exact test in the spot frame cannot rule out, and the kernel
+# multiplies every line of them.
 @pytest.mark.parametrize(
     "rankings, products",
     [
-        pytest.param(lot_rankings, 67_972_052, id="lot"),
+        pytest.param(lot_rankings, 65_950_368, id="lot"),
         pytest.param(golden_rankings, 4_671_000, id="goldens"),
     ],
 )

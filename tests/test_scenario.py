@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from parkfield.errors import GeometryError, ScenarioError
 from parkfield import scenario as scenario_module
+from parkfield import solver
 from parkfield.field import FieldSet
-from parkfield.geometry import EdgeLine, Point2, Polygon, SPOT_EDGE
+from parkfield.geometry import EdgeLine, Point2, Polygon, SPOT_EDGE, transform_polygon
 from parkfield.scenario import (
     CabinContext,
     DEFAULT_CLEARANCE_TABLE,
@@ -394,47 +396,88 @@ def _square(x, y, side, name):
     )
 
 
-def test_one_domination_lattice_decides_both_ways(monkeypatch):
-    # Reach 0.1 inflates the 5 m x 2.5 m spot to x in [-0.1, 5.1].  "beside"
-    # lies just outside it: at x = 5.1 the spot edge reads 0.1 and the
-    # obstacle -0.1, short of the sqrt(2)*h margin (h ~ 0.25), so it stays.
+def test_reach_of_ten_kilometres_prunes_without_a_lattice():
+    # The exact test clips one rectangle whatever the reach: at 1e4 m the
+    # far obstacle goes from the global set, the one 5 km off inside the
+    # inflated region from the spot-local set, and the one over the spot
+    # stays in both, all in well under a megabyte.
     obstacles = [
-        _square(5.2, 1.0, 1.0, "beside"),
-        _square(100.0, 0.0, 1.0, "far"),
-        _square(4.9, 1.0, 1.0, "overlap"),
-        _square(-50.0, 1.0, 1.0, "far_left"),
-        Polygon((Point2(20.0, -3.0), Point2(21.0, -2.6), Point2(20.3, -1.9)), name="far_tilted"),
+        _square(1e5, 0.0, 1.0, "far"),
+        _square(5e3, 1.0, 1.0, "inside_reach"),
+        _square(4.5, 1.0, 1.0, "overlap"),
     ]
-    calls = []
-    tested = []
-    eval_grid = FieldSet.eval_grid
-    line_field = scenario_module._line_field
-
-    def counting_eval_grid(self, xs, ys):
-        calls.append([p.name for p in self.polygons])
-        return eval_grid(self, xs, ys)
-
-    def checked_line_field(polygon, xs, ys):
-        # An obstacle's lines on the lattice hold the field kernel's values.
-        values = line_field(polygon, xs, ys)
-        assert np.array_equal(values, eval_grid(FieldSet((polygon,)), xs, ys))
-        tested.append(polygon.name)
-        return values
-
-    monkeypatch.setattr(FieldSet, "eval_grid", counting_eval_grid)
-    monkeypatch.setattr(scenario_module, "_line_field", checked_line_field)
-    fields = spot_field_set(_spot(), obstacles, reach=0.1)
-    assert [p.name for p in fields.polygons][4:] == ["beside", "overlap"]
-    # The spot edges are evaluated on the lattice once, through the kernel,
-    # then the lines of each obstacle the bounding-box test passes on.
-    edges = [p.name for p in fields.polygons][:4]
-    assert calls == [edges]
-    assert tested == ["beside", "far", "far_left", "far_tilted"]
+    tracemalloc.start()
+    try:
+        fields = spot_field_set(_spot(), obstacles, reach=1e4)
+        local = solver._local_field_set(fields, _spot(), 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.name for p in fields.polygons][4:] == ["inside_reach", "overlap"]
+    assert [p.name for p in local.polygons][4:] == ["overlap"]
+    assert peak < 2**20
 
 
-def test_region_over_lattice_cap_keeps_every_obstacle():
-    # A 1e4 m reach gives a domination lattice of ~6.4e9 nodes, over
-    # MAX_LATTICE_POSES: nothing is checked and the far obstacle is kept.
-    far = _square(1e5, 0.0, 1.0, "far")
-    fields = spot_field_set(_spot(), [far], reach=1e4)
-    assert [p.name for p in fields.polygons][4:] == ["far"]
+# ---------------------------------------------------------------------------
+# The exact domination test in the spot frame
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def pruning_cases(draw):
+    """``(spot, reach, obstacle)``: a rotated spot anywhere in a 100 m
+    square, a reach, and a convex obstacle in the global frame.  Now and
+    then the obstacle is an upright box in the spot frame whose side lies
+    a small gap (of either sign) beyond a spot edge, where the edges'
+    domination is closest to failing."""
+    length, width = draw(st.floats(3.0, 8.0)), draw(st.floats(2.0, 4.0))
+    center = Point2(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+    spot = make_spot_from_center("s", center, length, width, draw(st.floats(-4.0, 4.0)), "x_max")
+    reach = draw(st.floats(0.5, 6.0))
+    if draw(st.booleans()):
+        sides = draw(st.integers(3, 6))
+        angles = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=sides, max_size=sides)))
+        assume(min(b - a for a, b in zip(angles, angles[1:] + [angles[0] + 2 * math.pi])) > 0.05)
+        cx = draw(st.floats(-reach - 3.0, length + reach + 3.0))
+        cy = draw(st.floats(-reach - 3.0, width + reach + 3.0))
+        radius = draw(st.floats(0.1, 2.0))
+        local = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles]
+    else:
+        gap = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.3]))
+        along, size = draw(st.floats(-1.0, width)), draw(st.floats(0.1, 1.5))
+        x0 = length + gap
+        local = [(x0, along), (x0 + size, along), (x0 + size, along + size), (x0, along + size)]
+    vertices = [spot.to_global(Point2(x, y)) for x, y in local]
+    try:
+        return spot, reach, Polygon(vertices, name="o")
+    except GeometryError:
+        assume(False)
+
+
+@given(case=pruning_cases())
+@settings(max_examples=150, deadline=None)
+def test_exact_pruning_drops_only_what_the_edges_dominate(case):
+    spot, reach, obstacle = case
+    edges = _spot_edge_polygons(spot, local=True)
+    local = transform_polygon(spot.spot_frame, obstacle)
+    polygon = scenario_module._domination_clip(spot, reach, edges)(local)
+    # The slack's operands, as ``_domination_clip`` sizes them, and a
+    # bound on what rounding moves: the kernel's values, the posed points
+    # and the clip's vertices.
+    span = spot.length + spot.width + 2 * reach + max(spot.length, spot.width)
+    operands = span + max(abs(e.c) for e in local.edges)
+    slack = scenario_module._PRUNE_SLACK * operands
+    rounding = 64 * 2.0**-53 * operands
+    if not polygon:
+        # Below the edges on a 0.05 m lattice over R, by more than rounding.
+        xs, ys = (np.linspace(-reach, extent + reach, int((extent + 2 * reach) / 0.05) + 2)
+                  for extent in (spot.length, spot.width))
+        margin = FieldSet([local]).eval_grid(xs, ys) - FieldSet(edges).eval_grid(xs, ys)
+        assert margin.max() < -rounding
+    else:
+        # Every vertex of what is left reaches the edges within the slack.
+        edge_lines = [e for p in edges for e in p.edges]
+        for x, y in polygon:
+            obstacle_value = min(e.a * x + e.b * y + e.c for e in local.edges)
+            edge_value = max(e.a * x + e.b * y + e.c for e in edge_lines)
+            assert obstacle_value >= edge_value - slack - rounding

@@ -46,6 +46,7 @@ from conftest import (
     scalar_tie_key,
     to_local,
     unblocked_scores,
+    unpruned_local_set,
 )
 
 
@@ -784,9 +785,9 @@ def test_oracle_tie_break_matches_per_pose_key_loop():
 
 def full_scan_scores(fields, footprint, spot, plan, resolution, config=SolverConfig()):
     """``(poses, scores)`` of every pose of the ``resolution`` lattice,
-    scored through the lattice entry."""
+    scored through the lattice entry over ``unpruned_local_set``."""
     poses, axes = pose_lattice(spot, resolution, config.headings)
-    local = solver._local_field_set(fields, spot)
+    local = unpruned_local_set(fields, spot)
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
     return poses, evaluator.scores(poses, axes)
 
@@ -862,7 +863,7 @@ def test_oracle_bounds_hold_and_rule_out_most_nodes():
         spot, fields, footprint, plan, config, resolution = case
         _, full = full_scan_scores(fields, footprint, spot, plan, resolution, config)
         axes = solver._lattice_axes(spot, resolution, config.headings)
-        local = solver._local_field_set(fields, spot)
+        local = solver._local_field_set(fields, spot, footprint.max_reach())
         evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
         stride = solver._oracle_stride(resolution, axes)
         (values,), scored, (slack,) = solver._bounded_scan(
@@ -932,7 +933,7 @@ def test_minimize_equals_the_full_scan_coarse_stage_on_random_scenes():
             got = minimize(fields, fp, spot, plan, config, coarse=shared)
             assert result_bits(got) == want, (trial, fp.labels())
             assert_column_keeps_the_starts(fields, fp, spot, plan, config, shared.column(fp))
-        _, nodes, poses, _ = shared.column(footprint)
+        _, nodes, poses, _, _ = shared.column(footprint)
         scans["whole" if len(poses) == nodes else "bounded"] += 1
     # Most scans leave nodes unscored; too many starts, or a zero
     # objective, score the whole lattice.
