@@ -1,12 +1,8 @@
-"""Exception types shared across the package, the number check that
-raises one at the offending path, and the lattice budget."""
+"""Exception types shared across the package and the number check that
+raises one at the offending path."""
 
 import math
 import numbers
-
-# Cap on the nodes of one pose lattice: the coarse grid of ``minimize`` and
-# the oracle lattice of ``brute_force_minimize``.
-MAX_LATTICE_POSES = 10**7
 
 
 class ParkfieldError(Exception):

@@ -116,9 +116,10 @@ class FieldSet:
         self._polygons = polygons
         self._single = ([], [])
         self._boxes = []
+        # The ``(a, b, c)`` lines of each general polygon.
+        self._lines = []
         # Each polygon's lines, read once: a polygon makes them on access.
         lines = [p.edges for p in polygons]
-        general = []
         for edges in lines:
             sides = _axis_sides(edges)
             if sides and len(edges) == 1:
@@ -127,12 +128,10 @@ class FieldSet:
             elif sides and all(sides):
                 self._boxes.append(sides)
             else:
-                general.append(edges)
+                self._lines.append(edges)
         # The largest offset magnitude of any line, which bounds the
         # rounding of a line's value with the coordinates' magnitudes.
         self._scale = max(abs(e.c) for edges in lines for e in edges)
-        # The ``(a, b, c)`` of each line, per general polygon.
-        self._lines = [tuple((e.a, e.b, e.c) for e in edges) for edges in general]
         # Scratch rows per block point: the axis form needs 2, a box's
         # running minimum and one line; the general part 4, a polygon's
         # running minimum, a line, its ``b*y`` and the ``lines`` entry's

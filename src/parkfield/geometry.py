@@ -2,9 +2,12 @@
 
 Everything here is scalar, pure and immutable.  Polygons hold only their
 vertex coordinates, packed as doubles, and derive their vertices and one
-signed line per edge on access; for convex counter-clockwise polygons the
-line normals point inward, so the per-edge value is a true signed distance
-(positive inside).
+signed line per edge on access, an ``(a, b, c)`` triple; for convex
+counter-clockwise polygons the line normals point inward, so the per-edge
+value is a true signed distance (positive inside).  A polygon is checked
+once, when it is built from outside input; moving it into a spot's frame
+(``transform_polygon``) moves its stored coordinates and checks nothing
+again.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GeometryError
 
@@ -42,19 +46,16 @@ class Point2:
             raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeLine:
+class EdgeLine(NamedTuple):
     """Unit-normalized line ``a*x + b*y + c`` through one polygon edge.
 
-    ``alpha`` is the direction angle of the edge it was derived from;
-    the (a, b) normal is the left-hand normal of that direction, so the
-    value is positive on the left of the directed edge.
+    The (a, b) normal is the left-hand normal of the directed edge, so the
+    value is positive on its left.
     """
 
     a: float
     b: float
     c: float
-    alpha: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +85,7 @@ def _edge_line(px: float, py: float, qx: float, qy: float) -> EdgeLine:
     a = -dy / length
     b = dx / length
     c = -(a * px + b * py)
-    return EdgeLine(a, b, c, math.atan2(dy, dx))
+    return EdgeLine(a, b, c)
 
 
 def _signed_area(vertices: tuple[Point2, ...]) -> float:
@@ -154,8 +155,7 @@ class Polygon:
         for i, (px, py, qx, qy) in enumerate(_edges(xy)):
             if math.hypot(qx - px, qy - py) < 1e-12:
                 raise GeometryError(f"degenerate edge {i}: coincident vertices ({px}, {py})")
-        for slot, value in zip(self.__slots__, (array("d", xy).tobytes(), kind, name)):
-            object.__setattr__(self, slot, value)
+        _store(self, xy, kind, name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to '{name}' of an immutable Polygon")
@@ -197,6 +197,13 @@ class Polygon:
         return min(xy[::2]), min(xy[1::2]), max(xy[::2]), max(xy[1::2])
 
 
+def _store(polygon: Polygon, xy, kind: str, name: str) -> Polygon:
+    """``polygon`` holding the coordinates ``xy`` packed, unchecked."""
+    for slot, value in zip(Polygon.__slots__, (array("d", xy).tobytes(), kind, name)):
+        object.__setattr__(polygon, slot, value)
+    return polygon
+
+
 def apply_transform(t: RigidTransform, p_local: Point2) -> Point2:
     """Rotate ``p_local`` by ``t.theta`` then translate by ``(t.tx, t.ty)``."""
     c = math.cos(t.theta)
@@ -213,9 +220,19 @@ def invert(t: RigidTransform) -> RigidTransform:
 
 
 def transform_polygon(t: RigidTransform, polygon: Polygon) -> Polygon:
-    """Apply a rigid transform to every vertex; edges are recomputed."""
-    return Polygon(
-        tuple(apply_transform(t, v) for v in polygon.vertices),
-        kind=polygon.kind,
-        name=polygon.name,
-    )
+    """``polygon`` with every vertex moved as ``apply_transform`` moves it,
+    bit for bit, from the stored coordinates.
+
+    The move is not checked again: a rigid move keeps what the checks at
+    construction found, but rounding far from the origin can tip a check
+    that passed, such as a collinear vertex's zero turn.  What rounding
+    could collapse, an edge a few coordinate ulps long, ``parse_scenario``
+    rejects.
+    """
+    c = math.cos(t.theta)
+    s = math.sin(t.theta)
+    xy = polygon._coords()
+    moved = []
+    for x, y in zip(xy[::2], xy[1::2]):
+        moved += (c * x - s * y + t.tx, s * x + c * y + t.ty)
+    return _store(object.__new__(Polygon), moved, polygon.kind, polygon.name)

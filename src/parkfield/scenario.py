@@ -8,6 +8,7 @@ metres, all angles radians, the global frame is right-handed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .geometry import (
     Point2,
     Polygon,
     RigidTransform,
+    _edges,
     apply_transform,
     invert,
     transform_polygon,
@@ -432,11 +434,11 @@ def _domination_clip(spot: ParkingSpot, reach: float, edges: list[Polygon]):
         (length + reach, width + reach),
         (-reach, width + reach),
     ]
-    lines = [(e.a, e.b, e.c) for polygon in edges for e in polygon.edges]
+    lines = [e for polygon in edges for e in polygon.edges]
     span = length + width + 2.0 * reach + max(length, width)
 
     def clip(obstacle: Polygon) -> list:
-        own = [(e.a, e.b, e.c) for e in obstacle.edges]
+        own = obstacle.edges
         slack = _PRUNE_SLACK * (span + max(abs(c) for _, _, c in own))
         polygon = region
         for a, b, c in own:
@@ -501,7 +503,7 @@ def spot_field_set(
     the spot's edges dominate it over the spot box inflated there by
     ``reach`` (``_domination_clip``).  An obstacle whose bounding box meets
     the inflated region is kept untested; the solver's spot-local set
-    (``solver._local_field_set``) tests every obstacle.
+    (``_local_field_set``) tests every obstacle.
     """
     if reach is None:
         reach = max(spot.length, spot.width)
@@ -518,6 +520,18 @@ def spot_field_set(
                 continue
         kept.append(obstacle)
     return FieldSet(edges + kept)
+
+
+def _local_field_set(fields: FieldSet, spot: ParkingSpot, reach: float) -> FieldSet:
+    """``fields`` moved into the spot frame for footprints of reach
+    ``reach``: the spot's own edges, if it holds them, built there exactly,
+    and every other polygon moved, less the obstacles that the edges it
+    holds dominate over the spot box inflated by ``reach``
+    (``_domination_clip``), which change no bit of a score."""
+    local = dict(zip(_spot_edge_polygons(spot), _spot_edge_polygons(spot, local=True)))
+    clip = _domination_clip(spot, reach, [local[p] for p in fields.polygons if p in local])
+    moved = (local.get(p) or transform_polygon(spot.spot_frame, p) for p in fields.polygons)
+    return FieldSet(p for p in moved if p.kind != OBSTACLE or clip(p))
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +654,33 @@ def _parse_vehicle(entry, path: str) -> VehicleSpec:
         raise ScenarioError(path, str(exc)) from exc
 
 
+# Shortest obstacle edge, as a share of the scenario's largest coordinate
+# magnitude M over spot corners and obstacle vertices.  A spot frame's
+# offsets are at most 2M, so a moved vertex ``(c*x - s*y) + tx`` (see
+# ``transform_polygon``) is within 8uM of the exact move of its
+# coordinates, u = 2**-53, and a moved edge within 23uM of its length,
+# which the rotation keeps to 2u.  At 2**-44, 512uM, like ``_PRUNE_SLACK``,
+# every moved edge keeps over 95 % of its length, so none collapses into
+# a point and its line, which divides by the length, stays defined.
+_MIN_EDGE_SHARE = 2.0**-44
+
+
+def _check_edge_lengths(spots, obstacles) -> None:
+    """Reject an obstacle edge that a move into a spot frame could
+    collapse: one under ``_MIN_EDGE_SHARE`` of the largest coordinate."""
+    coords = [obstacle._coords() for obstacle in obstacles]
+    corners = [v for spot in spots for c in spot.corners for v in (c.x, c.y)]
+    shortest = _MIN_EDGE_SHARE * max(map(abs, itertools.chain(corners, *coords)))
+    for i, xy in enumerate(coords):
+        for px, py, qx, qy in _edges(xy):
+            if math.hypot(qx - px, qy - py) < shortest:
+                raise ScenarioError(
+                    f"obstacles[{i}].vertices",
+                    f"the edge from ({px!r}, {py!r}) is shorter than {shortest:.3g} m, "
+                    "2**-44 of the largest coordinate magnitude",
+                )
+
+
 def parse_scenario(data) -> Scenario:
     """Validate an already-decoded scenario document."""
     _expect(data, dict, "$", "a JSON object")
@@ -660,6 +701,7 @@ def parse_scenario(data) -> Scenario:
         _parse_obstacle(o, f"obstacles[{i}]", seen_obst_ids)
         for i, o in enumerate(obstacles_raw)
     )
+    _check_edge_lengths(spots, obstacles)
     context = _parse_cabin(data.get("cabin", {}), "cabin")
     vehicle = _parse_vehicle(data.get("vehicle", {}), "vehicle")
     return Scenario(spots, obstacles, context, vehicle)

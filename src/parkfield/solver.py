@@ -21,29 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    MAX_LATTICE_POSES,
-    BudgetError,
-    InfeasibleSpotError,
-    ScenarioError,
-    finite_number,
-)
+from .errors import BudgetError, InfeasibleSpotError, ScenarioError, finite_number
 from .field import _BLOCK_POINTS, FieldSet, _block_slices
-from .geometry import OBSTACLE, TAU, normalize_angle, transform_polygon
-from .scenario import (
-    RECT_LABELS,
-    ParkingSpot,
-    Rect,
-    VehicleFootprint,
-    _domination_clip,
-    _spot_edge_polygons,
-)
+from .geometry import TAU, normalize_angle
+from .scenario import RECT_LABELS, ParkingSpot, Rect, VehicleFootprint, _local_field_set
 
 GRID = "grid"
 MONTE_CARLO = "monte_carlo"
 
 # Cap on the sample points of one footprint, over all its rectangles.
 MAX_FOOTPRINT_SAMPLES = 10**6
+
+# Cap on the nodes of one pose lattice: the coarse grid of ``minimize`` and
+# the oracle lattice of ``brute_force_minimize``.
+MAX_LATTICE_POSES = 10**7
 
 # Largest rectangle weight; with lengths up to 1e9 m no score overflows.
 MAX_RECT_WEIGHT = 1e6
@@ -450,18 +441,6 @@ def _tie_order(scores, poses, cfg: SolverConfig, spot: ParkingSpot) -> np.ndarra
     sides = {"x_min": x, "x_max": spot.length - x, "y_min": y, "y_max": spot.width - y}
     approach = -sides[spot.approach_side]
     return np.lexsort((_normalize_angles(theta), y, x, approach, deviation, scores))
-
-
-def _local_field_set(fields: FieldSet, spot: ParkingSpot, reach: float) -> FieldSet:
-    """``fields`` moved into the spot frame for footprints of reach
-    ``reach``: the spot's own edges, if it holds them, built there exactly,
-    and every other polygon rotated, less the obstacles that the edges it
-    holds dominate over the spot box inflated by ``reach``
-    (``scenario._domination_clip``), which change no bit of a score."""
-    local = dict(zip(_spot_edge_polygons(spot), _spot_edge_polygons(spot, local=True)))
-    clip = _domination_clip(spot, reach, [local[p] for p in fields.polygons if p in local])
-    moved = (local.get(p) or transform_polygon(spot.spot_frame, p) for p in fields.polygons)
-    return FieldSet(p for p in moved if p.kind != OBSTACLE or clip(p))
 
 
 def _lattice_axes(spot: ParkingSpot, pitch: float, headings) -> tuple:

@@ -162,7 +162,7 @@ def edge_lines(polygon: Polygon) -> list:
         dx, dy = q.x - p.x, q.y - p.y
         length = math.hypot(dx, dy)
         a, b = -dy / length, dx / length
-        lines.append(EdgeLine(a, b, -(a * p.x + b * p.y), math.atan2(dy, dx)))
+        lines.append(EdgeLine(a, b, -(a * p.x + b * p.y)))
     return lines
 
 

@@ -18,13 +18,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import BENCH_DIR, SCENARIO_DIR, bench_module
 
 from parkfield import cli
+from parkfield.errors import ScenarioError
 from parkfield.geometry import Point2, Polygon, transform_polygon
 from parkfield.scenario import (
     _domination_clip,
+    _local_field_set,
     _spot_edge_polygons,
     build_footprint,
     load_scenario,
     make_spot_from_center,
+    spot_field_set,
 )
 
 CLI = [sys.executable, "-m", "parkfield.cli"]
@@ -326,6 +329,8 @@ def _pentagon(order):
     ]
 
 
+X_FAR = 900000004.6906905
+
 MALFORMED_SCENARIOS = [
     # Each passed validation, and the first three printed a NaN or Infinity
     # score with exit 0 (the clearance row under --sampling mc --density 50).
@@ -345,6 +350,12 @@ MALFORMED_SCENARIOS = [
      "obstacles[0].vertices", "not convex"),
     ({"obstacles": [{"id": "line", "vertices": [[0, 0], [1, 1], [2, 2]]}]},
      "obstacles[0].vertices", "zero area"),
+    # An edge one ulp long at 9e8 m: a move into the spot frame collapsed
+    # it, and solve exited 3 on a "degenerate edge".
+    ({"obstacles": [{"id": "sliver", "vertices": [
+        [X_FAR + 4, X_FAR - 1], [math.nextafter(X_FAR + 4, math.inf), X_FAR - 1],
+        [X_FAR + 5, X_FAR + 0.5], [X_FAR + 4, X_FAR + 0.5]]}]},
+     "obstacles[0].vertices", "is shorter than 5.12e-05 m"),
 ]
 
 
@@ -636,3 +647,90 @@ def test_obstacle_changes_that_cannot_reach_keep_the_report(source, seed, explai
     changed = changed_scene(doc, change, random.Random(draw))
     want = report_without_wall_or_digest(json.dumps(doc), explain)
     assert report_without_wall_or_digest(json.dumps(changed), explain) == want
+
+
+# ---------------------------------------------------------------------------
+# Far from the origin: what parses moves into every spot's frame.
+# ---------------------------------------------------------------------------
+
+
+def utm_scene(k: int) -> dict:
+    """A 5 m x 2.5 m spot of heading k*pi/60 at projected-map coordinates,
+    beside a car outline with one vertex on its long side."""
+    car = [[500003.0, 4999999.0], [500005.3, 4999999.0], [500007.6, 4999999.0],
+           [500007.6, 5000000.9], [500003.0, 5000000.9]]
+    return {
+        "spots": [{"id": "utm", "center": [500000.0, 5000000.0], "length": 5.0, "width": 2.5,
+                   "heading": k * math.pi / 60}],
+        "obstacles": [{"id": "car", "vertices": car}],
+    }
+
+
+def build_both_sets(scenario) -> None:
+    """Each spot's ``spot_field_set`` and its spot-local set."""
+    reach = build_footprint(scenario.context, scenario.vehicle).max_reach()
+    for spot in scenario.spots:
+        _local_field_set(spot_field_set(spot, list(scenario.obstacles), reach), spot, reach)
+
+
+def test_a_car_at_map_coordinates_moves_into_every_heading(tmp_path, capsys):
+    # Moved into the spot frame, the side vertex turned right by a rounding,
+    # and 24 of the 60 headings exited 3: "obstacle 'car' is not convex".
+    for k in range(60):
+        build_both_sets(load_scenario(json.dumps(utm_scene(k))))
+    path = tmp_path / "utm.json"
+    path.write_text(json.dumps(utm_scene(2)))
+    for verb in (["solve"], ["oracle"], ["render", "--pose", "-o", str(tmp_path / "utm.svg")]):
+        assert cli.main([verb[0], str(path), *verb[1:]]) == 0, capsys.readouterr().err
+
+
+def moved_scene(doc: dict, theta: float, dx: float, dy: float) -> dict:
+    """``doc`` rotated by ``theta`` about the origin, then offset by
+    ``(dx, dy)``."""
+    c, s = math.cos(theta), math.sin(theta)
+
+    def move(p):
+        return [c * p[0] - s * p[1] + dx, s * p[0] + c * p[1] + dy]
+
+    doc = json.loads(json.dumps(doc))
+    for spot in doc["spots"]:
+        if "corners" in spot:
+            spot["corners"] = [move(p) for p in spot["corners"]]
+        else:
+            spot["center"] = move(spot["center"])
+            spot["heading"] = spot.get("heading", 0.0) + theta
+    for obstacle in doc["obstacles"]:
+        obstacle["vertices"] = [move(p) for p in obstacle["vertices"]]
+    return doc
+
+
+@given(
+    source=st.sampled_from(["acceptance", "lot"]),
+    seed=st.integers(0, 63),
+    theta=st.floats(-math.pi, math.pi),
+    exponent=st.floats(3.0, 7.0),
+    bearing=st.floats(-math.pi, math.pi),
+    draw=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_what_parses_far_from_the_origin_moves_into_every_spot_frame(
+    source, seed, theta, exponent, bearing, draw
+):
+    doc = scene(source, seed)
+    rng = random.Random(draw)
+    # Up to two obstacles get a vertex at the midpoint of one edge.  Moved
+    # far out, rounding may turn it right of its edge, and the scene fails
+    # to parse as not convex (in about a third of such scenes).
+    obstacles = doc["obstacles"]
+    for obstacle in rng.sample(obstacles, min(len(obstacles), rng.randint(0, 2))):
+        vertices = obstacle["vertices"]
+        i = rng.randrange(len(vertices))
+        p, q = vertices[i], vertices[(i + 1) % len(vertices)]
+        vertices.insert(i + 1, [(p[0] + q[0]) / 2, (p[1] + q[1]) / 2])
+    offset = 10.0**exponent
+    moved = moved_scene(doc, theta, offset * math.cos(bearing), offset * math.sin(bearing))
+    try:
+        scenario = load_scenario(json.dumps(moved))
+    except ScenarioError:
+        return
+    build_both_sets(scenario)

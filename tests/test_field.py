@@ -21,8 +21,13 @@ from parkfield import cli, solver
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample_field
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
-from parkfield.scenario import build_footprint, load_scenario, make_spot, spot_field_set
-from parkfield.solver import _local_field_set
+from parkfield.scenario import (
+    _local_field_set,
+    build_footprint,
+    load_scenario,
+    make_spot,
+    spot_field_set,
+)
 from parkfield.strategy import rank_spots
 
 from conftest import (

@@ -29,20 +29,15 @@ def test_unit_square_edge_lines(unit_square):
     lines = edge_lines(unit_square)
     assert len(lines) == 4
     # The polygon's own lines match the independent recomputation.
-    assert [v for e in unit_square.edges for v in (e.a, e.b, e.c, e.alpha)] == pytest.approx(
-        [v for e in lines for v in (e.a, e.b, e.c, e.alpha)]
+    assert [v for e in unit_square.edges for v in e] == pytest.approx(
+        [v for e in lines for v in e]
     )
-    a, b, c, _ = lines[0].a, lines[0].b, lines[0].c, lines[0].alpha
+    a, b, c = lines[0]
     # bottom edge (0,0)->(1,0): f(x,y) = y
     assert (a, b) == pytest.approx((0.0, 1.0))
     assert c == pytest.approx(0.0)
     # right edge (1,0)->(1,1): f(x,y) = 1 - x
     assert (lines[1].a, lines[1].b, lines[1].c) == pytest.approx((-1.0, 0.0, 1.0))
-
-
-def test_edge_alpha_is_direction(unit_square):
-    alphas = [e.alpha for e in unit_square.edges]
-    assert alphas == pytest.approx([0.0, math.pi / 2, math.pi, -math.pi / 2])
 
 
 def test_rotated_square_lines_pass_through_vertices():

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from parkfield.errors import GeometryError, ScenarioError
 from parkfield import scenario as scenario_module
-from parkfield import solver
 from parkfield.field import FieldSet
 from parkfield.geometry import EdgeLine, Point2, Polygon, SPOT_EDGE, transform_polygon
 from parkfield.scenario import (
@@ -17,6 +16,7 @@ from parkfield.scenario import (
     Rect,
     VehicleFootprint,
     VehicleSpec,
+    _local_field_set,
     _spot_edge_polygons,
     build_footprint,
     load_scenario,
@@ -409,7 +409,7 @@ def test_reach_of_ten_kilometres_prunes_without_a_lattice():
     tracemalloc.start()
     try:
         fields = spot_field_set(_spot(), obstacles, reach=1e4)
-        local = solver._local_field_set(fields, _spot(), 1e4)
+        local = _local_field_set(fields, _spot(), 1e4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,6 +12,7 @@ from parkfield.scenario import (
     RECT_LABELS,
     Rect,
     VehicleFootprint,
+    _local_field_set,
     build_footprint,
     load_scenario,
     make_spot,
@@ -863,7 +864,7 @@ def test_oracle_bounds_hold_and_rule_out_most_nodes():
         spot, fields, footprint, plan, config, resolution = case
         _, full = full_scan_scores(fields, footprint, spot, plan, resolution, config)
         axes = solver._lattice_axes(spot, resolution, config.headings)
-        local = solver._local_field_set(fields, spot, footprint.max_reach())
+        local = _local_field_set(fields, spot, footprint.max_reach())
         evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
         stride = solver._oracle_stride(resolution, axes)
         (values,), scored, (slack,) = solver._bounded_scan(
