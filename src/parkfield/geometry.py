@@ -98,8 +98,20 @@ def _signed_area(vertices: tuple[Point2, ...]) -> float:
     return 0.5 * area
 
 
+# A right turn that the rounding of the vertex coordinates can make, in
+# units of the largest coordinate magnitude M over the shorter adjacent
+# edge.  A vertex read from a map export or computed there (a midpoint, a
+# rigid move) is within about 4 units of 2**-53 M of its exact place per
+# coordinate, so under 3 units of 2**-52 M in the plane.  Moving the three
+# vertices of a turn by d each turns it by at most 2d/|u| + 2d/|v|, that
+# is 4d over the shorter edge: 12 units of 2**-52, and this allows 16.  At
+# 1e7 m and 1 m edges that is 4e-8 rad, where a 1 mm dent turns by 1e-3.
+_TURN_ROUNDING = 2.0**-48
+
+
 def _is_convex_ccw(vertices: tuple[Point2, ...]) -> bool:
-    """No turn to the right by over 1e-12 rad, and the turns add up to one
+    """No turn to the right by over 1e-12 rad plus what rounding the
+    coordinates can turn (``_TURN_ROUNDING``), and the turns add up to one
     circle: a star outline such as a pentagram turns left but twice around.
     Angles, unlike cross products, do not scale with the polygon."""
     turning = 0.0
@@ -107,7 +119,11 @@ def _is_convex_ccw(vertices: tuple[Point2, ...]) -> bool:
         ux, uy, vx, vy = p.x - o.x, p.y - o.y, q.x - p.x, q.y - p.y
         turn = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
         if turn < -1e-12:
-            return False
+            # A repeated vertex (a zero edge) may read as turning back.
+            shorter = min(math.hypot(ux, uy), math.hypot(vx, vy))
+            scale = max(max(abs(v.x), abs(v.y)) for v in vertices)
+            if shorter == 0.0 or turn < -1e-12 - _TURN_ROUNDING * scale / shorter:
+                return False
         turning += turn
     return turning < 3.0 * math.pi
 

@@ -16,6 +16,7 @@ would, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,22 @@ MAX_RECT_WEIGHT = 1e6
 # deliberately mimics the edge-heavy low-count sampling that grid mode
 # exists to fix; keep monte_carlo only for regression demos.
 _MC_EDGE_FRACTION = 0.75
+
+
+# numpy's ufunc buffer, in elements, inside ``minimize`` and
+# ``brute_force_minimize``.  A broadcast whose rows are shorter than the
+# buffer is copied through it, several rows at a time; a row of at least
+# about a third of the buffer runs through numpy's SIMD loop in place.  The
+# objective's translations, weightings and rotations, the lattice entry's
+# side rows and the scan's level bounds work on rows of a few hundred to a
+# few thousand samples, so at numpy's default of 8192 most of them are
+# copied: ``np.add(rx, X[:, None], out=out)`` with 16 rows of 1,000 takes
+# 17.2 us at 8192 and 4.5 us at 256 to 1024 (numpy 2.4.6, 2-core Xeon),
+# and rows of 3,000 or more take the same time at every size.  Buffering
+# moves no bit: an elementwise result does not depend on it, and a row's
+# sum gave the same bits at every size from 16 to 65,536 for rows of 7 to
+# 1,000,003 elements.  A multiple of 16.
+_BUFSIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -616,19 +633,21 @@ def _compass_refine(evaluator, memo, starts, scores, cfg, spot):
     each start keeps the path it would take alone; its budget counts every
     probe it polled, memo hits included.
 
+    A poll's at most 18 probes are built, clamped to the start's box and
+    compared in Python floats, from the moves of each step pair as lists:
+    the same IEEE additions and comparisons as numpy's, without an array
+    round trip per round.  Each start moves to the first of its lowest
+    probes, as ``np.argmin`` picks it.
+
     Returns ``(x, y, theta, score, probes, converged)`` per start.
     """
     pairs = _step_pairs(cfg)
-    moves = np.array([_poll_directions(*pair) for pair in pairs])
-    center = np.array(starts, dtype=float)
+    moves = [_poll_directions(*pair).tolist() for pair in pairs]
+    center = [tuple(start) for start in np.asarray(starts, dtype=float).tolist()]
     count = len(center)
-    # The box each start's probes are clamped to: the spot, and its own
-    # heading range.
-    low = np.zeros_like(center)
-    high = np.empty_like(center)
-    low[:, 2] = center[:, 2] - cfg.theta_range
-    high[:, 0], high[:, 1] = spot.length, spot.width
-    high[:, 2] = center[:, 2] + cfg.theta_range
+    length, width = spot.length, spot.width
+    # Each start's heading range; its position stays in the spot box.
+    span = [(theta - cfg.theta_range, theta + cfg.theta_range) for _, _, theta in center]
     best = [float(s) for s in scores]
     step = [0] * count  # index into ``pairs``
     evals = [0] * count
@@ -649,28 +668,39 @@ def _compass_refine(evaluator, memo, starts, scores, cfg, spot):
 
     live = list(range(count))
     while live:
-        at = center[live, None]
-        probes = at + moves[[step[s] for s in live]]
-        # Python's ``min(max(p, low), high)``: a tie keeps ``p``, so a zero
-        # keeps its sign, which ``np.clip`` does not promise.
-        lo, hi = low[live, None], high[live, None]
-        probes = np.where(lo > probes, lo, probes)
-        probes = np.where(hi < probes, hi, probes)
-        moved = (probes != at).any(axis=2)
-        stalled = [s for s, any_moved in zip(live, moved.any(axis=1).tolist()) if not any_moved]
+        polls = []
+        for s in live:
+            at = center[s]
+            x, y, theta = at
+            low, high = span[s]
+            poll = []
+            for dx, dy, da in moves[step[s]]:
+                px, py, pa = x + dx, y + dy, theta + da
+                # Python's ``min(max(p, low), high)``: a tie keeps ``p``, so
+                # a zero keeps its sign, which ``np.clip`` does not promise.
+                px = 0.0 if 0.0 > px else px
+                px = length if length < px else px
+                py = 0.0 if 0.0 > py else py
+                py = width if width < py else py
+                pa = low if low > pa else pa
+                pa = high if high < pa else pa
+                probe = (px, py, pa)
+                if probe != at:
+                    poll.append(probe)
+            polls.append(poll)
+        stalled = [s for s, poll in zip(live, polls) if not poll]
         if stalled:
             for s in stalled:
                 shrink(s)
             live = [s for s in live if stop[s] is None]
             continue
-        polls = [list(map(tuple, p[m].tolist())) for p, m in zip(probes, moved)]
-        got = np.array(_memo_scores(evaluator, memo, [p for poll in polls for p in poll]))
+        got = _memo_scores(evaluator, memo, [p for poll in polls for p in poll])
         end = 0
         for s, poll in zip(live, polls):
             got_s = got[end : end + len(poll)]
             end += len(poll)
             evals[s] += len(poll)
-            i = int(np.argmin(got_s))
+            i = min(range(len(got_s)), key=got_s.__getitem__)
             if got_s[i] < best[s]:
                 center[s] = poll[i]
                 best[s] = float(got_s[i])
@@ -680,7 +710,7 @@ def _compass_refine(evaluator, memo, starts, scores, cfg, spot):
             else:
                 shrink(s)
         live = [s for s in live if stop[s] is None]
-    return [(*center[s].tolist(), best[s], evals[s], stop[s]) for s in range(count)]
+    return [(*center[s], best[s], evals[s], stop[s]) for s in range(count)]
 
 
 def _diverse_starts(order, coarse, count: int, separation: float):
@@ -699,6 +729,24 @@ def _diverse_starts(order, coarse, count: int, separation: float):
     return chosen
 
 
+def _unbuffered(solve):
+    """``solve`` run with numpy's ufunc buffer at ``_BUFSIZE``.
+
+    ``np.errstate()`` scopes the buffer size in numpy 2: leaving it, on
+    return or on raise, restores the caller's, and it keeps the caller's
+    error modes.
+    """
+
+    @functools.wraps(solve)
+    def scoped(*args, **kwargs):
+        with np.errstate():
+            np.setbufsize(_BUFSIZE)
+            return solve(*args, **kwargs)
+
+    return scoped
+
+
+@_unbuffered
 def minimize(
     fields: FieldSet,
     footprint: VehicleFootprint,
@@ -736,6 +784,7 @@ def minimize(
     return SolveResult(pose, best[0], evaluations, converged)
 
 
+@_unbuffered
 def brute_force_minimize(
     fields: FieldSet,
     footprint: VehicleFootprint,

@@ -25,6 +25,7 @@ from parkfield.scenario import (
     make_spot_from_center,
     spot_field_set,
 )
+from parkfield import solver
 from parkfield.solver import (
     ObjectiveEvaluator,
     Pose,
@@ -36,6 +37,8 @@ from parkfield.solver import (
     _diverse_starts,
     _lattice_axes,
     _lattice_rows,
+    _poll_directions,
+    _step_pairs,
     _tie_order,
     check_feasible,
 )
@@ -346,3 +349,73 @@ def assert_column_keeps_the_starts(fields, footprint, spot, plan, config, column
         assert np.all(np.delete(alone, rows) > scores[starts[-1]])
     else:
         assert nodes == len(rows)
+
+
+def numpy_compass_refine(evaluator, memo, starts, scores, cfg, spot):
+    """Reference ``_compass_refine``: the same lockstep search with each
+    round's probes built, clamped and compared as one numpy array over the
+    live starts, and each start's pick by ``np.argmin``.  Each round goes
+    through ``solver._memo_scores`` as looked up at the call."""
+    pairs = _step_pairs(cfg)
+    moves = np.array([_poll_directions(*pair) for pair in pairs])
+    center = np.array(starts, dtype=float)
+    count = len(center)
+    # The box each start's probes are clamped to: the spot, and its own
+    # heading range.
+    low = np.zeros_like(center)
+    high = np.empty_like(center)
+    low[:, 2] = center[:, 2] - cfg.theta_range
+    high[:, 0], high[:, 1] = spot.length, spot.width
+    high[:, 2] = center[:, 2] + cfg.theta_range
+    best = [float(s) for s in scores]
+    step = [0] * count  # index into ``pairs``
+    evals = [0] * count
+    improved = [False] * count  # in the current pass
+    stop = [None] * count  # True once converged, False at the budget
+
+    def shrink(s):
+        """Past a poll of start ``s`` that brought no improvement."""
+        if step[s] < len(pairs) - 1:
+            step[s] += 1
+            if evals[s] >= cfg.max_refine_evals:
+                stop[s] = False
+        elif improved[s]:
+            improved[s] = False
+            step[s] = 0
+        else:
+            stop[s] = True
+
+    live = list(range(count))
+    while live:
+        at = center[live, None]
+        probes = at + moves[[step[s] for s in live]]
+        # Python's ``min(max(p, low), high)``: a tie keeps ``p``, so a zero
+        # keeps its sign, which ``np.clip`` does not promise.
+        lo, hi = low[live, None], high[live, None]
+        probes = np.where(lo > probes, lo, probes)
+        probes = np.where(hi < probes, hi, probes)
+        moved = (probes != at).any(axis=2)
+        stalled = [s for s, any_moved in zip(live, moved.any(axis=1).tolist()) if not any_moved]
+        if stalled:
+            for s in stalled:
+                shrink(s)
+            live = [s for s in live if stop[s] is None]
+            continue
+        polls = [list(map(tuple, p[m].tolist())) for p, m in zip(probes, moved)]
+        got = np.array(solver._memo_scores(evaluator, memo, [p for poll in polls for p in poll]))
+        end = 0
+        for s, poll in zip(live, polls):
+            got_s = got[end : end + len(poll)]
+            end += len(poll)
+            evals[s] += len(poll)
+            i = int(np.argmin(got_s))
+            if got_s[i] < best[s]:
+                center[s] = poll[i]
+                best[s] = float(got_s[i])
+                improved[s] = True
+                if evals[s] >= cfg.max_refine_evals:
+                    stop[s] = False
+            else:
+                shrink(s)
+        live = [s for s in live if stop[s] is None]
+    return [(*center[s].tolist(), best[s], evals[s], stop[s]) for s in range(count)]

@@ -137,6 +137,42 @@ def test_convex_polygon_accepted_at_any_scale_and_place(center, scale):
         assert Polygon(ccw[::-1]).vertices == ccw
 
 
+# A 4.6 m x 1.9 m car outline with a vertex at the middle of its long side,
+# as a map export may give it.
+SIDE_VERTEX_CAR = ((0.0, 0.0), (2.3, 0.0), (4.6, 0.0), (4.6, 1.9), (0.0, 1.9))
+
+
+def far_moves():
+    """120 rigid moves ``(theta, dx, dy)``: 24 headings, each with offsets
+    of 1e3 to 1e7 m on a bearing of its own."""
+    for k in range(24):
+        for exponent in range(3, 8):
+            bearing = 1.3 * k + exponent
+            offset = 10.0**exponent
+            yield k * math.pi / 12 + 0.1, offset * math.cos(bearing), offset * math.sin(bearing)
+
+
+def moved(vertices, theta, dx, dy):
+    c, s = math.cos(theta), math.sin(theta)
+    return tuple(Point2(c * x - s * y + dx, s * x + c * y + dy) for x, y in vertices)
+
+
+def test_a_side_vertex_parses_at_every_move():
+    # Rounding turns the side vertex right of its edge by about 1e-10 rad
+    # at these places; a fixed 1e-12 rad tolerance rejected it as not
+    # convex for about a quarter of the moves.
+    for move in far_moves():
+        Polygon(moved(SIDE_VERTEX_CAR, *move), name="car")
+
+
+def test_a_side_vertex_dented_one_millimetre_fails_at_every_move():
+    dented = list(SIDE_VERTEX_CAR)
+    dented[1] = (2.3, 0.001)
+    for move in [(0.0, 0.0, 0.0), *far_moves()]:
+        with pytest.raises(GeometryError, match="convex"):
+            Polygon(moved(dented, *move), name="dent")
+
+
 def test_clockwise_obstacle_reversed_with_warning():
     with pytest.warns(UserWarning, match="clockwise"):
         poly = Polygon((Point2(0, 0), Point2(0, 1), Point2(1, 1), Point2(1, 0)))

@@ -31,7 +31,7 @@ from parkfield.solver import (
     objective,
 )
 
-from parkfield import solver
+from parkfield import cli, solver
 from parkfield.strategy import rank_spots
 
 from conftest import (
@@ -41,6 +41,7 @@ from conftest import (
     centroid,
     full_scan_minimize,
     load_golden,
+    numpy_compass_refine,
     on_axis_path,
     pose_lattice,
     random_scenario,
@@ -1205,3 +1206,210 @@ def test_lockstep_refinement_equals_the_per_start_loop(
     assert 0 < rounds < polls
     if max_refine_evals == 30:
         assert not any(result.converged for result in lockstep)
+
+
+# ---------------------------------------------------------------------------
+# the plain-float poll
+# ---------------------------------------------------------------------------
+
+
+def float_bits(value):
+    """``value`` with every float as its hex form, so ``-0.0`` differs from
+    ``0.0`` and a changed last bit shows."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value)(float_bits(v) for v in value)
+    return value
+
+
+@pytest.fixture
+def checked_poll(monkeypatch):
+    """Runs every ``_compass_refine`` call against ``numpy_compass_refine``
+    on a copy of its memo: equal results, memo contents in the same order
+    and equal ``_memo_scores`` batches, bit for bit.  Returns the list of
+    each checked call's round count."""
+    batches = []
+    memo_scores = solver._memo_scores
+    compass_refine = solver._compass_refine
+    rounds = []
+
+    def recording(evaluator, memo, probes):
+        batches.append(float_bits(list(probes)))
+        return memo_scores(evaluator, memo, probes)
+
+    def both(evaluator, memo, starts, scores, cfg, spot):
+        want_memo = dict(memo)
+        batches.clear()
+        want = numpy_compass_refine(evaluator, want_memo, starts, scores, cfg, spot)
+        want_batches = batches[:]
+        batches.clear()
+        got = compass_refine(evaluator, memo, starts, scores, cfg, spot)
+        assert float_bits(got) == float_bits(want)
+        assert float_bits(list(memo.items())) == float_bits(list(want_memo.items()))
+        assert batches == want_batches
+        rounds.append(len(batches))
+        return got
+
+    monkeypatch.setattr(solver, "_memo_scores", recording)
+    monkeypatch.setattr(solver, "_compass_refine", both)
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "max_refine_evals, starts", [(4000, 3), (30, 3), (4000, 40)], ids=["4000", "30", "starts40"]
+)
+def test_the_float_poll_equals_the_numpy_poll_on_random_scenes(
+    checked_poll, max_refine_evals, starts
+):
+    rng = random.Random(53)
+    plan = SamplingPlan(GRID, 25.0)
+    config = SolverConfig(max_refine_evals=max_refine_evals, starts=starts)
+    cases = [random_scenario(rng, rects=3) for _ in range(8 if starts == 3 else 2)]
+    results = [minimize(f, fp, spot, plan, config) for spot, f, fp in cases]
+    assert checked_poll and all(checked_poll)
+    if max_refine_evals == 30:
+        assert not any(result.converged for result in results)
+
+
+def test_the_float_poll_equals_the_numpy_poll_on_lots(checked_poll):
+    generate_lot = bench_module("lot").generate_lot
+    for seed in range(4):
+        rank_spots(load_scenario(generate_lot(seed)), explain=False)
+    assert len(checked_poll) == 8
+
+
+def test_the_float_poll_equals_the_numpy_poll_at_the_box_and_window_ends(checked_poll):
+    spot = standard_spot()
+    fields = _local_field_set(spot_field_set(spot, [], reach=3.0), spot, 3.0)
+    footprint = VehicleFootprint(Rect(-2.1, 2.1, -0.9, 0.9))
+    evaluator = ObjectiveEvaluator(fields, footprint, SamplingPlan(GRID, 25.0))
+    # Corners, edge midpoints and the centre, at headings on the wrap (pi
+    # and the largest double below it), at zero of either sign and at 0.1.
+    starts = [
+        (x, y, theta)
+        for x in (0.0, 2.5, 5.0)
+        for y in (0.0, 1.25, 2.5)
+        for theta in (math.pi, math.nextafter(math.pi, 0.0), 0.0, -0.0, 0.1)
+    ]
+    scores = evaluator.scores(np.array(starts)).tolist()
+    configs = [
+        SolverConfig(),
+        SolverConfig(max_refine_evals=30),
+        # A zero window: both of its ends are the start's heading, and
+        # every angle move clamps back onto one of them.
+        SolverConfig(theta_range=0.0),
+        # Zero angle steps: the angle moves are signed zeros.
+        SolverConfig(step_init_ang=0.0, step_min_ang=0.0),
+        # Both: a signed-zero move lands on a window end of a zero heading.
+        SolverConfig(theta_range=0.0, step_init_ang=0.0, step_min_ang=0.0),
+        # Steps over the box: every position move clamps to an edge.
+        SolverConfig(step_init_pos=8.0, theta_range=0.01),
+        # A zero window and position steps that round away at the finer
+        # step pairs: a start stalls there, and moves again on its next
+        # pass, while others poll.
+        SolverConfig(step_init_pos=1e-15, step_min_pos=1e-17, theta_range=0.0, max_refine_evals=300),
+    ]
+    for config in configs:
+        memo = dict(zip(map(tuple, starts), scores))
+        solver._compass_refine(evaluator, memo, starts, scores, config, spot)
+    assert len(checked_poll) == len(configs) and all(checked_poll)
+
+
+# ---------------------------------------------------------------------------
+# unbuffered solves
+# ---------------------------------------------------------------------------
+
+
+def solve_outputs(capsys):
+    """Normalized ``cli solve`` and ``cli oracle --resolution 0.25`` reports
+    of every golden, and the reprs of ``rank_spots`` on lots 0-7."""
+    normalize_report = bench_module("stats").normalize_report
+    generate_lot = bench_module("lot").generate_lot
+    reports = []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        for args in (["solve"], ["oracle", "--resolution", "0.25"]):
+            assert cli.main([args[0], str(path), *args[1:]]) == 0
+            reports.append(normalize_report(capsys.readouterr().out.encode("utf-8")))
+    lots = []
+    for seed in range(8):
+        ranked = rank_spots(load_scenario(generate_lot(seed)), explain=False)
+        lots.append(repr((ranked.strategies, ranked.infeasible, ranked.solve_stats)))
+    return reports, lots
+
+
+def test_the_solve_buffer_size_moves_no_bit(monkeypatch, capsys):
+    chosen = solve_outputs(capsys)
+    # numpy's default, and the smallest multiple of 16.
+    for bufsize in (8192, 16):
+        monkeypatch.setattr(solver, "_BUFSIZE", bufsize)
+        assert solve_outputs(capsys) == chosen, bufsize
+
+
+def buffered(bufsize, call):
+    with np.errstate():
+        np.setbufsize(bufsize)
+        return call()
+
+
+def test_evaluator_scores_keep_their_bits_at_any_buffer_size():
+    fields = lattice_field_set()
+    sets = {
+        "axis-only": FieldSet(fields.polygons[:5]),
+        "general-only": FieldSet(fields.polygons[5:]),
+        "mixed": fields,
+    }
+    assert on_axis_path(sets["axis-only"]) == [True] * 5
+    assert on_axis_path(sets["general-only"]) == [False] * 2
+    footprints = [LATTICE_FOOTPRINT] + [LATTICE_FOOTPRINT.without(lb) for lb in LATTICE_FOOTPRINT.labels()]
+    spot = standard_spot()
+    rng = np.random.default_rng(23)
+    poses = random_poses(rng, spot, 150)
+    # Runs of repeated headings, across pose blocks.
+    poses[::2, 2] = rng.choice([0.0, -0.0, 0.05, math.pi], 75)
+    lattice, axes = pose_lattice(spot, 0.25, (0.0, math.pi, -0.3))
+    for name, local in sets.items():
+        for footprint in (LATTICE_FOOTPRINT, footprints):
+            for args in ((poses,), (lattice, axes)):
+
+                def call():
+                    evaluator = ObjectiveEvaluator(local, footprint, SamplingPlan())
+                    return evaluator.scores(*args)
+
+                small, large = buffered(16, call), buffered(8192, call)
+                assert np.array_equal(small.view(np.int64), large.view(np.int64)), name
+
+
+def test_the_solves_scope_the_buffer_size(monkeypatch):
+    spot = standard_spot()
+    fields = spot_field_set(spot, [], reach=3.0)
+    footprint = VehicleFootprint(Rect(-2.1, 2.1, -0.9, 0.9))
+    plan = SamplingPlan(GRID, 25.0)
+    inside = []  # (buffer size, error modes) seen inside a solve
+    compass_refine = solver._compass_refine
+    bounded_scan = solver._bounded_scan
+
+    def seen(fn):
+        def wrapper(*args):
+            inside.append((np.getbufsize(), np.geterr()))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "_compass_refine", seen(compass_refine))
+    monkeypatch.setattr(solver, "_bounded_scan", seen(bounded_scan))
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(4096)
+        modes = np.geterr()
+        minimize(fields, footprint, spot, plan)
+        brute_force_minimize(fields, footprint, spot, plan, resolution=0.25)
+        with pytest.raises(InfeasibleSpotError):
+            minimize(fields, VehicleFootprint(Rect(-3.0, 3.0, -0.9, 0.9)), spot, plan)
+        with pytest.raises(BudgetError):
+            brute_force_minimize(fields, footprint, spot, plan, resolution=1e-4)
+        with pytest.raises(BudgetError):
+            minimize(fields, footprint, spot, plan, SolverConfig(coarse_pitch=1e-4))
+        assert np.getbufsize() == 4096
+        assert np.geterr() == modes
+    # The first solve's scan and refinement, and the oracle's scan.
+    assert inside == [(solver._BUFSIZE, modes)] * 3
