@@ -98,34 +98,49 @@ def _signed_area(vertices: tuple[Point2, ...]) -> float:
     return 0.5 * area
 
 
-# A right turn that the rounding of the vertex coordinates can make, in
-# units of the largest coordinate magnitude M over the shorter adjacent
-# edge.  A vertex read from a map export or computed there (a midpoint, a
-# rigid move) is within about 4 units of 2**-53 M of its exact place per
-# coordinate, so under 3 units of 2**-52 M in the plane.  Moving the three
-# vertices of a turn by d each turns it by at most 2d/|u| + 2d/|v|, that
-# is 4d over the shorter edge: 12 units of 2**-52, and this allows 16.  At
-# 1e7 m and 1 m edges that is 4e-8 rad, where a 1 mm dent turns by 1e-3.
-_TURN_ROUNDING = 2.0**-48
+# How far outside an edge's line the rounding of the coordinates can put a
+# vertex of a convex outline, in units of the largest coordinate magnitude
+# M.  A coordinate read from a map export or computed there (a midpoint, a
+# rigid move) is within about half an ulp of its exact value, so a vertex
+# is within d = 2**-52 M of its place in the plane.  A vertex in the middle
+# of a side, and the side's end beyond it, lie on the line through the
+# other end and the middle; moving all three by d puts the far end at most
+# 4d outside it (d, and d and 2d from tilting the line).  The cross product
+# that measures it rounds by a few units of 2**-52 M more.  This allows 16:
+# 36 nm at 1e7 m.  It bounds a distance, not a turn, so splitting a vertex
+# into a chain of tiny edges cannot add up to a dent: the edges' lines,
+# which score the obstacle, miss at most a sliver that thin of it.
+_OUTSIDE_ROUNDING = 2.0**-48
 
 
 def _is_convex_ccw(vertices: tuple[Point2, ...]) -> bool:
-    """No turn to the right by over 1e-12 rad plus what rounding the
-    coordinates can turn (``_TURN_ROUNDING``), and the turns add up to one
-    circle: a star outline such as a pentagram turns left but twice around.
-    Angles, unlike cross products, do not scale with the polygon."""
+    """The turns add up to one circle, which a star outline such as a
+    pentagram does not: it turns left but twice around.  No turn is to the
+    right by over 1e-12 rad, or else no vertex is outside an edge's line by
+    over ``_OUTSIDE_ROUNDING``.  Angles, unlike cross products, do not scale
+    with the polygon."""
     turning = 0.0
+    right = False
     for o, p, q in zip(vertices, vertices[1:] + vertices[:1], vertices[2:] + vertices[:2]):
         ux, uy, vx, vy = p.x - o.x, p.y - o.y, q.x - p.x, q.y - p.y
         turn = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-        if turn < -1e-12:
-            # A repeated vertex (a zero edge) may read as turning back.
-            shorter = min(math.hypot(ux, uy), math.hypot(vx, vy))
-            scale = max(max(abs(v.x), abs(v.y)) for v in vertices)
-            if shorter == 0.0 or turn < -1e-12 - _TURN_ROUNDING * scale / shorter:
-                return False
+        right = right or turn < -1e-12
         turning += turn
-    return turning < 3.0 * math.pi
+    return turning < 3.0 * math.pi and not (right and _outside_rounding(vertices))
+
+
+def _outside_rounding(vertices: tuple[Point2, ...]) -> bool:
+    """Whether a vertex is outside an edge's line by over what rounding the
+    coordinates can put it there (``_OUTSIDE_ROUNDING``)."""
+    slack = _OUTSIDE_ROUNDING * max(max(abs(v.x), abs(v.y)) for v in vertices)
+    for p, q in zip(vertices, vertices[1:] + vertices[:1]):
+        ex, ey = q.x - p.x, q.y - p.y
+        # The cross product is the distance to the left of the line times
+        # the edge's length.
+        limit = -slack * math.hypot(ex, ey)
+        if any(ex * (w.y - p.y) - ey * (w.x - p.x) < limit for w in vertices):
+            return True
+    return False
 
 
 class Polygon:

@@ -52,13 +52,11 @@ _MC_EDGE_FRACTION = 0.75
 # about a third of the buffer runs through numpy's SIMD loop in place.  The
 # objective's translations, weightings and rotations, the lattice entry's
 # side rows and the scan's level bounds work on rows of a few hundred to a
-# few thousand samples, so at numpy's default of 8192 most of them are
-# copied: ``np.add(rx, X[:, None], out=out)`` with 16 rows of 1,000 takes
-# 17.2 us at 8192 and 4.5 us at 256 to 1024 (numpy 2.4.6, 2-core Xeon),
-# and rows of 3,000 or more take the same time at every size.  Buffering
-# moves no bit: an elementwise result does not depend on it, and a row's
-# sum gave the same bits at every size from 16 to 65,536 for rows of 7 to
-# 1,000,003 elements.  A multiple of 16.
+# few thousand samples: ``np.add(rx, X[:, None], out=out)`` with 16 rows
+# of 1,000 takes 17.2 us at numpy's default of 8192 and 4.5 us at 256
+# (numpy 2.4.6, 2-core Xeon).  Buffering moves no bit: an elementwise
+# result does not depend on it, and a row's sum gave the same bits at
+# every size from 16 to 65,536.  A multiple of 16.
 _BUFSIZE = 256
 
 
@@ -634,10 +632,8 @@ def _compass_refine(evaluator, memo, starts, scores, cfg, spot):
     probe it polled, memo hits included.
 
     A poll's at most 18 probes are built, clamped to the start's box and
-    compared in Python floats, from the moves of each step pair as lists:
-    the same IEEE additions and comparisons as numpy's, without an array
-    round trip per round.  Each start moves to the first of its lowest
-    probes, as ``np.argmin`` picks it.
+    compared in Python floats, from the moves of each step pair as lists.
+    Each start moves to the first of its lowest probes.
 
     Returns ``(x, y, theta, score, probes, converged)`` per start.
     """
@@ -730,18 +726,16 @@ def _diverse_starts(order, coarse, count: int, separation: float):
 
 
 def _unbuffered(solve):
-    """``solve`` run with numpy's ufunc buffer at ``_BUFSIZE``.
-
-    ``np.errstate()`` scopes the buffer size in numpy 2: leaving it, on
-    return or on raise, restores the caller's, and it keeps the caller's
-    error modes.
-    """
+    """``solve`` run with numpy's ufunc buffer at ``_BUFSIZE``; the
+    caller's size is set back on return and on raise."""
 
     @functools.wraps(solve)
     def scoped(*args, **kwargs):
-        with np.errstate():
-            np.setbufsize(_BUFSIZE)
+        old = np.setbufsize(_BUFSIZE)
+        try:
             return solve(*args, **kwargs)
+        finally:
+            np.setbufsize(old)
 
     return scoped
 

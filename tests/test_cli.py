@@ -331,6 +331,22 @@ def _pentagon(order):
 
 X_FAR = 900000004.6906905
 
+
+def _arc_dart(far=1e7, count=40, chord=1e-6):
+    """The dart (0, 0), (4, 2), (0, 4), (1, 2) offset by ``far``, its
+    reflex corner rounded by an arc of ``count`` edges ``chord`` long."""
+    d_in, d_out = (1, -2), (-1, -2)  # the edges into and out of (1, 2)
+    turn = math.acos(3 / 5)  # to the right
+    step = turn / count
+    radius = chord / (2 * math.sin(step / 2))
+    back = radius * math.tan(turn / 2) / math.sqrt(5)
+    ax, ay = 1 - back * d_in[0], 2 - back * d_in[1]
+    cx, cy = ax + radius * d_in[1] / math.sqrt(5), ay - radius * d_in[0] / math.sqrt(5)
+    start = math.atan2(ay - cy, ax - cx)
+    arc = [[cx + radius * math.cos(start - k * step), cy + radius * math.sin(start - k * step)]
+           for k in range(count + 1)]
+    return [[far + x, far + y] for x, y in [[0, 0], [4, 2], [0, 4], *arc]]
+
 MALFORMED_SCENARIOS = [
     # Each passed validation, and the first three printed a NaN or Infinity
     # score with exit 0 (the clearance row under --sampling mc --density 50).
@@ -356,6 +372,12 @@ MALFORMED_SCENARIOS = [
         [X_FAR + 4, X_FAR - 1], [math.nextafter(X_FAR + 4, math.inf), X_FAR - 1],
         [X_FAR + 5, X_FAR + 0.5], [X_FAR + 4, X_FAR + 0.5]]}]},
      "obstacles[0].vertices", "is shorter than 5.12e-05 m"),
+    # Each arc vertex turns right by 0.023 rad across edges of 1e-6 m,
+    # twice the shortest allowed: allowed a turn per vertex scaled by its
+    # coordinates' rounding over that edge (0.036 rad), the dart passed as
+    # convex, and its lines' field missed most of its area.
+    ({"obstacles": [{"id": "dart", "vertices": _arc_dart()}]},
+     "obstacles[0].vertices", "not convex"),
 ]
 
 

@@ -173,6 +173,18 @@ def test_a_side_vertex_dented_one_millimetre_fails_at_every_move():
             Polygon(moved(dented, *move), name="dent")
 
 
+def test_a_dart_with_its_reflex_vertex_split_fails_far_out():
+    # Split into two vertices an ulp apart, the dart's reflex corner turns
+    # right across an edge of 1.9e-9 m.  Allowed a turn per vertex scaled
+    # by its coordinates' rounding over that edge (19 rad), it passed as
+    # convex; its lines' field misses most of its area.
+    far = 1e7
+    x, y = far + 1.0, far + 2.0
+    dart = [(far, far), (far + 4.0, far + 2.0), (far, far + 4.0), (x, y), (math.nextafter(x, math.inf), y)]
+    with pytest.raises(GeometryError, match="convex"):
+        Polygon(tuple(Point2(*v) for v in dart), name="dart")
+
+
 def test_clockwise_obstacle_reversed_with_warning():
     with pytest.warns(UserWarning, match="clockwise"):
         poly = Polygon((Point2(0, 0), Point2(0, 1), Point2(1, 1), Point2(1, 0)))

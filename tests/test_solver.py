@@ -1347,9 +1347,11 @@ def test_the_solve_buffer_size_moves_no_bit(monkeypatch, capsys):
 
 
 def buffered(bufsize, call):
-    with np.errstate():
-        np.setbufsize(bufsize)
+    old = np.setbufsize(bufsize)
+    try:
         return call()
+    finally:
+        np.setbufsize(old)
 
 
 def test_evaluator_scores_keep_their_bits_at_any_buffer_size():
@@ -1398,18 +1400,23 @@ def test_the_solves_scope_the_buffer_size(monkeypatch):
 
     monkeypatch.setattr(solver, "_compass_refine", seen(compass_refine))
     monkeypatch.setattr(solver, "_bounded_scan", seen(bounded_scan))
-    with np.errstate(over="raise", under="warn"):
-        np.setbufsize(4096)
-        modes = np.geterr()
-        minimize(fields, footprint, spot, plan)
-        brute_force_minimize(fields, footprint, spot, plan, resolution=0.25)
-        with pytest.raises(InfeasibleSpotError):
-            minimize(fields, VehicleFootprint(Rect(-3.0, 3.0, -0.9, 0.9)), spot, plan)
-        with pytest.raises(BudgetError):
-            brute_force_minimize(fields, footprint, spot, plan, resolution=1e-4)
-        with pytest.raises(BudgetError):
-            minimize(fields, footprint, spot, plan, SolverConfig(coarse_pitch=1e-4))
-        assert np.getbufsize() == 4096
-        assert np.geterr() == modes
+    # Set and restored by hand, not through ``np.errstate()``, which scopes
+    # the buffer size only from numpy 2 on.
+    old = np.setbufsize(4096)
+    try:
+        with np.errstate(over="raise", under="warn"):
+            modes = np.geterr()
+            minimize(fields, footprint, spot, plan)
+            brute_force_minimize(fields, footprint, spot, plan, resolution=0.25)
+            with pytest.raises(InfeasibleSpotError):
+                minimize(fields, VehicleFootprint(Rect(-3.0, 3.0, -0.9, 0.9)), spot, plan)
+            with pytest.raises(BudgetError):
+                brute_force_minimize(fields, footprint, spot, plan, resolution=1e-4)
+            with pytest.raises(BudgetError):
+                minimize(fields, footprint, spot, plan, SolverConfig(coarse_pitch=1e-4))
+            assert np.getbufsize() == 4096
+            assert np.geterr() == modes
+    finally:
+        np.setbufsize(old)
     # The first solve's scan and refinement, and the oracle's scan.
     assert inside == [(solver._BUFSIZE, modes)] * 3
