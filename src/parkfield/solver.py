@@ -50,9 +50,9 @@ _MC_EDGE_FRACTION = 0.75
 # ``brute_force_minimize``.  A broadcast whose rows are shorter than the
 # buffer is copied through it, several rows at a time; a row of at least
 # about a third of the buffer runs through numpy's SIMD loop in place.  The
-# objective's translations, weightings and rotations, the lattice entry's
-# side rows and the scan's level bounds work on rows of a few hundred to a
-# few thousand samples: ``np.add(rx, X[:, None], out=out)`` with 16 rows
+# objective's translations, weightings and rotations and the lattice
+# entry's side rows work on rows of a few hundred to a few thousand
+# samples: ``np.add(rx, X[:, None], out=out)`` with 16 rows
 # of 1,000 takes 17.2 us at numpy's default of 8192 and 4.5 us at 256
 # (numpy 2.4.6, 2-core Xeon).  Buffering moves no bit: an elementwise
 # result does not depend on it, and a row's sum gave the same bits at
@@ -270,7 +270,7 @@ class ObjectiveEvaluator:
             (None if np.array_equal(cols, np.arange(size)) else cols, weights)
             for cols, weights in columns
         ]
-        # Rotated sample rows by the bit patterns of (cos, sin), and the
+        # Rotated sample rows by the bit pattern of their heading, and the
         # scratch buffer of posed points, kernel values and weighted values,
         # kept across calls.
         self._rows: dict = {}
@@ -284,31 +284,30 @@ class ObjectiveEvaluator:
         so memory stays bounded whatever the batch; every row's arithmetic
         is independent of the blocking and of the batch order.
 
-        The poses are grouped by heading, and each block takes cos and sin
-        of its headings in one vector call each.  The samples are rotated
-        once per distinct (cos, sin) pair, cached by its bit patterns (so a
-        ``-0.0`` heading never shares the rows of ``0.0``), and each
-        heading's poses translate the rotated rows with one call per
-        coordinate into the x block and the y block of a reused buffer, which
-        go to the kernel as they are.  A posed point is still
-        ``(cos*lx - sin*ly) + x`` and ``(sin*lx + cos*ly) + y``, the same
-        IEEE operations in the same order as broadcasting every pose, so
-        the scores are bit-identical to that.  The cache is cleared once
-        it holds a block's worth of headings, so it stays within about two
-        blocks' points.
+        The poses are sorted by the bit pattern of their heading, the key
+        of ``_rotated``'s cache of rotated samples (so a ``-0.0`` heading
+        never shares the rows of ``0.0``), and each heading's poses
+        translate its rotated rows with one call per coordinate into the x
+        block and the y block of a reused buffer, which go to the kernel as
+        they are.  A posed point is still ``(cos*lx - sin*ly) + x`` and
+        ``(sin*lx + cos*ly) + y``, the same IEEE operations in the same
+        order as broadcasting every pose, so the scores are bit-identical to
+        that.
 
         ``axes`` is ``(xs, ys, headings)`` when ``poses`` are the rows of
         ``_lattice_rows`` over them, and then the rows are not read: each
-        heading goes to the field set's ``eval_lattice``, which evaluates
-        each axis line once per x or y translation in tiles of at most
-        ``_TILE_POINTS`` points.  Each lattice node's weighted sum is the
-        per-pose path's, so the scores keep their bits.
+        heading's rotated rows, from the same cache, go to the field set's
+        ``eval_lattice``, which evaluates each axis line once per x or y
+        translation in tiles of at most ``_TILE_POINTS`` points.  Each
+        lattice node's weighted sum is the per-pose path's, so the scores
+        keep their bits.
         """
         if axes is None:
             poses = np.asarray(poses, dtype=float).reshape(-1, 3)
-            order = np.argsort(poses[:, 2].view(np.int64), kind="stable")
+            bits = poses[:, 2].view(np.int64)
+            order = np.argsort(bits, kind="stable")
             sums = np.empty((len(self._columns), len(poses)))
-            self._pose_blocks(poses[order], sums)
+            self._pose_blocks(poses[order], bits[order].tolist(), sums)
             out = np.empty_like(sums)
             out[:, order] = sums
         else:
@@ -319,16 +318,35 @@ class ObjectiveEvaluator:
             out = grid.reshape(len(grid), -1)
         return out[0] if len(self._columns) == 1 else out
 
+    def _rotated(self, theta: np.ndarray, bits: list) -> list:
+        """``(rx, ry)``, the samples rotated by each heading of ``theta``,
+        whose bit patterns are ``bits``, all distinct.
+
+        The rows are cached by those bits.  The headings not cached are
+        rotated together, their cos and sin taken in one vector call each.
+        The cache is cleared before a call once it holds a block's worth of
+        headings, so it stays within about two blocks' points whatever the
+        number of headings.
+        """
+        rows = self._rows
+        if len(rows) >= max(1, _BLOCK_POINTS // self._coords.shape[1]):
+            rows.clear()
+        fresh = [i for i, key in enumerate(bits) if key not in rows]
+        if fresh:
+            lx, ly = self._coords
+            angle = theta[fresh, None]
+            c, s = np.cos(angle), np.sin(angle)
+            rot = np.empty((2, len(fresh), len(lx)))
+            np.subtract(c * lx, s * ly, out=rot[0])
+            np.add(s * lx, c * ly, out=rot[1])
+            rows.update((bits[i], rot[:, j]) for j, i in enumerate(fresh))
+        return [rows[key] for key in bits]
+
     def _lattice(self, theta, xs, ys, grid):
         """Score the (x, y) nodes of the one-element heading ``theta`` into
         ``grid``, per footprint.  The lattice entry's scratch dies with the
         call, before the next heading's is allocated."""
-        lx, ly = self._coords
-        # The rotation of ``_pose_blocks``, as one-element rows.
-        c = np.cos(theta)
-        s = np.sin(theta)
-        rx = c * lx - s * ly
-        ry = s * lx + c * ly
+        ((rx, ry),) = self._rotated(theta, theta.view(np.int64).tolist())
         for j, k, values in self._fields.eval_lattice(rx, ry, xs, ys):
             tx, ty, m = values.shape
             values = values.reshape(tx * ty, m)
@@ -359,38 +377,24 @@ class ObjectiveEvaluator:
             weighted *= weights
         return weighted
 
-    def _pose_blocks(self, poses, sums):
-        """Score ``poses``, sorted by heading, into ``sums`` block by block."""
+    def _pose_blocks(self, poses, bits: list, sums):
+        """Score ``poses``, sorted by ``bits``, the bit patterns of their
+        headings, into ``sums`` block by block."""
         m = self._coords.shape[1]
         step = max(1, _BLOCK_POINTS // m)
         need = 3 * m * min(step, len(poses))
         if len(self._buf) < need:
             self._buf = np.empty(need)
-        lx, ly = self._coords
-        rows = self._rows
         for lo, hi in _block_slices(len(poses), step):
             block = poses[lo:hi]
+            key = bits[lo:hi]
             k = hi - lo
-            cos = np.cos(block[:, 2])
-            sin = np.sin(block[:, 2])
-            keys = list(zip(cos.view(np.int64).tolist(), sin.view(np.int64).tolist()))
-            if len(rows) >= step:
-                rows.clear()
-            # First pose of each heading's run, and those not yet rotated.
-            runs = [i for i in range(k) if i == 0 or keys[i] != keys[i - 1]]
-            fresh = [i for i in runs if keys[i] not in rows]
-            if fresh:
-                c = cos[fresh, None]
-                s = sin[fresh, None]
-                rot = np.empty((2, len(fresh), m))
-                np.subtract(c * lx, s * ly, out=rot[0])
-                np.add(s * lx, c * ly, out=rot[1])
-                for j, i in enumerate(fresh):
-                    rows[keys[i]] = rot[:, j]
+            # First pose of each heading's run.
+            runs = [i for i in range(k) if i == 0 or key[i] != key[i - 1]]
+            rotated = self._rotated(block[runs, 2], [key[i] for i in runs])
             # Posed points, x block then y block, and the kernel's values.
             x, y, values = self._buf[: 3 * k * m].reshape(3, k, m)
-            for first, end in zip(runs, runs[1:] + [k]):
-                rx, ry = rows[keys[first]]
+            for (rx, ry), first, end in zip(rotated, runs, runs[1:] + [k]):
                 np.add(rx, block[first:end, 0:1], out=x[first:end])
                 np.add(ry, block[first:end, 1:2], out=y[first:end])
             self._fields.eval_many(x.reshape(-1), y.reshape(-1), out=values.reshape(-1))
@@ -549,7 +553,7 @@ class ScoredLattice:
 
             # The scan ends on a cut of the nodes it scored, with no node
             # left under it.
-            _, scored, _ = _bounded_scan(shared, local, axes, stride, cut)
+            _, scored, _ = _bounded_scan(shared, axes, stride, cut)
             self._scored = (local, shared, scored.size, *last)
         local, shared, nodes, poses, columns, starts = self._scored
         if self._footprints == (footprint,):
@@ -803,7 +807,7 @@ def brute_force_minimize(
     local = _local_field_set(fields, spot, footprint.max_reach())
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
     stride = _oracle_stride(resolution, axes)
-    (values,), scored, _ = _bounded_scan(evaluator, local, axes, stride, _lowest_score)
+    (values,), scored, _ = _bounded_scan(evaluator, axes, stride, _lowest_score)
     low = values[scored].min()
     # Every node left unscored is bounded strictly above ``low``, so the
     # tied nodes are all scored, and stay in lattice order.
@@ -857,22 +861,26 @@ def _halving(axis: np.ndarray, stride: int) -> tuple:
     return nodes, lo, axis[nodes] - axis[lo], hi, axis[hi] - axis[nodes]
 
 
-def _level_bounds(grid: np.ndarray, x: tuple, y: tuple, lipschitz: float) -> np.ndarray:
-    """The bound of each node of a finer level, ``x`` and ``y`` from
-    ``_halving``, over one heading's ``grid`` of values: the largest over
-    its enclosing nodes of their value less ``lipschitz`` times the
-    distance."""
-    bound = np.full((len(x[0]), len(y[0])), -math.inf)
+def _level_bounds(values: np.ndarray, x: tuple, y: tuple, lipschitz: np.ndarray) -> np.ndarray:
+    """The ``(F, bx, ny', H)`` bounds of the nodes of a finer level, ``x``
+    (one block of them) and ``y`` from ``_halving``, over the ``(F, nx,
+    ny, H)`` grid of ``values``: per footprint and heading, the largest over
+    a node's enclosing nodes of their value less that footprint's
+    ``lipschitz`` times the distance.
+
+    Each corner pair takes one gather of the values and one distance grid,
+    and a term is ``distance * -lipschitz``, then plus the value."""
+    bound = None
+    slope = -lipschitz[:, None, None]
     for a, dx in (x[1:3], x[3:5]):
         for b, dy in (y[1:3], y[3:5]):
-            term = np.hypot(dx[:, None], dy[None])
-            term *= -lipschitz
-            term += grid[np.ix_(a, b)]
-            np.maximum(bound, term, out=bound)
+            term = values[:, a[:, None], b]
+            term += (np.hypot(dx[:, None], dy[None]) * slope)[..., None]
+            bound = term if bound is None else np.maximum(bound, term, out=bound)
     return bound
 
 
-def _bound_slack(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, levels: int) -> tuple:
+def _bound_slack(evaluator: ObjectiveEvaluator, axes, levels: int) -> tuple:
     """``(lipschitz, slack)`` of each footprint of ``evaluator`` over
     ``axes``, as arrays.
 
@@ -896,7 +904,7 @@ def _bound_slack(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, levels: 
     weights = [weights for _, weights in evaluator._columns]
     lipschitz = np.array([np.abs(w).sum() for w in weights])
     scale = 2.0 * (float((np.abs(lx) + np.abs(ly)).max()) + axes[0][-1] + axes[1][-1])
-    scale += fields._scale
+    scale += evaluator._fields._scale
     terms = np.array([len(w) + levels for w in weights], dtype=float)
     return lipschitz, _BOUND_SLACK * terms * lipschitz * scale
 
@@ -907,10 +915,10 @@ def _lowest_score(values, scored) -> np.ndarray:
     return values[:, scored].min(axis=1)
 
 
-def _bounded_scan(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, stride: int, cut) -> tuple:
+def _bounded_scan(evaluator: ObjectiveEvaluator, axes, stride: int, cut) -> tuple:
     """``(values, scored, slack)`` of a coarse-to-fine search of the
     lattice ``axes`` for the nodes at or below a cut, under ``evaluator`` of
-    F footprints over the spot-local ``fields``.
+    F footprints over its spot-local field set.
 
     ``values`` is the ``(F, nx, ny, nh)`` grid of each footprint's values
     at the lattice nodes: a node's score where the ``(nx, ny, nh)`` mask
@@ -922,19 +930,20 @@ def _bounded_scan(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, stride:
     first, through the lattice entry.  Each halving of the stride gives a
     node of the finer level the largest over its enclosing nodes of the
     coarser one of their value less the Lipschitz constant times the
-    distance (``_bound_slack``), and the nodes whose bound is at most a
-    footprint's cut plus its slack are scored pose by pose for every
-    footprint, which keeps the lattice entry's bits.  Past the last level
-    the cuts are taken again, and the nodes under them scored, until none
-    is left: a cut may rise as nodes are scored.  A node left unscored then
-    scores strictly above every footprint's cut of the nodes scored.  Only
-    the scored nodes get pose rows.
+    distance (``_bound_slack``), one ``_level_bounds`` call per block of
+    the level's x nodes for every footprint and heading, and the nodes
+    whose bound is at most a footprint's cut plus its slack are scored pose
+    by pose for every footprint, which keeps the lattice entry's bits.
+    Past the last level the cuts are taken again, and the nodes under them
+    scored, until none is left: a cut may rise as nodes are scored.  A node
+    left unscored then scores strictly above every footprint's cut of the
+    nodes scored.  Only the scored nodes get pose rows.
     """
     xs, ys, headings = axes
     count = len(evaluator._columns)
     values = np.empty((count, len(xs), len(ys), len(headings)))
     scored = np.zeros(values.shape[1:], dtype=bool)
-    lipschitz, slack = _bound_slack(evaluator, fields, axes, stride.bit_length() - 1)
+    lipschitz, slack = _bound_slack(evaluator, axes, stride.bit_length() - 1)
 
     def score(nodes):
         values[(slice(None), *nodes)] = evaluator.scores(_node_rows(axes, nodes)).reshape(count, -1)
@@ -950,23 +959,23 @@ def _bounded_scan(evaluator: ObjectiveEvaluator, fields: FieldSet, axes, stride:
         x, y = _halving(xs, stride), _halving(ys, stride)
         j = y[0]
         picks = []
-        # Blocks of the level's x nodes, so that its temporaries stay
-        # within a few kernel blocks.
-        for lo, hi in _block_slices(len(x[0]), max(1, _BLOCK_POINTS // len(j))):
+        # Blocks of the level's x nodes, so that a block's bounds of every
+        # footprint and heading stay within a kernel block.
+        per_x = count * len(j) * len(headings)
+        for lo, hi in _block_slices(len(x[0]), max(1, _BLOCK_POINTS // per_x)):
             part = tuple(v[lo:hi] for v in x)
             i = part[0]
-            for k in range(len(headings)):
-                near = np.zeros((len(i), len(j)), dtype=bool)
-                for grid, factor, top in zip(values[..., k], lipschitz, level):
-                    bound = _level_bounds(grid, part, y, factor)
-                    # A node of the coarser level keeps its value: it is
-                    # its own enclosing node, at distance 0.  The level's
-                    # new nodes enclose none, so a block's writes leave
-                    # every later block's corners as they were.
-                    grid[np.ix_(i, j)] = bound
-                    near |= bound <= top
-                a, b = np.nonzero(near & ~scored[..., k][np.ix_(i, j)])
-                picks.append((i[a], j[b], np.full(len(a), k)))
+            bound = _level_bounds(values, part, y, lipschitz)
+            # A node of the coarser level keeps its value: it is its own
+            # enclosing node, at distance 0.  The level's new nodes enclose
+            # none, so a block's writes leave every later block's corners
+            # as they were.
+            values[:, i[:, None], j] = bound
+            near = (bound <= level[:, None, None, None]).any(axis=0)
+            a, b, k = np.nonzero(near & ~scored[i[:, None], j])
+            picks.append((i[a], j[b], k))
+        # Within one ``scores`` batch the picks run heading-minor; ``scores``
+        # groups them by heading, and no score depends on its batch order.
         pick = tuple(np.concatenate(axis) for axis in zip(*picks))
         if len(pick[0]):
             score(pick)

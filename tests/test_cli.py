@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import BENCH_DIR, SCENARIO_DIR, bench_module
 
 from parkfield import cli
-from parkfield.errors import ScenarioError
 from parkfield.geometry import Point2, Polygon, transform_polygon
 from parkfield.scenario import (
     _domination_clip,
@@ -742,8 +741,9 @@ def test_what_parses_far_from_the_origin_moves_into_every_spot_frame(
     rng = random.Random(draw)
     # Up to two obstacles get a vertex at the midpoint of one edge.  Moved
     # far out, rounding may turn it right of its edge by more than 1e-12
-    # rad; the convexity check allows for that rounding, and over 300
-    # draws every such scene parses (a quarter failed under a fixed 1e-12).
+    # rad; the convexity check allows for that rounding, so every such
+    # scene must parse (a quarter failed under a fixed 1e-12) and build
+    # both of its field sets.
     obstacles = doc["obstacles"]
     for obstacle in rng.sample(obstacles, min(len(obstacles), rng.randint(0, 2))):
         vertices = obstacle["vertices"]
@@ -752,8 +752,4 @@ def test_what_parses_far_from_the_origin_moves_into_every_spot_frame(
         vertices.insert(i + 1, [(p[0] + q[0]) / 2, (p[1] + q[1]) / 2])
     offset = 10.0**exponent
     moved = moved_scene(doc, theta, offset * math.cos(bearing), offset * math.sin(bearing))
-    try:
-        scenario = load_scenario(json.dumps(moved))
-    except ScenarioError:
-        return
-    build_both_sets(scenario)
+    build_both_sets(load_scenario(json.dumps(moved)))

@@ -558,7 +558,7 @@ def test_scores_exact_with_monte_carlo_plan():
 
 
 def test_scores_memory_bounded_for_large_batches(lattice_calls):
-    spot, _, evaluator = golden_evaluator("mixed_obstacles.json")
+    spot, local, evaluator = golden_evaluator("mixed_obstacles.json")
     assert evaluator._coords.shape[1] == 936
     # ~19M sample points: one unblocked float64 temporary alone is 150 MB.
     # The lattice of a 12 m x 2.5 m spot at pitch 0.05 is 241 x 51 poses
@@ -567,9 +567,17 @@ def test_scores_memory_bounded_for_large_batches(lattice_calls):
         "long", [Point2(0, 0), Point2(12, 0), Point2(12, 2.5), Point2(0, 2.5)], "x_min"
     )
     lattice, axes = pose_lattice(long_spot, 0.05, (0.0, math.pi))
+    # 512 headings over a 2 x 2 lattice, through the lattice entry and then
+    # pose by pose: both entries rotate through one cache, which holds
+    # under two blocks' worth of headings whatever their number.
+    headings = tuple(np.linspace(-math.pi, math.pi, 512, endpoint=False).tolist())
+    small, small_axes = pose_lattice(spot, max(spot.length, spot.width), headings)
+    assert len(small) == 4 * 512
     batches = [
         (random_poses(np.random.default_rng(6), spot, 20_000), None, 0),
         (lattice, axes, len(lattice) * 936),
+        (small, small_axes, len(small) * 936),
+        (small, None, 0),
     ]
     for poses, axes, lattice_points in batches:
         tracemalloc.start()
@@ -581,7 +589,11 @@ def test_scores_memory_bounded_for_large_batches(lattice_calls):
         assert scores.shape == (len(poses),) and np.all(np.isfinite(scores))
         assert peak < 32 * 2**20
         assert sum(call.points for call in lattice_calls) == lattice_points
+        assert len(evaluator._rows) < 2 * (_BLOCK_POINTS // 936)
         lattice_calls.clear()
+        if poses is small:
+            want = [unblocked_scores(local, evaluator, rows) for rows in np.array_split(small, 16)]
+            assert scores.tobytes() == np.concatenate(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +799,8 @@ def test_oracle_tie_break_matches_per_pose_key_loop():
 
 def full_scan_scores(fields, footprint, spot, plan, resolution, config=SolverConfig()):
     """``(poses, scores)`` of every pose of the ``resolution`` lattice,
-    scored through the lattice entry over ``unpruned_local_set``."""
+    scored through the lattice entry over ``unpruned_local_set``, for one
+    footprint or, as ``(F, P)`` scores, a sequence of them."""
     poses, axes = pose_lattice(spot, resolution, config.headings)
     local = unpruned_local_set(fields, spot)
     evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
@@ -855,25 +868,41 @@ def test_oracle_equals_the_full_scan_on_random_scenes():
 def test_oracle_bounds_hold_and_rule_out_most_nodes():
     # Every node the search leaves unscored scores at least its bound less
     # the slack in a full scan, and every scored node holds its full-scan
-    # bits.
+    # bits.  A union scan, at the coarse stage's stride of at least 2, holds
+    # the same per footprint.  Its footprints are the one-rectangle
+    # ablations and then the whole footprint, whose Lipschitz constant and
+    # slack are the largest, so a scan that gave every footprint the first
+    # one's fails.
     rng = random.Random(23)
     goldens = [
         (spot, f, fp, SamplingPlan(), SolverConfig(), 0.05) for _, spot, f, fp in golden_spots()
     ]
+    singles = goldens + [random_oracle_case(rng) for _ in range(30)]
+    coarse = [random_coarse_case(rng) for _ in range(12)]
+    unions = goldens + [(*case, case[-1].coarse_pitch) for case in coarse]
     scored_share = []
-    for case in goldens + [random_oracle_case(rng) for _ in range(30)]:
+    for k, case in enumerate(singles + unions):
         spot, fields, footprint, plan, config, resolution = case
-        _, full = full_scan_scores(fields, footprint, spot, plan, resolution, config)
+        union = k >= len(singles)
+        footprints = (footprint,)
+        if union:
+            footprints = (*map(footprint.without, footprint.labels()), footprint)
+        _, full = full_scan_scores(fields, footprints, spot, plan, resolution, config)
         axes = solver._lattice_axes(spot, resolution, config.headings)
-        local = _local_field_set(fields, spot, footprint.max_reach())
-        evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
+        local = _local_field_set(fields, spot, max(fp.max_reach() for fp in footprints))
+        evaluator = ObjectiveEvaluator(local, footprints, plan, config.rect_weights)
         stride = solver._oracle_stride(resolution, axes)
-        (values,), scored, (slack,) = solver._bounded_scan(
-            evaluator, local, axes, stride, solver._lowest_score
-        )
+        if union:
+            stride = max(2, stride)
+        values, scored, slack = solver._bounded_scan(evaluator, axes, stride, solver._lowest_score)
         full = full.reshape(values.shape)
-        assert full[scored].tobytes() == values[scored].tobytes()
-        assert np.all(full[~scored] >= values[~scored] - slack)
+        assert full[:, scored].tobytes() == values[:, scored].tobytes(), k
+        assert np.all(full[:, ~scored] >= values[:, ~scored] - slack[:, None]), k
+        # A union never narrows a footprint's slack below its scan alone's.
+        levels = stride.bit_length() - 1
+        for fp, own in zip(footprints, slack):
+            alone = ObjectiveEvaluator(local, fp, plan, config.rect_weights)
+            assert own >= solver._bound_slack(alone, axes, levels)[1][0], k
         scored_share.append(scored.mean())
     # The goldens at the CLI's default pitch score about an eighth of their
     # nodes.
