@@ -13,8 +13,9 @@ polygons once into one axis form, in which a line whose normal is exactly
 - per upright box, its lines of each coordinate, whose minima are BX, BY;
 - the general part, every other polygon: per block, each of its lines as
   ``(a*x + b*y) + c`` by numpy ufuncs, one IEEE rounding per operation,
-  and their minimum.  No BLAS and no fused multiply-add, so the bits do not
-  depend on which kernels the CPU offers.  A set holds the ``(a, b, c)`` of
+  and their minimum.  No BLAS and no fused multiply-add (a tier-1 check of
+  the package's syntax keeps BLAS calls out), so the bits do not depend on
+  which kernels the CPU offers.  A set holds the ``(a, b, c)`` of
   its general polygons' lines itself, none if it has none.
 
 The field is ``max(general, EX, EY, min(BX, BY) per box)``, and three

@@ -467,14 +467,24 @@ def _lattice_axes(spot: ParkingSpot, pitch: float, headings) -> tuple:
     headings, as arrays.
 
     Each position axis spans its extent inclusively in equal steps of at
-    most ``pitch``; more than ``MAX_LATTICE_POSES`` poses raise
-    ``BudgetError`` before anything is allocated.
+    most ``pitch`` (give or take a share of 2**-24); more than
+    ``MAX_LATTICE_POSES`` poses raise ``BudgetError`` before anything is
+    allocated.
     """
     cells = [extent / pitch for extent in (spot.length, spot.width)]
     if max(cells) > MAX_LATTICE_POSES:
         raise BudgetError(f"pitch {pitch} gives over {MAX_LATTICE_POSES} lattice poses")
+    # A spot's extents come from its corners (``make_spot``), rounded at the
+    # map's coordinates: at coordinates of magnitude C an extent is within
+    # about 6 units of 2**-53 of C of the exact one (a corner's rounded sum,
+    # an exact difference, then a hypot or a projection).  Projected map
+    # coordinates stay below 2**25 m (web mercator's reach 2.0e7 m) and a
+    # spot a car fits is over 1 m across, so an extent that is a whole
+    # number of pitches reads at most 2**-25.4 of itself over it.  The
+    # count drops 2**-24 of itself before rounding up, so the same spot
+    # gets the same nodes wherever the map's origin is.
     xs, ys = (
-        np.linspace(0.0, extent, max(2, int(math.ceil(n - 1e-9)) + 1))
+        np.linspace(0.0, extent, max(2, math.ceil(n * (1 - 2.0**-24)) + 1))
         for extent, n in zip((spot.length, spot.width), cells)
     )
     total = len(xs) * len(ys) * len(headings)

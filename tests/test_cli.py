@@ -5,7 +5,6 @@ import io
 import json
 import math
 import random
-import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BENCH_DIR, SCENARIO_DIR, bench_module
 
-from parkfield import cli
+from parkfield import cli, solver
 from parkfield.geometry import Point2, Polygon, transform_polygon
 from parkfield.scenario import (
     _domination_clip,
@@ -554,7 +553,8 @@ def test_main_builds_its_parser_once(capsys):
 
 # ---------------------------------------------------------------------------
 # Whole-report invariants: changes to the obstacles that cannot move a byte
-# of a ``solve`` report but its wall time and the digest of its input.
+# of a ``solve`` report but its wall time and the digest of its input, and
+# an added spot, which moves no byte of the other spots' entries.
 # ---------------------------------------------------------------------------
 
 
@@ -629,6 +629,15 @@ def added_obstacle(doc: dict, kind: str, rng) -> dict:
     return obstacle
 
 
+def added_spot(doc: dict, rng) -> dict:
+    """A 5.5 m x 2.8 m spot at any heading, its centre within 3 m of a
+    vertex of one of ``doc``'s obstacles."""
+    x, y = rng.choice(rng.choice(doc["obstacles"])["vertices"])
+    center = [x + rng.uniform(-3, 3), y + rng.uniform(-3, 3)]
+    return {"id": "added", "center": center, "length": 5.5, "width": 2.8,
+            "heading": rng.uniform(-math.pi, math.pi)}
+
+
 def changed_scene(doc: dict, change: str, rng) -> dict:
     doc = json.loads(json.dumps(doc))
     obstacles = doc["obstacles"]
@@ -637,13 +646,17 @@ def changed_scene(doc: dict, change: str, rng) -> dict:
     elif change == "duplicate":
         copy = dict(rng.choice(obstacles), id="duplicate")
         obstacles.insert(rng.randint(0, len(obstacles)), copy)
+    elif change == "spot":
+        doc["spots"].insert(rng.randint(0, len(doc["spots"])), added_spot(doc, rng))
     else:
         obstacles.insert(rng.randint(0, len(obstacles)), added_obstacle(doc, change, rng))
     return doc
 
 
 @functools.lru_cache(maxsize=64)
-def report_without_wall_or_digest(text: str, explain: bool) -> bytes:
+def report_without_wall_or_digest(text: str, explain: bool) -> str:
+    """The ``solve`` report of ``text`` less its wall time and the digest of
+    its input, as sorted JSON: floats keep every bit and the sign of a zero."""
     with tempfile.TemporaryDirectory() as tmp:
         scenario_path, config_path = Path(tmp, "scene.json"), Path(tmp, "config.json")
         scenario_path.write_text(text)
@@ -651,23 +664,38 @@ def report_without_wall_or_digest(text: str, explain: bool) -> bytes:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(["solve", str(scenario_path), "--config", str(config_path)]) == 0
-    report = bench_module("stats").normalize_report(out.getvalue().encode("utf-8"))
-    return re.sub(rb'"scenario_digest": "[^"]*"', b"", report)
+    report = json.loads(out.getvalue())
+    del report["wall_time_s"], report["scenario_digest"]
+    return json.dumps(report, sort_keys=True)
+
+
+def without_spot(report: str, spot_id: str) -> str:
+    """``report`` less the strategy, infeasible and stats entries of
+    ``spot_id``."""
+    report = json.loads(report)
+    for key in ("strategies", "infeasible", "stats"):
+        report[key] = [entry for entry in report[key] if entry["spot_id"] != spot_id]
+    return json.dumps(report, sort_keys=True)
 
 
 @given(
     source=st.sampled_from(["acceptance", "lot"]),
     seed=st.integers(0, 63),
     explain=st.booleans(),
-    change=st.sampled_from(["shuffle", "duplicate", "far", "dominated"]),
+    change=st.sampled_from(["shuffle", "duplicate", "far", "dominated", "spot"]),
     draw=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=16, deadline=None)
+@settings(max_examples=20, deadline=None)
 def test_obstacle_changes_that_cannot_reach_keep_the_report(source, seed, explain, change, draw):
+    # Spots are solved independently, so an added spot leaves every other
+    # spot's strategy and stats entry as they were.
     doc = scene(source, seed)
     changed = changed_scene(doc, change, random.Random(draw))
     want = report_without_wall_or_digest(json.dumps(doc), explain)
-    assert report_without_wall_or_digest(json.dumps(changed), explain) == want
+    got = report_without_wall_or_digest(json.dumps(changed), explain)
+    if change == "spot":
+        got = without_spot(got, "added")
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -753,3 +781,22 @@ def test_what_parses_far_from_the_origin_moves_into_every_spot_frame(
     offset = 10.0**exponent
     moved = moved_scene(doc, theta, offset * math.cos(bearing), offset * math.sin(bearing))
     build_both_sets(load_scenario(json.dumps(moved)))
+
+
+def lattice_sizes(doc: dict) -> list:
+    """Each spot's ``_lattice_axes`` lengths at the coarse and a fine pitch."""
+    return [
+        [len(axis) for axis in solver._lattice_axes(spot, pitch, (0.0,))[:2]]
+        for spot in load_scenario(json.dumps(doc)).spots
+        for pitch in (0.25, 0.05)
+    ]
+
+
+def test_a_moved_golden_keeps_its_lattice_node_counts():
+    # A spot's extents come from its rounded corners: moved by (-1.3, 5e5,
+    # 5e6) the goldens' 5 m lengths read 5.000000000265875, and a tolerance
+    # of 1e-9 cells gave their 0.25 m lattices 22 x-nodes instead of 21.
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for motion in ((0.7, 3.0, -2.0), (2.5, 1e5, -3e4), (-1.3, 5e5, 5e6)):
+            assert lattice_sizes(moved_scene(doc, *motion)) == lattice_sizes(doc), (path.name, motion)

@@ -1,5 +1,5 @@
+import ast
 import contextlib
-import ctypes
 import functools
 import gc
 import hashlib
@@ -255,30 +255,18 @@ def test_lot_rankings_keep_their_bits():
     assert lot_outputs_sha256() == LOT_OUTPUTS_SHA256
 
 
-# The OpenBLAS cores a process can be forced onto with ``OPENBLAS_CORETYPE``:
-# numpy's names of the CPU features their kernels execute (a forced core
-# whose instructions the CPU lacks dies with SIGILL), and the names OpenBLAS
-# reports for it.  An x86-64 OpenBLAS aliases the 32-bit Katmai core to the
-# Prescott kernels and reports the alias.  Prescott's kernels round ``a*x +
-# b*y`` unfused, Haswell's and SkylakeX's may fuse it.
-BLAS_CORES = {
-    "Prescott": (("SSE3",), ("Prescott", "Katmai")),
-    "Haswell": (("AVX2", "FMA3"), ("Haswell",)),
-    "SkylakeX": (("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL"), ("SkylakeX",)),
-}
+# numpy's x86-64 targets, the X86_V2 baseline first.  numpy runs each ufunc
+# loop at the highest target the CPU offers and ``NPY_DISABLE_CPU_FEATURES``
+# allows, so switching off every target above a level holds a process to it.
+X86_TARGETS = ("X86_V2", "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
-def bundled_openblas():
-    """The OpenBLAS library that the numpy wheel bundles, or None."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    return min(libs.glob("libscipy_openblas64_*.so"), default=None)
-
-
-def print_blas_core_outputs():
-    """One JSON line: the OpenBLAS core this process runs, the lot digest
-    and the sha256 of each golden's ``solve`` report less its wall time."""
-    corename = ctypes.CDLL(str(bundled_openblas())).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
+def print_dispatch_outputs():
+    """One JSON line: ``__cpu_features__`` of each target switched off, the
+    lot digest and the sha256 of each golden's ``solve`` report less its
+    wall time."""
+    features = np._core._multiarray_umath.__cpu_features__
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
     normalize = bench_module("stats").normalize_report
     reports = {}
     for path in sorted(SCENARIO_DIR.glob("*.json")):
@@ -286,33 +274,58 @@ def print_blas_core_outputs():
         with contextlib.redirect_stdout(out):
             assert cli.main(["solve", str(path)]) == 0
         reports[path.name] = hashlib.sha256(normalize(out.getvalue().encode())).hexdigest()
-    outputs = {"core": corename().decode(), "lot": lot_outputs_sha256(), "reports": reports}
-    print(json.dumps(outputs))
+    print(json.dumps({"features": {t: features[t] for t in off}, "lot": lot_outputs_sha256(), "reports": reports}))
 
 
-@pytest.mark.parametrize("core", list(BLAS_CORES))
-def test_every_blas_core_gives_the_pinned_bits(core):
-    # The field kernel rounds each operation itself, so whichever BLAS
-    # kernels the CPU runs, fused or not, the lot pin and the golden
-    # reports keep every bit.  One process per core, forced onto it.
-    needs, names = BLAS_CORES[core]
-    features = np._core._multiarray_umath.__cpu_features__
-    missing = [name for name in needs if not features.get(name)]
-    if missing:
-        pytest.skip(f"{core}: this CPU lacks {', '.join(missing)}")
-    if bundled_openblas() is None:
-        pytest.skip(f"{core}: numpy bundles no OpenBLAS to force onto it")
+@pytest.mark.parametrize("level", ["X86_V3", "X86_V2"])
+def test_every_dispatch_level_gives_the_pinned_bits(level):
+    # An add or a multiply rounds alike in every SIMD loop, a reduction's
+    # order or a cosine's polynomial need not: the lot pin and the golden
+    # reports are required at each level, one process per level.
+    umath = np._core._multiarray_umath
+    if not any(t.startswith("X86_V") for t in umath.__cpu_dispatch__):
+        pytest.skip("numpy dispatches to no x86-64 level here")
+    above = X86_TARGETS[X86_TARGETS.index(level) + 1 :]
+    if not umath.__cpu_features__.get(above[0]):
+        pytest.skip(f"{level}: this CPU lacks {above[0]}, so every run is at {level} or below")
+    off = [t for t in above if umath.__cpu_features__.get(t)]
     src = str(Path(parkfield.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off), PYTHONPATH=path)
     proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["core"] in names
+    assert got["features"] == dict.fromkeys(off, False)
     assert got["lot"] == LOT_OUTPUTS_SHA256
     recorded = sorted((BENCH_DIR / "expected").glob("*.report"))
     want = {p.stem + ".json": hashlib.sha256(p.read_bytes()).hexdigest() for p in recorded}
     assert got["reports"] == want
+
+
+BLAS_NAMES = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+
+
+def blas_uses(source):
+    """``(line, name)`` of each ``@`` or ``@=`` in ``source``, each attribute
+    named in ``BLAS_NAMES`` and each such name in a ``from numpy`` import."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names = {*node.module.split("."), *(alias.name for alias in node.names)}
+            yield from ((node.lineno, name) for name in sorted(names & BLAS_NAMES))
+
+
+def test_src_makes_no_blas_call():
+    # The pins hold on every CPU only while no product goes through BLAS,
+    # whose kernels differ between CPUs and may fuse a multiply-add.
+    probe = "dot = a * b\nx @ y\nx @= y\nnp.dot(x, y)\nfrom numpy.linalg import norm\n"
+    assert sorted(blas_uses(probe)) == [(2, "@"), (3, "@"), (4, "dot"), (5, "linalg")]
+    package = Path(parkfield.__file__).parent
+    found = [(p.name, *use) for p in sorted(package.glob("*.py")) for use in blas_uses(p.read_text())]
+    assert found == []
 
 
 # An axis-only, a general-only and two mixed sets.
@@ -705,4 +718,4 @@ def test_sample_field_rejects_degenerate_bounds(unit_square):
 
 
 if __name__ == "__main__":
-    print_blas_core_outputs()
+    print_dispatch_outputs()
