@@ -32,6 +32,9 @@ composed per point; the general part sees the shifted points, through
 row.  It works in tiles of about as many x shifts as y shifts, whose
 values hold at most ``_TILE_POINTS`` points (half that beside a general
 part), in scratch of the call.
+``FieldSet.eval_nodes`` takes the same row pair at some nodes of such a
+lattice only: it makes the side rows once per distinct X and Y of a block
+of them, and composes each node from them by row gathers.
 ``FieldSet.eval_grid`` is the lattice of the one sample ``(0, 0)``: a
 field map's nodes, which ``FieldMap.fold`` takes band by band.
 
@@ -70,6 +73,15 @@ _BLOCK_POINTS = 16384
 # mostly saves per-tile calls.  A set with general polygons takes tiles of
 # half as many points, 512 KB, beside its block scratch, 512 KB.
 _TILE_POINTS = 65536
+# Side-row points per block pair of ``FieldSet.eval_nodes``, 512 KB: a
+# lattice tile's values, and half that beside general polygons, as for
+# ``_TILE_POINTS``.  The call composes its nodes in the caller's scratch, a
+# kernel block at a time, so its side rows are all the memory it holds of
+# its own.  The nodes that a bounded scan picks at one heading share their
+# shifts (about 0.27 distinct x or y shifts per node on the goldens at a
+# 0.05 m pitch), and 24 of a goldens oracle pass's 44 calls fit one block
+# pair.
+_SIDE_POINTS = 65536
 
 
 def _block_slices(n: int, limit: int):
@@ -133,6 +145,9 @@ class FieldSet:
         # The largest offset magnitude of any line, which bounds the
         # rounding of a line's value with the coordinates' magnitudes.
         self._scale = max(abs(e.c) for edges in lines for e in edges)
+        # The ``(|a|, |b|)`` of the general lines, each pair once: the
+        # translation norm's terms besides the axis lines'.
+        self._slopes = sorted({(abs(a), abs(b)) for edges in self._lines for a, b, _ in edges})
         # Scratch rows per block point: the axis form needs 2, a box's
         # running minimum and one line; the general part 4, a polygon's
         # running minimum, a line, its ``b*y`` and the ``lines`` entry's
@@ -153,6 +168,30 @@ class FieldSet:
         if len(self._buf) < need:
             self._buf = np.empty(need)
         return self._buf
+
+    def shift_norm(self, dx, dy) -> np.ndarray:
+        """The set's translation norm ``N(dx, dy) = max(dx, dy, |a|*dx +
+        |b|*dy per general line)`` at the non-negative arrays ``dx`` and
+        ``dy``, broadcast.
+
+        A translation by ``(±dx, ±dy)`` moves each line's value by ``|a*dx +
+        b*dy|``, at most ``|a|*dx + |b|*dy`` (an axis line's by ``dx`` or
+        ``dy``), and minima and maxima of values that each move by at most
+        N move by at most N, so the exact field does too.  No line needs a
+        unit normal.
+
+        Rounding: computed, N is within three units of ``2**-53`` of itself
+        of the exact N (two products and their sum), and a computed line
+        value, with ``|a|`` and ``|b|`` at most 1 as an edge line's are,
+        within three units of ``2**-53`` of ``|x| + |y| + |c|`` of the
+        exact one.  So between two points whose ``|x| + |y|`` plus the set's
+        largest ``|c|`` is at most S, the computed field moves by at most
+        the computed N plus ``2**-49 * S``.
+        """
+        norm = np.maximum(dx, dy)
+        for a, b in self._slopes:
+            np.maximum(norm, a * dx + b * dy, out=norm)
+        return norm
 
     def eval_many(self, x: np.ndarray, y: np.ndarray, *, out=None, lines=None) -> np.ndarray:
         """Composite field at the points ``(x[i], y[i])``, into ``out`` if given.
@@ -269,6 +308,64 @@ class FieldSet:
                 self._compose(xr, yr, out, temp, bool(self._lines))
                 yield j0, k0, out
 
+    def eval_nodes(self, x, y, xs, ys, i, j, scratch):
+        """Composite field at ``(x[t] + xs[i[n]], y[t] + ys[j[n]])`` for
+        each node ``n`` of the index arrays ``i`` and ``j``, in any order.
+
+        Yields ``(nodes, values)``: ``values[a, t]`` is the field at node
+        ``nodes[a]``, in the last of the three equal rows of ``scratch``,
+        the caller's 1-D array of at least ``3 * len(x)`` points, which the
+        next values overwrite.  The distinct x shifts and y shifts go in
+        blocks (``_rank_blocks``) whose side rows, made by ``_side`` once
+        per shift of a block, hold at most ``_SIDE_POINTS`` points (half
+        that beside general polygons, as ``_TILE_POINTS`` is halved), in
+        scratch of the call; each x block's rows serve all its nodes.  Each
+        node is composed from gathered copies of its rows by ``_compose``'s
+        operations, and the general part sees the posed points as in
+        ``eval_lattice``, so the values are bit-identical to that entry's.
+        """
+        n = len(x)
+        step = len(scratch) // (3 * n)
+        rows = scratch[: 3 * step * n].reshape(3, -1)
+        depth = [bool(self._single[c]) + len(self._boxes) for c in (0, 1)]
+        cap = max(sum(depth), (_SIDE_POINTS // 2 if self._lines else _SIDE_POINTS) // n)
+        keys = [_ranks(i, len(xs)), _ranks(j, len(ys))]
+        size = _rank_blocks(depth, [len(u) for u, _ in keys], cap)
+        side = np.empty((depth[0] * size[0] + depth[1] * size[1]) * n)
+        cut = depth[0] * size[0] * n
+        sides = side[:cut].reshape(depth[0], size[0], n), side[cut:].reshape(depth[1], size[1], n)
+        # The nodes by block pair, x block major.
+        count = -(-len(keys[1][0]) // size[1])
+        pair = keys[0][1] // size[0] * count + keys[1][1] // size[1]
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        ends = np.flatnonzero(np.diff(pair)) + 1
+        made = [None, None]  # the block of each coordinate whose rows are made
+        for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), len(order)]):
+            at = order[lo:hi]
+            blocks = divmod(int(pair[lo]), count)
+            local = []
+            for coord, (r, shifts, (u, rank)) in enumerate(((x, xs, keys[0]), (y, ys, keys[1]))):
+                first = blocks[coord] * size[coord]
+                local.append(rank[at] - first)
+                if made[coord] == blocks[coord]:
+                    continue
+                made[coord] = blocks[coord]
+                shifts = shifts[u[first : first + size[coord]]]
+                for s0, s1 in _block_slices(len(shifts), step):
+                    temps = rows[:2, : (s1 - s0) * n]
+                    self._side(coord, r, shifts[s0:s1], sides[coord][:, s0:s1], *temps)
+            for a0, a1 in _block_slices(len(at), step):
+                spare, work, out = (row[: (a1 - a0) * n].reshape(-1, n) for row in rows)
+                if self._lines:
+                    np.add(x, xs[i[at[a0:a1]], None], out=work)
+                    np.add(y, ys[j[at[a0:a1]], None], out=out)
+                    flat = out.reshape(-1)
+                    self.eval_many(work.reshape(-1), flat, out=flat, lines=self._lines)
+                ia, ja = (index[a0:a1] for index in local)
+                self._compose_nodes(sides[0], ia, sides[1], ja, out, work, spare)
+                yield at[a0:a1], out
+
     def _side(self, coord, r, shifts, rows, vals, work):
         """The side rows of coordinate ``coord`` at ``r + shifts[t]`` per
         shift ``t``, with ``vals`` and ``work`` as scratch."""
@@ -304,6 +401,58 @@ class FieldSet:
             fold(np.minimum(bx, by, out=out if acc is None else work))
         if acc is not out:
             np.copyto(out, acc)
+
+    def _compose_nodes(self, xr, ia, yr, ja, out, work, spare):
+        """``out[a]``: the field at the points of X side ``ia[a]`` and Y
+        side ``ja[a]``, by ``_compose``'s operations in its order on copies
+        of the side rows gathered into ``out``, ``work`` and ``spare``,
+        folded over the general part's values that ``out`` holds if the set
+        has general polygons."""
+        filled = bool(self._lines)
+        kx, ky = bool(self._single[0]), bool(self._single[1])
+        # The indices are in range; mode "raise" would buffer the output.
+        for sides, index, single in ((xr, ia, kx), (yr, ja, ky)):
+            if single:
+                term = sides[0].take(index, axis=0, out=spare if filled else out, mode="clip")
+                if filled:
+                    np.maximum(out, term, out=out)
+                filled = True
+        for b in range(len(self._boxes)):
+            bx = xr[kx + b].take(ia, axis=0, out=spare, mode="clip")
+            by = yr[ky + b].take(ja, axis=0, out=work, mode="clip")
+            np.minimum(bx, by, out=work if filled else out)
+            if filled:
+                np.maximum(out, work, out=out)
+            filled = True
+
+
+def _ranks(index, size) -> tuple:
+    """``(keys, rank)``: the distinct values of the integer array
+    ``index``, all below ``size``, ascending, and each element's position
+    among them.  By a mark per value, not ``np.unique``: its sort adds
+    about 0.6 MB of resident code to a process that runs no other."""
+    seen = np.zeros(size, dtype=bool)
+    seen[index] = True
+    keys = np.flatnonzero(seen)
+    rank = np.empty(size, dtype=np.intp)
+    rank[keys] = np.arange(len(keys))
+    return keys, rank[index]
+
+
+def _rank_blocks(depth, counts, cap) -> tuple:
+    """``(bx, by)``: how many of the ``counts`` distinct x and y shifts go
+    in one block, so that a block pair's side rows, ``depth`` per shift,
+    number at most ``cap``: all of them if they fit; else all of one
+    coordinate if its rows take at most half, and blocks of the other in
+    the rest; else half each.  At least one shift a block."""
+    (dx, dy), (nx, ny) = depth, counts
+    if dx * nx + dy * ny <= cap:
+        return nx, ny
+    if dy * ny <= cap // 2:
+        return max(1, (cap - dy * ny) // dx), ny
+    if dx * nx <= cap // 2:
+        return nx, max(1, (cap - dx * nx) // dy)
+    return max(1, cap // 2 // dx), max(1, cap // 2 // dy)
 
 
 def _fold(op, p, lines, out, temp, held=False):

@@ -276,7 +276,7 @@ class ObjectiveEvaluator:
         self._rows: dict = {}
         self._buf = np.empty(0)
 
-    def scores(self, poses: np.ndarray, axes: tuple | None = None) -> np.ndarray:
+    def scores(self, poses: np.ndarray, axes: tuple | None = None, *, nodes=None) -> np.ndarray:
         """Objective at each pose row (x, y, theta).
 
         Shape ``(P,)`` for one footprint, ``(F, P)`` for F footprints.
@@ -301,8 +301,22 @@ class ObjectiveEvaluator:
         translation in tiles of at most ``_TILE_POINTS`` points.  Each
         lattice node's weighted sum is the per-pose path's, so the scores
         keep their bits.
+
+        Given ``nodes`` too, index arrays ``(i, j, k)``, ``poses`` are the
+        rows of those nodes of the lattice ``axes``, again not read: each
+        heading's nodes go to the field set's ``eval_nodes``, which makes
+        the side rows once per distinct x or y translation of a block of
+        them and composes only those nodes, with the lattice entry's bits.
         """
-        if axes is None:
+        if nodes is not None:
+            xs, ys, headings = axes
+            i, j, k = nodes
+            out = np.empty((len(self._columns), len(k)))
+            for h in range(len(headings)):
+                at = np.flatnonzero(k == h)
+                if len(at):
+                    out[:, at] = self._nodes(headings[h : h + 1], xs, ys, i[at], j[at])
+        elif axes is None:
             poses = np.asarray(poses, dtype=float).reshape(-1, 3)
             bits = poses[:, 2].view(np.int64)
             order = np.argsort(bits, kind="stable")
@@ -352,6 +366,23 @@ class ObjectiveEvaluator:
             values = values.reshape(tx * ty, m)
             for cell, column in zip(grid, self._columns):
                 cell[j : j + tx, k : k + ty] = self._weighted(values, *column).sum(axis=1).reshape(tx, ty)
+
+    def _nodes(self, theta, xs, ys, i, j) -> np.ndarray:
+        """The ``(F, len(i))`` scores of the nodes ``(i, j)`` of the
+        one-element heading ``theta``, composed in the evaluator's scratch
+        buffer a kernel block of points at a time, as ``_pose_blocks``
+        sizes it."""
+        ((rx, ry),) = self._rotated(theta, theta.view(np.int64).tolist())
+        m = len(rx)
+        need = 3 * m * min(max(1, _BLOCK_POINTS // m), len(i))
+        if len(self._buf) < need:
+            self._buf = np.empty(need)
+        sums = np.empty((len(self._columns), len(i)))
+        for at, values in self._fields.eval_nodes(rx, ry, xs, ys, i, j, self._buf[:need]):
+            # A union evaluator's weighted values go over the first row.
+            for row, column in zip(sums, self._columns):
+                row[at] = self._weighted(values, *column).sum(axis=1)
+        return sums
 
     def _weighted(self, values, cols, weights):
         """Per-sample weighted ``values`` of one footprint's columns, C-contiguous.
@@ -416,23 +447,32 @@ def objective(
 
 
 def check_feasible(footprint: VehicleFootprint, spot: ParkingSpot, headings) -> None:
+    """Raise ``InfeasibleSpotError`` unless the body fits the spot box at
+    some heading.
+
+    The body may overhang each spot extent by 2**-24 of that extent: a
+    spot's extents come from its corners rounded at the map's coordinates,
+    within 2**-25.4 of themselves (the argument of ``_lattice_axes``), so a
+    spot that a body exactly fits still fits wherever the map's origin is.
+    """
     body = footprint.body
     length = body.x_max - body.x_min
     width = body.y_max - body.y_min
+    tol_x, tol_y = spot.length * 2.0**-24, spot.width * 2.0**-24
     best_over = None
     for heading in headings:
         c, s = abs(math.cos(heading)), abs(math.sin(heading))
         over_x = max(0.0, length * c + width * s - spot.length)
         over_y = max(0.0, length * s + width * c - spot.width)
-        if over_x <= 1e-9 and over_y <= 1e-9:
+        if over_x <= tol_x and over_y <= tol_y:
             return
         if best_over is None or over_x + over_y < best_over[0] + best_over[1]:
             best_over = (over_x, over_y)
     over_x, over_y = best_over
     parts = []
-    if over_x > 1e-9:
+    if over_x > tol_x:
         parts.append(f"length over by {over_x:.3f} m")
-    if over_y > 1e-9:
+    if over_y > tol_y:
         parts.append(f"width over by {over_y:.3f} m")
     raise InfeasibleSpotError(
         spot.id,
@@ -859,33 +899,47 @@ def _stride_nodes(n: int, stride: int) -> np.ndarray:
 
 
 def _halving(axis: np.ndarray, stride: int) -> tuple:
-    """``(nodes, lo, dlo, hi, dhi)``: the stride-``stride // 2`` indices of
-    a lattice axis, and the index and distance of each one's lower and of
-    its upper enclosing stride-``stride`` node, itself at distance 0 if it
-    is one."""
+    """``(nodes, ends, near, steps)``: the stride-``stride // 2`` indices of
+    a lattice axis; as a ``(2, n)`` array, the index of each one's lower and
+    of its upper enclosing stride-``stride`` node, itself if it is one; the
+    distinct distances to them, ``steps``; and as a ``(2, n)`` array, the
+    index in ``steps`` of each node's distance to either end."""
     n = len(axis)
     nodes = _stride_nodes(n, stride // 2)
     old = (nodes % stride == 0) | (nodes == n - 1)
     lo = np.where(old, nodes, nodes - nodes % stride)
     hi = np.where(old, nodes, np.minimum(lo + stride, n - 1))
-    return nodes, lo, axis[nodes] - axis[lo], hi, axis[hi] - axis[nodes]
+    gaps = np.concatenate((axis[nodes] - axis[lo], axis[hi] - axis[nodes])).tolist()
+    # Distinct by a dict, not ``np.unique``: the distances are few (at most
+    # 19 a level on axes of 2.5-250 m at pitches down to 0.5 mm), and its
+    # sort adds about 0.6 MB of resident code to a process that runs no
+    # other.
+    steps = dict.fromkeys(gaps)
+    for k, gap in enumerate(steps):
+        steps[gap] = k
+    near = np.array([steps[gap] for gap in gaps]).reshape(2, -1)
+    return nodes, np.array((lo, hi)), near, np.array(list(steps))
 
 
-def _level_bounds(values: np.ndarray, x: tuple, y: tuple, lipschitz: np.ndarray) -> np.ndarray:
+def _level_bounds(values: np.ndarray, x: tuple, y: tuple, drop: np.ndarray) -> np.ndarray:
     """The ``(F, bx, ny', H)`` bounds of the nodes of a finer level, ``x``
-    (one block of them) and ``y`` from ``_halving``, over the ``(F, nx,
-    ny, H)`` grid of ``values``: per footprint and heading, the largest over
-    a node's enclosing nodes of their value less that footprint's
-    ``lipschitz`` times the distance.
+    (one block of them) and ``y`` as ``(ends, near)`` from ``_halving``,
+    over the ``(F, nx, ny, H)`` grid of ``values``: per footprint and
+    heading, the largest over a node's enclosing nodes of their value plus
+    that footprint's drop over the distance between them.
 
-    Each corner pair takes one gather of the values and one distance grid,
-    and a term is ``distance * -lipschitz``, then plus the value."""
+    ``drop[f, u, v]`` is footprint f's ``lipschitz`` times the translation
+    norm N of the x distance ``steps[u]`` and the y distance ``steps[v]``
+    (``FieldSet.shift_norm``), negated.  Each x end takes one gather of the
+    values' rows and of the drops, each corner pair one gather of columns
+    from them, and a term is the value plus the drop.  The drops'
+    roundings, N's three among them, are in ``_bound_slack``."""
     bound = None
-    slope = -lipschitz[:, None, None]
-    for a, dx in (x[1:3], x[3:5]):
-        for b, dy in (y[1:3], y[3:5]):
-            term = values[:, a[:, None], b]
-            term += (np.hypot(dx[:, None], dy[None]) * slope)[..., None]
+    for a, u in zip(*x):
+        rows, drops = values.take(a, axis=1), drop.take(u, axis=1)
+        for b, v in zip(*y):
+            term = rows.take(b, axis=2)
+            term += drops.take(v, axis=2)[..., None]
             bound = term if bound is None else np.maximum(bound, term, out=bound)
     return bound
 
@@ -894,21 +948,28 @@ def _bound_slack(evaluator: ObjectiveEvaluator, axes, levels: int) -> tuple:
     """``(lipschitz, slack)`` of each footprint of ``evaluator`` over
     ``axes``, as arrays.
 
-    Every field line has a unit normal, so the field is 1-Lipschitz, and at
-    one heading two lattice nodes differ by a translation: the exact
-    objective moves by at most ``lipschitz``, the sum of the quadrature
-    weights' magnitudes, per metre between them.  The slack covers what
-    rounding adds.  Let S be twice the largest ``|lx| + |ly|`` of the
-    samples plus twice the spot extents plus the largest line offset
-    magnitude, so that it bounds every posed coordinate, line value and
-    node distance.  A computed score is then within ``(m + 6)`` units of
-    ``2**-53`` of ``lipschitz * S`` of the exact one over the same rotated
-    samples (a posed point, a line value, a weighting, and an ``m``-term
-    sum in any order), and each of a bound's at most ``levels`` steps
-    (a distance, its product with the computed weight sum, a difference)
-    adds a few more.  ``_BOUND_SLACK * (m + levels)`` units of ``lipschitz
-    * S`` is over 20 times their total.  S is taken over the samples of
-    all the footprints, which only widens the slack.
+    At one heading two lattice nodes differ by a translation ``(dx,
+    dy)``, which moves the exact field by at most the field set's
+    translation norm ``N(|dx|, |dy|)`` (``FieldSet.shift_norm``), whatever
+    the lines' normals: the exact objective moves by at most
+    ``lipschitz``, the sum of the quadrature weights' magnitudes, times N.
+    The slack covers what rounding adds.  Let S be twice the largest ``|lx|
+    + |ly|`` of the samples plus twice the spot extents plus the largest
+    line offset magnitude, so that it bounds every posed coordinate, line
+    value and node distance (an edge line's ``|a|`` and ``|b|`` are at most
+    1: its normal is divided by its length).  A computed score is then
+    within ``(m + 6)`` units of ``2**-53`` of ``lipschitz * S`` of the exact
+    one over the same rotated samples (a posed point, a line value, a
+    weighting, and an ``m``-term sum in any order).  A bound's at most
+    ``levels`` steps each add a drop, the computed weight sum times the
+    computed N, to a value.  The steps' distances halve, so their norms sum
+    to at most S, and the drops' roundings (N's three, two products and
+    their sum, the weight sum's ``m`` and the product's one) add at most
+    ``m + 4`` units in all; each step's sum adds two more.
+    ``_BOUND_SLACK * (m + levels)`` units of ``lipschitz * S``, ``2**9 *
+    (m + levels)``, is over 40 times their total, ``2m + 10 + 2*levels``.
+    S is taken over the samples of all the footprints, which only widens
+    the slack.
     """
     lx, ly = evaluator._coords
     weights = [weights for _, weights in evaluator._columns]
@@ -940,10 +1001,12 @@ def _bounded_scan(evaluator: ObjectiveEvaluator, axes, stride: int, cut) -> tupl
     first, through the lattice entry.  Each halving of the stride gives a
     node of the finer level the largest over its enclosing nodes of the
     coarser one of their value less the Lipschitz constant times the
-    distance (``_bound_slack``), one ``_level_bounds`` call per block of
-    the level's x nodes for every footprint and heading, and the nodes
-    whose bound is at most a footprint's cut plus its slack are scored pose
-    by pose for every footprint, which keeps the lattice entry's bits.
+    translation norm of the distance (``_bound_slack``), one
+    ``_level_bounds`` call per block of the level's x nodes for every
+    footprint and heading, and the nodes whose bound is at most a
+    footprint's cut plus its slack are scored for every footprint through
+    the node entry (``scores``' ``nodes``), which keeps the lattice entry's
+    bits.
     Past the last level the cuts are taken again, and the nodes under them
     scored, until none is left: a cut may rise as nodes are scored.  A node
     left unscored then scores strictly above every footprint's cut of the
@@ -956,7 +1019,8 @@ def _bounded_scan(evaluator: ObjectiveEvaluator, axes, stride: int, cut) -> tupl
     lipschitz, slack = _bound_slack(evaluator, axes, stride.bit_length() - 1)
 
     def score(nodes):
-        values[(slice(None), *nodes)] = evaluator.scores(_node_rows(axes, nodes)).reshape(count, -1)
+        rows = _node_rows(axes, nodes)
+        values[(slice(None), *nodes)] = evaluator.scores(rows, axes, nodes=nodes).reshape(count, -1)
         scored[nodes] = True
 
     i, j = _stride_nodes(len(xs), stride), _stride_nodes(len(ys), stride)
@@ -968,14 +1032,15 @@ def _bounded_scan(evaluator: ObjectiveEvaluator, axes, stride: int, cut) -> tupl
         level = cut(values, scored) + slack
         x, y = _halving(xs, stride), _halving(ys, stride)
         j = y[0]
+        # The level's drops, once per pair of distinct x and y distances.
+        drop = evaluator._fields.shift_norm(x[3][:, None], y[3][None]) * -lipschitz[:, None, None]
         picks = []
         # Blocks of the level's x nodes, so that a block's bounds of every
         # footprint and heading stay within a kernel block.
         per_x = count * len(j) * len(headings)
         for lo, hi in _block_slices(len(x[0]), max(1, _BLOCK_POINTS // per_x)):
-            part = tuple(v[lo:hi] for v in x)
-            i = part[0]
-            bound = _level_bounds(values, part, y, lipschitz)
+            i = x[0][lo:hi]
+            bound = _level_bounds(values, (x[1][:, lo:hi], x[2][:, lo:hi]), y[1:3], drop)
             # A node of the coarser level keeps its value: it is its own
             # enclosing node, at distance 0.  The level's new nodes enclose
             # none, so a block's writes leave every later block's corners

@@ -300,11 +300,14 @@ def _grid_convergence():
 
 
 def _thread_count_determinism():
+    # No code path reads the thread variables; the hash seeds make the two
+    # runs differ where order could: in any set or dict of strings.
     reports = []
-    for threads in ("1", "4"):
+    for threads, hash_seed in (("1", "0"), ("4", "12345")):
         env = dict(os.environ)
         env["OMP_NUM_THREADS"] = threads
         env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONHASHSEED"] = hash_seed
         proc = subprocess.run(
             [sys.executable, "-m", "parkfield.cli", "solve",
              str(SCENARIO_DIR / "three_spot_area.json")],

@@ -796,7 +796,20 @@ def test_a_moved_golden_keeps_its_lattice_node_counts():
     # A spot's extents come from its rounded corners: moved by (-1.3, 5e5,
     # 5e6) the goldens' 5 m lengths read 5.000000000265875, and a tolerance
     # of 1e-9 cells gave their 0.25 m lattices 22 x-nodes instead of 21.
+    motions = ((0.7, 3.0, -2.0), (2.5, 1e5, -3e4), (-1.3, 5e5, 5e6))
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         doc = json.loads(path.read_text())
-        for motion in ((0.7, 3.0, -2.0), (2.5, 1e5, -3e4), (-1.3, 5e5, 5e6)):
+        for motion in motions:
             assert lattice_sizes(moved_scene(doc, *motion)) == lattice_sizes(doc), (path.name, motion)
+    # A 4.2 m x 1.8 m spot, which the default 4.2 m x 1.8 m body exactly
+    # fits, still fits when moved: by the last motion its length reads
+    # 4.1999999984971526, which a feasibility tolerance of 1e-9 m took for
+    # a body 1.5e-9 m too long (exit 3).
+    tight = json.loads((SCENARIO_DIR / "empty_spot.json").read_text())
+    tight["spots"][0]["corners"] = [[0.0, 0.0], [4.2, 0.0], [4.2, 1.8], [0.0, 1.8]]
+    for motion in motions + ((0.06886501705991455, 17554225.02209408, -4321754.37823838),):
+        moved = moved_scene(tight, *motion)
+        assert lattice_sizes(moved) == lattice_sizes(tight), motion
+        scenario = load_scenario(json.dumps(moved))
+        footprint = build_footprint(scenario.context, scenario.vehicle)
+        solver.check_feasible(footprint, scenario.spots[0], solver.SolverConfig().headings)

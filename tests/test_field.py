@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parkfield
-from parkfield import cli, solver
+from parkfield import cli, field, solver
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample_field
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
@@ -368,6 +368,29 @@ def test_lattice_entry_equals_the_point_kernel(lines):
 
 
 @pytest.mark.parametrize("lines", ENTRY_SETS)
+def test_node_entry_equals_the_lattice_entry(lines):
+    # Random nodes of a lattice, in any order and some repeated, with side
+    # rows in blocks of one shift each and of the default size.
+    fields = kernel_set(lines)
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(-1, 1, (2, 37))
+    xs, ys = signed_zero_shifts(rng, 40), signed_zero_shifts(rng, 25)
+    dense = np.empty((len(xs), len(ys), len(x)))
+    for j, k, values in fields.eval_lattice(x, y, xs, ys):
+        dense[j : j + values.shape[0], k : k + values.shape[1]] = values
+    for count in (1, 7, 300, 1500):
+        i, j = rng.integers(0, len(xs), count), rng.integers(0, len(ys), count)
+        for side in (1, field._SIDE_POINTS):
+            scratch = np.empty(3 * len(x) * rng.integers(1, 9))
+            got = np.full((count, len(x)), np.nan)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(field, "_SIDE_POINTS", side)
+                for at, values in fields.eval_nodes(x, y, xs, ys, i, j, scratch):
+                    got[at] = values
+            assert_same_bits(got, dense[i, j])
+
+
+@pytest.mark.parametrize("lines", ENTRY_SETS)
 def test_grid_entry_equals_the_point_kernel_on_a_meshgrid(lines):
     fields = kernel_set(lines)
     rng = np.random.default_rng(6)
@@ -541,8 +564,8 @@ def golden_rankings():
 @pytest.mark.parametrize(
     "rankings, products",
     [
-        pytest.param(lot_rankings, 65_950_368, id="lot"),
-        pytest.param(golden_rankings, 4_671_000, id="goldens"),
+        pytest.param(lot_rankings, 65_318_352, id="lot"),
+        pytest.param(golden_rankings, 4_665_384, id="goldens"),
     ],
 )
 def test_the_skip_pins_the_product_work(rankings, products, monkeypatch):
@@ -564,8 +587,8 @@ def test_the_skip_pins_the_product_work(rankings, products, monkeypatch):
 @pytest.mark.parametrize(
     "rankings, poses",
     [
-        pytest.param(lot_rankings, (14_784, 4_224, 6_595), id="lot"),
-        pytest.param(golden_rankings, (5_082, 1_452, 2_319), id="goldens"),
+        pytest.param(lot_rankings, (14_784, 4_224, 6_407), id="lot"),
+        pytest.param(golden_rankings, (5_082, 1_452, 2_220), id="goldens"),
     ],
 )
 def test_the_bounded_coarse_stage_pins_its_poses(rankings, poses, monkeypatch):
@@ -574,12 +597,12 @@ def test_the_bounded_coarse_stage_pins_its_poses(rankings, poses, monkeypatch):
     scores = solver.ObjectiveEvaluator.scores
     bounded_scan = solver._bounded_scan
 
-    def counting_scores(self, rows, axes=None):
+    def counting_scores(self, rows, axes=None, *, nodes=None):
         if scan:
             n = np.asarray(rows).size // 3
-            counts[1] += n if axes is not None else 0
+            counts[1] += n if axes is not None and nodes is None else 0
             counts[2] += n
-        return scores(self, rows, axes)
+        return scores(self, rows, axes, nodes=nodes)
 
     def counting_scan(*args):
         scan.append(True)
@@ -654,6 +677,34 @@ def test_gamma_is_1_lipschitz(px, py, qx, qy):
     a = gamma(fields, Point2(px, py))
     b = gamma(fields, Point2(qx, qy))
     assert abs(a - b) <= math.hypot(px - qx, py - qy) + 1e-9
+
+
+def test_translation_norm_bounds_the_field_change():
+    # Random convex polygons at any angle and upright boxes: between p and
+    # p + d the computed field moves by at most the computed N(|dx|, |dy|),
+    # plus the allowance of ``shift_norm``'s docstring, 2**-49 of the
+    # largest |x| + |y| at the two points plus the set's largest offset.
+    # The points are multiples of 2**-20 below 8, so p + d is exact.
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        shapes = [
+            regular_polygon(*rng.uniform(-3, 3, 2), rng.uniform(0.2, 2), rng.integers(3, 8))
+            for _ in range(rng.integers(0, 4))
+        ]
+        polygons = [tilted(shape, rng.uniform(-4, 4)) for shape in shapes]
+        for _ in range(rng.integers(0 if polygons else 1, 3)):
+            x0, y0 = rng.uniform(-3, 2, 2)
+            polygons.append(axis_rect(x0, y0, x0 + rng.uniform(0.1, 2), y0 + rng.uniform(0.1, 2)))
+        fields = FieldSet(polygons)
+        px, py, dx, dy = np.round(rng.uniform(-3.5, 3.5, (4, 400)) * 2**20) / 2**20
+        # Some moves along one axis, some exactly zero.
+        dx[::5], dy[1::5], dx[2::9], dy[2::9] = 0.0, 0.0, -0.0, 0.0
+        moved = fields.eval_many(px + dx, py + dy) - fields.eval_many(px, py)
+        norm = fields.shift_norm(np.abs(dx), np.abs(dy))
+        scale = np.maximum(np.abs(px) + np.abs(py), np.abs(px + dx) + np.abs(py + dy)) + fields._scale
+        assert np.all(np.abs(moved) <= norm + 2.0**-49 * scale)
+        # The norm is at most the Euclidean distance, up to its roundings.
+        assert np.all(norm <= np.hypot(dx, dy) * (1 + 2.0**-48))
 
 
 def test_fieldset_requires_polygons():

@@ -31,7 +31,7 @@ from parkfield.solver import (
     objective,
 )
 
-from parkfield import cli, solver
+from parkfield import cli, field, solver
 from parkfield.strategy import rank_spots
 
 from conftest import (
@@ -740,6 +740,44 @@ def test_lattice_union_scores_exact_per_footprint(lattice_calls):
             assert np.array_equal(shared.scores(poses, axes), column)
 
 
+def test_node_scores_equal_the_per_pose_path(lattice_calls):
+    # Random nodes of random lattices at the headings 0.0, -0.0 and pi,
+    # through ``scores(rows, axes, nodes=...)``, against the same rows pose
+    # by pose: on an axis-only set, one with a box, one with general
+    # polygons and a general-only one; alone and as a union with the
+    # ablations; under grid and monte-carlo plans.  Neither entry reaches
+    # the lattice entry.
+    full = lattice_field_set()
+    sets = [FieldSet(full.polygons[:k]) for k in (4, 5)] + [full, FieldSet(full.polygons[5:])]
+    ablations = [LATTICE_FOOTPRINT.without(label) for label in LATTICE_FOOTPRINT.labels()]
+    rng = np.random.default_rng(14)
+    headings = np.array([0.0, -0.0, math.pi])
+    for fields in sets:
+        depth = [bool(fields._single[c]) + len(fields._boxes) for c in (0, 1)]
+        budget = field._SIDE_POINTS // 2 if fields._lines else field._SIDE_POINTS
+        for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
+            for footprints in ([LATTICE_FOOTPRINT], [LATTICE_FOOTPRINT, *ablations]):
+                evaluator = ObjectiveEvaluator(fields, footprints, plan)
+                m = evaluator._coords.shape[1]
+                for nx, ny, share in ((1, 1, 1.0), (7, 5, rng.random()), (120, 40, 0.5)):
+                    xs = np.sort(rng.uniform(0.0, 5.0, nx))
+                    ys = np.sort(rng.uniform(0.0, 2.5, ny))
+                    axes = (xs, ys, headings)
+                    size = nx * ny * len(headings)
+                    flat = rng.choice(size, max(1, int(share * size)), replace=False)
+                    nodes = np.unravel_index(flat, (nx, ny, len(headings)))
+                    rows = solver._node_rows(axes, nodes)
+                    got = evaluator.scores(rows, axes, nodes=nodes)
+                    assert got.tobytes() == evaluator.scores(rows).tobytes(), (nx, ny)
+                    if nx == 120 and any(depth):
+                        # More distinct shifts at one heading than one
+                        # tile's side rows hold.
+                        i, j, k = nodes
+                        shifts = [len(np.unique(index[k == 0])) for index in (i, j)]
+                        assert (depth[0] * shifts[0] + depth[1] * shifts[1]) * m > budget
+    assert lattice_calls == []
+
+
 def test_lattice_path_skips_polls_and_general_only_sets(lattice_calls):
     fields = lattice_field_set()
     evaluator = ObjectiveEvaluator(fields, LATTICE_FOOTPRINT, SamplingPlan())
@@ -1045,9 +1083,9 @@ def scored_poses(monkeypatch):
     seen = {}
     original = ObjectiveEvaluator.scores
 
-    def recording(self, poses, *args):
+    def recording(self, poses, *args, **kwargs):
         seen.setdefault(self, []).extend(map(tuple, np.asarray(poses).tolist()))
-        return original(self, poses, *args)
+        return original(self, poses, *args, **kwargs)
 
     monkeypatch.setattr(ObjectiveEvaluator, "scores", recording)
     return seen

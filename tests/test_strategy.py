@@ -368,9 +368,10 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     # With explain on, the base solve and its 3 re-solves start from one
     # coarse scan under the union of their footprints: its first call
     # sends the stride-2 sub-lattice's samples to the field set's lattice
-    # entry once, not once per solve; its later calls score the nodes it
-    # could not bound away pose by pose, none of them twice; no other
-    # scores call reaches the lattice entry.
+    # entry once, not once per solve; its later calls send the nodes it
+    # could not bound away to the node entry, none of them twice, and on
+    # this axis-only set none of their points reach the kernel; no other
+    # scores call reaches the lattice entry or the node entry.
     scenario = load_golden("single_obstacle_baby.json")
     footprint = build_footprint(scenario.context, scenario.vehicle)
     assert len(footprint.labels()) == 3 and len(scenario.spots) == 1
@@ -378,15 +379,18 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
     config = SolverConfig()
     lattice = set(map(tuple, pose_lattice(spot, config.coarse_pitch, config.headings)[0].tolist()))
     samples = ObjectiveEvaluator(spot_field_set(spot, []), footprint, SamplingPlan())._coords.shape[1]
-    # per scores call: [footprints, poses, lattice entry points, kernel points]
+    # per scores call: [footprints, poses, lattice entry points, kernel
+    # points, node entry points]
     calls = []
     scores = ObjectiveEvaluator.scores
     eval_many = FieldSet.eval_many
     eval_lattice = FieldSet.eval_lattice
+    eval_nodes = FieldSet.eval_nodes
+    general = []  # whether each node entry call's set has general polygons
 
-    def counting_scores(self, poses, *args):
-        calls.append([len(self._columns), list(map(tuple, np.asarray(poses).tolist())), 0, 0])
-        return scores(self, poses, *args)
+    def counting_scores(self, poses, *args, **kwargs):
+        calls.append([len(self._columns), list(map(tuple, np.asarray(poses).tolist())), 0, 0, 0])
+        return scores(self, poses, *args, **kwargs)
 
     def counting_eval_lattice(self, x, y, xs, ys):
         if calls:
@@ -398,26 +402,46 @@ def test_explain_scores_each_coarse_pose_once_per_spot(monkeypatch):
             calls[-1][3] += len(x)
         return eval_many(self, x, y, **kwargs)
 
+    def counting_eval_nodes(self, x, y, xs, ys, i, j, scratch):
+        if calls:
+            calls[-1][4] += len(x) * len(i)
+        general.append(bool(self._lines))
+        return eval_nodes(self, x, y, xs, ys, i, j, scratch)
+
     monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
     monkeypatch.setattr(FieldSet, "eval_lattice", counting_eval_lattice)
     monkeypatch.setattr(FieldSet, "eval_many", counting_eval_many)
+    monkeypatch.setattr(FieldSet, "eval_nodes", counting_eval_nodes)
     ranked = rank_spots(scenario, explain=True)
     assert "rear_right_door" in ranked.strategies[0].bias_drivers
     scan = [call[1:] for call in calls if call[0] == 4]
     (first, *points), *picks = scan
     # 21 x 11 nodes per heading; every other index is 11 x 6.
-    assert len(first) == 11 * 6 * 2 and points == [len(first) * samples, 0]
-    assert picks and all(points == [0, len(poses) * samples] for poses, *points in picks)
-    scanned = [pose for poses, _, _ in scan for pose in poses]
+    assert len(first) == 11 * 6 * 2 and points == [len(first) * samples, 0, 0]
+    assert general and not any(general)
+    assert picks and all(points == [0, 0, len(poses) * samples] for poses, *points in picks)
+    scanned = [pose for poses, _, _, _ in scan for pose in poses]
     assert len(scanned) == len(set(scanned)) < len(lattice) and lattice.issuperset(scanned)
-    assert all(call[2] == 0 for call in calls if call[0] != 4)
+    assert all(call[2] == call[4] == 0 for call in calls if call[0] != 4)
 
 
 @pytest.mark.parametrize("name", ["empty_spot.json", "mixed_obstacles.json"])
-def test_benchmark_tracer_counts_kernel_points_from_the_x_row(name):
+def test_benchmark_tracer_counts_kernel_points_from_the_x_row(name, monkeypatch):
     # The benchmark's tracer reads a kernel call's point count as
     # ``len(args[1])`` of ``FieldSet.eval_many``, which is the x row.
     import parkfield.cli  # noqa: F401, the tracer wraps ``cli.main`` too
+
+    # Poses that the coarse scan sends to the node entry, which the tracer
+    # counts among its refinement poses.
+    node_poses = [0]
+    scores = ObjectiveEvaluator.scores
+
+    def counting_scores(self, poses, axes=None, *, nodes=None):
+        if nodes is not None:
+            node_poses[0] += len(nodes[0])
+        return scores(self, poses, axes, nodes=nodes)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "scores", counting_scores)
 
     tracing = bench_module("tracing")
     scenario = load_golden(name)
@@ -438,12 +462,13 @@ def test_benchmark_tracer_counts_kernel_points_from_the_x_row(name):
     poses = metrics["solver.poses_scored"]
     assert poses > 0
     # Every posed point of a general polygon passes the wrapped kernel,
-    # through ``eval_many(..., lines=...)`` on a lattice tile; on an
-    # axis-only set only the refinement polls do.
+    # through ``eval_many(..., lines=...)`` on a lattice tile or a node
+    # entry tile; on an axis-only set only the refinement polls do.
     if name == "mixed_obstacles.json":
         kernel_poses = poses
     else:
-        kernel_poses = metrics["solver.refine.poses"]
+        assert node_poses[0] > 0
+        kernel_poses = metrics["solver.refine.poses"] - node_poses[0]
         assert 0 < kernel_poses < poses
     assert metrics["solver.samples"] == kernel_poses * samples / poses
     assert metrics["field.eval.point_lines"] == kernel_poses * samples * lines
