@@ -29,12 +29,13 @@ line's value at ``x_i + X`` depends on the shift only through X, so EX and
 each BX are made once per X into side rows, EY and each BY once per Y, and
 composed per point; the general part sees the shifted points, through
 ``eval_many``'s ``lines`` entry, and writes its values over the tile's y
-row.  It works in tiles of about as many x shifts as y shifts, whose
-values hold at most ``_TILE_POINTS`` points (half that beside a general
-part), in scratch of the call.
+row.  It works in tiles of about as many x shifts as y shifts, in
+scratch of the call.
 ``FieldSet.eval_nodes`` takes the same row pair at some nodes of such a
 lattice only: it makes the side rows once per distinct X and Y of a block
-of them, and composes each node from them by row gathers.
+of them, and composes each node from them by row gathers.  Both hold at
+most ``_TILE_POINTS`` points of values or side rows at a time, half that
+beside a general part.
 ``FieldSet.eval_grid`` is the lattice of the one sample ``(0, 0)``: a
 field map's nodes, which ``FieldMap.fold`` takes band by band.
 
@@ -67,21 +68,19 @@ MAX_FIELD_MAP_CELLS = 10**8
 # round (up to 18 poses of ~940-1250 samples at the default density per
 # live start) spans one to four pose blocks of the objective.
 _BLOCK_POINTS = 16384
-# Points per lattice tile of ``FieldSet.eval_lattice``.  A tile's values
-# and its work rows take 16 bytes per point, 1 MB; its side rows hold one
-# row per x shift and per y shift only, so a tile larger than a block
-# mostly saves per-tile calls.  A set with general polygons takes tiles of
-# half as many points, 512 KB, beside its block scratch, 512 KB.
+# Points per lattice tile of ``FieldSet.eval_lattice`` and side-row points
+# per block pair of ``FieldSet.eval_nodes``.  A tile's values and its work
+# rows take 16 bytes per point, 1 MB; its side rows hold one row per x
+# shift and per y shift only, so a tile larger than a block mostly saves
+# per-tile calls.  The node entry composes its nodes in the caller's
+# scratch, a kernel block at a time, so its side rows, 512 KB, are all the
+# memory it holds of its own; the nodes that a bounded scan picks at one
+# heading share their shifts (about 0.27 distinct x or y shifts per node
+# on the goldens at a 0.05 m pitch), and 24 of a goldens oracle pass's 44
+# calls fit one block pair.  A set with general polygons takes half as
+# many points in both (a tile's rows 512 KB, side rows 256 KB), beside its
+# block scratch, 512 KB.
 _TILE_POINTS = 65536
-# Side-row points per block pair of ``FieldSet.eval_nodes``, 512 KB: a
-# lattice tile's values, and half that beside general polygons, as for
-# ``_TILE_POINTS``.  The call composes its nodes in the caller's scratch, a
-# kernel block at a time, so its side rows are all the memory it holds of
-# its own.  The nodes that a bounded scan picks at one heading share their
-# shifts (about 0.27 distinct x or y shifts per node on the goldens at a
-# 0.05 m pitch), and 24 of a goldens oracle pass's 44 calls fit one block
-# pair.
-_SIDE_POINTS = 65536
 
 
 def _block_slices(n: int, limit: int):
@@ -156,6 +155,11 @@ class FieldSet:
         # cost more than the products it holds.
         self._rows = 4 if self._lines else 2
         self._buf = np.empty(0)
+        # The lattice and node entries' budget of points, and their side
+        # rows per shift of each coordinate: the one-line polygons' maximum
+        # and each box's minimum.
+        self._tile_points = _TILE_POINTS // 2 if self._lines else _TILE_POINTS
+        self._depth = [bool(self._single[c]) + len(self._boxes) for c in (0, 1)]
 
     @property
     def polygons(self) -> tuple[Polygon, ...]:
@@ -268,18 +272,15 @@ class FieldSet:
         Yields ``(j, k, values)`` tile by tile: ``values[a, b, i]`` is the
         field at ``(x[i] + xs[j + a], y[i] + ys[k + b])``, in scratch that
         the next tile overwrites.  A tile's values hold at most
-        ``_TILE_POINTS`` points, half that for a set with general polygons,
-        or one ``(x, y)`` row pair if that is more.
+        ``_tile_points`` points, or one ``(x, y)`` row pair if that is more.
         """
         n = len(x)
-        poses = max(1, (_TILE_POINTS // 2 if self._lines else _TILE_POINTS) // n)
+        poses = max(1, self._tile_points // n)
         # About as many x shifts as y shifts: of the tiles of a size, the
         # square one has the fewest side rows to make.
         tx = min(len(xs), math.isqrt(poses))
         ty = min(len(ys), max(1, poses // tx))
-        # Side rows per shift: the one-line polygons' maximum and each box's
-        # minimum.
-        depth = [bool(self._single[c]) + len(self._boxes) for c in (0, 1)]
+        depth = self._depth
         ends = np.cumsum([0, depth[0] * tx, depth[1] * ty, tx * ty, tx * ty]) * n
         # Scratch of this call only: a solve's lattice pass comes before its
         # refinement, whose blocks then reuse the memory.
@@ -317,8 +318,7 @@ class FieldSet:
         the caller's 1-D array of at least ``3 * len(x)`` points, which the
         next values overwrite.  The distinct x shifts and y shifts go in
         blocks (``_rank_blocks``) whose side rows, made by ``_side`` once
-        per shift of a block, hold at most ``_SIDE_POINTS`` points (half
-        that beside general polygons, as ``_TILE_POINTS`` is halved), in
+        per shift of a block, hold at most ``_tile_points`` points, in
         scratch of the call; each x block's rows serve all its nodes.  Each
         node is composed from gathered copies of its rows by ``_compose``'s
         operations, and the general part sees the posed points as in
@@ -327,8 +327,8 @@ class FieldSet:
         n = len(x)
         step = len(scratch) // (3 * n)
         rows = scratch[: 3 * step * n].reshape(3, -1)
-        depth = [bool(self._single[c]) + len(self._boxes) for c in (0, 1)]
-        cap = max(sum(depth), (_SIDE_POINTS // 2 if self._lines else _SIDE_POINTS) // n)
+        depth = self._depth
+        cap = max(sum(depth), self._tile_points // n)
         keys = [_ranks(i, len(xs)), _ranks(j, len(ys))]
         size = _rank_blocks(depth, [len(u) for u, _ in keys], cap)
         side = np.empty((depth[0] * size[0] + depth[1] * size[1]) * n)

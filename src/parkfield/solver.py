@@ -170,7 +170,10 @@ def _grid_rect_samples(rect: Rect, nx: int, ny: int) -> np.ndarray:
     """x row and y row of the cell centers of an ``nx`` by ``ny`` grid, row by row."""
     xs = rect.x_min + (rect.x_max - rect.x_min) * (np.arange(nx) + 0.5) / nx
     ys = rect.y_min + (rect.y_max - rect.y_min) * (np.arange(ny) + 0.5) / ny
-    return np.array(np.meshgrid(xs, ys)).reshape(2, -1)
+    out = np.empty((2, ny, nx))
+    out[0] = xs
+    out[1] = ys[:, None]
+    return out.reshape(2, -1)
 
 
 def _mc_rect_samples(rect: Rect, count: int, seed: int, rect_index: int) -> np.ndarray:
@@ -215,10 +218,9 @@ class ObjectiveEvaluator:
     ``footprint`` is one footprint, or a sequence of footprints scored
     together: the union of their sample blocks passes the field kernel once
     per pose, and each footprint's score sums its own blocks in its own
-    order, so it is bit-identical to scoring that footprint alone.
-    ``shared`` is an evaluator of the same plan; this one reuses the sample
-    blocks it already holds.  An instance keeps scratch state across calls,
-    as ``fields`` does, so it must not be shared between threads.
+    order, so it is bit-identical to scoring that footprint alone.  An
+    instance keeps scratch state across calls, as ``fields`` does, so it
+    must not be shared between threads.
     """
 
     def __init__(
@@ -227,16 +229,14 @@ class ObjectiveEvaluator:
         footprint,
         plan: SamplingPlan,
         rect_weights: dict | None = None,
-        shared: ObjectiveEvaluator | None = None,
     ):
         if isinstance(footprint, VehicleFootprint):
             footprint = (footprint,)
         rect_weights = rect_weights or {}
         layouts = [_sample_layout(fp, plan) for fp in footprint]
         self._fields = fields
-        known = {} if shared is None else shared._blocks
         # Block key -> x row and y row of its samples, in union column order.
-        self._blocks: dict = {}
+        blocks: dict = {}
         first: dict = {}  # block key -> its first union column
         size = 0
         columns = []
@@ -249,20 +249,19 @@ class ObjectiveEvaluator:
                 # and an ablation re-indexes the rectangles after the
                 # removed one.
                 key = rect if plan.mode == GRID else (rect, index)
-                if key not in self._blocks:
-                    block = known.get(key)
-                    if block is None and plan.mode == GRID:
+                if key not in blocks:
+                    if plan.mode == GRID:
                         block = _grid_rect_samples(rect, *shape)
-                    elif block is None:
+                    else:
                         block = _mc_rect_samples(rect, shape[0], plan.seed, index)
-                    self._blocks[key] = block
+                    blocks[key] = block
                     first[key] = size
                     size += block.shape[1]
-                count = self._blocks[key].shape[1]
+                count = blocks[key].shape[1]
                 cols.append(np.arange(first[key], first[key] + count))
                 weights.append(np.full(count, rect_weights.get(label, 1.0) * rect.area / count))
             columns.append((np.concatenate(cols), np.concatenate(weights)))
-        self._coords = np.concatenate(list(self._blocks.values()), axis=1)
+        self._coords = np.concatenate(list(blocks.values()), axis=1)
         # Per footprint: its union columns (None when it uses all of them in
         # order, so its sums run on the kernel's values as they are) and
         # its per-point quadrature weights.
@@ -577,8 +576,9 @@ class ScoredLattice:
         ``footprint``, and the indices of its refinement starts among them,
         as the scan's last cut picked them.
 
-        The evaluator scores ``footprint`` alone and shares the lattice's
-        compiled field set and sample blocks.
+        The evaluator scores ``footprint`` alone on the lattice's compiled
+        field set.  Grid and monte-carlo sample blocks are deterministic,
+        so its scores are the union's column bit for bit.
         """
         plan, config = self._plan, self._config
         if self._scored is None:
@@ -586,7 +586,7 @@ class ScoredLattice:
             axes = _lattice_axes(spot, config.coarse_pitch, config.headings)
             reach = max(fp.max_reach() for fp in self._footprints)
             local = _local_field_set(self._fields, spot, reach)
-            shared = ObjectiveEvaluator(local, self._footprints, plan, config.rect_weights)
+            union = ObjectiveEvaluator(local, self._footprints, plan, config.rect_weights)
             # The oracle's stride, and at least one halving.
             stride = max(2, _oracle_stride(config.coarse_pitch, axes))
             last = []  # the latest cut's poses, score columns and starts
@@ -603,13 +603,13 @@ class ScoredLattice:
 
             # The scan ends on a cut of the nodes it scored, with no node
             # left under it.
-            _, scored, _ = _bounded_scan(shared, axes, stride, cut)
-            self._scored = (local, shared, scored.size, *last)
-        local, shared, nodes, poses, columns, starts = self._scored
+            _, scored, _ = _bounded_scan(union, axes, stride, cut)
+            self._scored = (local, union, scored.size, *last)
+        local, union, nodes, poses, columns, starts = self._scored
         if self._footprints == (footprint,):
-            evaluator = shared
+            evaluator = union
         else:
-            evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights, shared=shared)
+            evaluator = ObjectiveEvaluator(local, footprint, plan, config.rect_weights)
         k = self._footprints.index(footprint)
         return evaluator, nodes, poses, columns[k], starts[k]
 
@@ -780,16 +780,16 @@ def _diverse_starts(order, coarse, count: int, separation: float):
 
 
 def _unbuffered(solve):
-    """``solve`` run with numpy's ufunc buffer at ``_BUFSIZE``; the
-    caller's size is set back on return and on raise."""
+    """``solve`` run with numpy's ufunc buffer at ``_BUFSIZE``, set inside
+    ``np.errstate()``, which from numpy 2 on scopes the buffer size: the
+    caller's size comes back on return and on raise, and the caller's error
+    modes hold inside."""
 
     @functools.wraps(solve)
     def scoped(*args, **kwargs):
-        old = np.setbufsize(_BUFSIZE)
-        try:
+        with np.errstate():
+            np.setbufsize(_BUFSIZE)
             return solve(*args, **kwargs)
-        finally:
-            np.setbufsize(old)
 
     return scoped
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parkfield
-from parkfield import cli, field, solver
+from parkfield import cli, solver
 from parkfield.errors import BudgetError, GeometryError
 from parkfield.field import _BLOCK_POINTS, _TILE_POINTS, FieldSet, gamma, sample_field
 from parkfield.geometry import OBSTACLE, SPOT_EDGE, Point2, Polygon, RigidTransform, transform_polygon
@@ -380,11 +380,11 @@ def test_node_entry_equals_the_lattice_entry(lines):
         dense[j : j + values.shape[0], k : k + values.shape[1]] = values
     for count in (1, 7, 300, 1500):
         i, j = rng.integers(0, len(xs), count), rng.integers(0, len(ys), count)
-        for side in (1, field._SIDE_POINTS):
+        for side in (1, fields._tile_points):
             scratch = np.empty(3 * len(x) * rng.integers(1, 9))
             got = np.full((count, len(x)), np.nan)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(field, "_SIDE_POINTS", side)
+                patch.setattr(fields, "_tile_points", side)
                 for at, values in fields.eval_nodes(x, y, xs, ys, i, j, scratch):
                     got[at] = values
             assert_same_bits(got, dense[i, j])

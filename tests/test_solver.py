@@ -31,7 +31,7 @@ from parkfield.solver import (
     objective,
 )
 
-from parkfield import cli, field, solver
+from parkfield import cli, solver
 from parkfield.strategy import rank_spots
 
 from conftest import (
@@ -540,9 +540,7 @@ def test_union_scores_exact_per_footprint():
         for fp, column in zip(footprints, columns):
             own = ObjectiveEvaluator(local, fp, plan)
             assert np.array_equal(column, unblocked_scores(local, own, poses))
-            shared = ObjectiveEvaluator(local, fp, plan, shared=union)
-            assert np.array_equal(shared._coords, own._coords)
-            assert np.array_equal(shared.scores(poses), column)
+            assert np.array_equal(own.scores(poses), column)
 
 
 def test_scores_exact_with_monte_carlo_plan():
@@ -736,8 +734,7 @@ def test_lattice_union_scores_exact_per_footprint(lattice_calls):
         for fp, column in zip(footprints, columns):
             own = ObjectiveEvaluator(fields, fp, plan)
             assert np.array_equal(column, unblocked_scores(fields, own, poses))
-            shared = ObjectiveEvaluator(fields, fp, plan, shared=union)
-            assert np.array_equal(shared.scores(poses, axes), column)
+            assert np.array_equal(own.scores(poses, axes), column)
 
 
 def test_node_scores_equal_the_per_pose_path(lattice_calls):
@@ -753,8 +750,7 @@ def test_node_scores_equal_the_per_pose_path(lattice_calls):
     rng = np.random.default_rng(14)
     headings = np.array([0.0, -0.0, math.pi])
     for fields in sets:
-        depth = [bool(fields._single[c]) + len(fields._boxes) for c in (0, 1)]
-        budget = field._SIDE_POINTS // 2 if fields._lines else field._SIDE_POINTS
+        depth, budget = fields._depth, fields._tile_points
         for plan in (SamplingPlan(), SamplingPlan(MONTE_CARLO, 150.0, 4)):
             for footprints in ([LATTICE_FOOTPRINT], [LATTICE_FOOTPRINT, *ablations]):
                 evaluator = ObjectiveEvaluator(fields, footprints, plan)
@@ -1414,11 +1410,9 @@ def test_the_solve_buffer_size_moves_no_bit(monkeypatch, capsys):
 
 
 def buffered(bufsize, call):
-    old = np.setbufsize(bufsize)
-    try:
+    with np.errstate():
+        np.setbufsize(bufsize)
         return call()
-    finally:
-        np.setbufsize(old)
 
 
 def test_evaluator_scores_keep_their_bits_at_any_buffer_size():
@@ -1467,23 +1461,18 @@ def test_the_solves_scope_the_buffer_size(monkeypatch):
 
     monkeypatch.setattr(solver, "_compass_refine", seen(compass_refine))
     monkeypatch.setattr(solver, "_bounded_scan", seen(bounded_scan))
-    # Set and restored by hand, not through ``np.errstate()``, which scopes
-    # the buffer size only from numpy 2 on.
-    old = np.setbufsize(4096)
-    try:
-        with np.errstate(over="raise", under="warn"):
-            modes = np.geterr()
-            minimize(fields, footprint, spot, plan)
-            brute_force_minimize(fields, footprint, spot, plan, resolution=0.25)
-            with pytest.raises(InfeasibleSpotError):
-                minimize(fields, VehicleFootprint(Rect(-3.0, 3.0, -0.9, 0.9)), spot, plan)
-            with pytest.raises(BudgetError):
-                brute_force_minimize(fields, footprint, spot, plan, resolution=1e-4)
-            with pytest.raises(BudgetError):
-                minimize(fields, footprint, spot, plan, SolverConfig(coarse_pitch=1e-4))
-            assert np.getbufsize() == 4096
-            assert np.geterr() == modes
-    finally:
-        np.setbufsize(old)
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(4096)
+        modes = np.geterr()
+        minimize(fields, footprint, spot, plan)
+        brute_force_minimize(fields, footprint, spot, plan, resolution=0.25)
+        with pytest.raises(InfeasibleSpotError):
+            minimize(fields, VehicleFootprint(Rect(-3.0, 3.0, -0.9, 0.9)), spot, plan)
+        with pytest.raises(BudgetError):
+            brute_force_minimize(fields, footprint, spot, plan, resolution=1e-4)
+        with pytest.raises(BudgetError):
+            minimize(fields, footprint, spot, plan, SolverConfig(coarse_pitch=1e-4))
+        assert np.getbufsize() == 4096
+        assert np.geterr() == modes
     # The first solve's scan and refinement, and the oracle's scan.
     assert inside == [(solver._BUFSIZE, modes)] * 3
